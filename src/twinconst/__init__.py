@@ -22,7 +22,6 @@ from .hseq import (
     pair_trace,
 )
 from .primes import (
-    PrimeEngine,
     Segment,
     consecutive_primes_from,
     is_prime,
@@ -48,7 +47,6 @@ __all__ = [
     "HTrace",
     "NotMergedWithin",
     "PairReport",
-    "PrimeEngine",
     "Segment",
     "TwinClass",
     "classify_twin",

@@ -147,8 +147,7 @@ def scan_m_sequence(count: int) -> list[int]:
 
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    lo, hi = 3, 1 << 12
-    out: list[int] = []
+    hi = 1 << 12
     while True:
         result = scan_twin_range(3, hi)
         if result.ps.size >= count:

@@ -1,53 +1,17 @@
-"""Hot per-pair simulation kernels.
+"""Hot per-pair simulation kernels, vectorized with numpy.
 
-Compiled with numba when available; set TWINCONST_NO_NUMBA=1 to force the
-pure-numpy interpreted path (same source, no decoration). The benchmark in
-benchmarks/bench_kernels.py compares both.
+pair_stats_kernel advances every twin pair of a chunk together, one trace
+index at a time: at index n all pairs take the same kind of step (to the
+next prime or the next composite), so each index costs a few array
+operations over the pairs still walking. match_offsets_bulk tests a gap
+pattern at many base offsets at once.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("TWINCONST_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-
-NUMBA_ENABLED = not _numba_disabled()
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-@njit(cache=True)
-def _step_to(flags: np.ndarray, k: int, want_prime: bool) -> int:
-    """Least index > k with flags[index] == want_prime, or -1 if off the end."""
-    k += 1
-    n = flags.size
-    while k < n:
-        if flags[k] == want_prime:
-            return k
-        k += 1
-    return -1
-
-
-@njit(cache=True)
 def pair_stats_kernel(
     twin_ks: np.ndarray,
     flags: np.ndarray,
@@ -57,60 +21,74 @@ def pair_stats_kernel(
 ):
     """Simulate the greedy pair recurrence for each twin lesser flags[k], flags[k+2].
 
-    Per pair i (b at offset twin_ks[i], a = b + 2) returns:
+    twin_ks must be ascending. Per pair i (b at offset twin_ks[i], a = b + 2)
+    returns:
       m_out        least index n with diff > threshold, 0 if none before merge
       maxdiff_out  max diff over simulated indices (exact once merged)
       maxdiff_n    first index attaining maxdiff_out
       merge_out    merge index, 0 if not reached (excess stop or overrun)
       ok_out       False when the bitmap/index tables were exhausted; caller
-                   must redo that pair on the unbounded path
+                   must redo that pair on the unbounded path (its other
+                   outputs cover only the indices simulated)
     """
     npairs = twin_ks.size
-    m_out = np.zeros(npairs, np.int64)
-    maxdiff_out = np.zeros(npairs, np.int64)
-    maxdiff_n_out = np.zeros(npairs, np.int64)
+    m_out = np.full(npairs, 2 if threshold < 2 else 0, np.int64)
+    maxdiff_out = np.full(npairs, 2, np.int64)
+    maxdiff_n_out = np.full(npairs, 2, np.int64)
     merge_out = np.zeros(npairs, np.int64)
     ok_out = np.ones(npairs, np.bool_)
-    nidx = idx_prime.size
-    for i in range(npairs):
-        kb = twin_ks[i]
-        ka = kb + 2
-        maxd = 2
-        maxd_n = 2
-        m = 0
-        merge_n = 0
-        if threshold < 2:
-            m = 2
-        done = stop_on_excess and m != 0
-        ok = True
-        n = 3
-        while not done:
-            if n >= nidx:
-                ok = False
-                break
-            want = idx_prime[n]
-            ka = _step_to(flags, ka, want)
-            kb = _step_to(flags, kb, want)
-            if ka < 0 or kb < 0:
-                ok = False
-                break
-            d = ka - kb
-            if d > maxd:
-                maxd = d
-                maxd_n = n
-            if m == 0 and d > threshold:
-                m = n
-                if stop_on_excess:
-                    done = True
-            if d == 0:
-                merge_n = n
-                done = True
-            n += 1
-        m_out[i] = m
-        maxdiff_out[i] = maxd
-        maxdiff_n_out[i] = maxd_n
-        merge_out[i] = merge_n
-        ok_out[i] = ok
+    if stop_on_excess and threshold < 2:
+        return m_out, maxdiff_out, maxdiff_n_out, merge_out, ok_out
+
+    size = flags.size
+    # From a value v >= 3 the next composite is v + 1, or v + 2 when v + 1
+    # is prime (then v + 2 is even and >= 6). One byte per offset.
+    comp_step = np.ones(size, np.int8)
+    comp_step[:-1] += flags[1:]
+    # Prime positions with a sentinel that reads as "off the bitmap".
+    prime_ks = np.append(np.flatnonzero(flags), size)
+
+    # Live state: original pair index, [ka; kb] offsets, running max diff.
+    # Traces are monotone in their start, so ka stays ascending across pairs.
+    live = np.arange(npairs)
+    k = np.stack((twin_ks + 2, twin_ks)).astype(np.int64)
+    maxd = maxdiff_out.copy()
+    for n in range(3, idx_prime.size):
+        if not live.size:
+            break
+        if idx_prime[n]:
+            k = prime_ks[prime_ks.searchsorted(k, "right")]
+        else:
+            k = k + comp_step[k]
+        if k[0, -1] >= size:
+            # Pairs whose step left the bitmap keep their stats so far.
+            off = k[0] >= size
+            ok_out[live[off]] = False
+            maxdiff_out[live[off]] = maxd[off]
+            keep = ~off
+            live, k, maxd = live[keep], k[:, keep], maxd[keep]
+        d = k[0] - k[1]
+        up = d > maxd
+        done = None
+        if np.count_nonzero(up):
+            maxdiff_n_out[live[up]] = n
+            # m is still unset exactly while maxd <= threshold
+            crossed = up & (maxd <= threshold) & (d > threshold)
+            m_out[live[crossed]] = n
+            np.maximum(maxd, d, out=maxd)
+            if stop_on_excess and np.count_nonzero(crossed):
+                done = crossed
+        if np.count_nonzero(d) < d.size:
+            merged = d == 0
+            merge_out[live[merged]] = n
+            done = merged if done is None else done | merged
+        if done is not None:
+            maxdiff_out[live[done]] = maxd[done]
+            keep = ~done
+            live, k, maxd = live[keep], k[:, keep], maxd[keep]
+    # Pairs still walking ran out of the index primality table.
+    ok_out[live] = False
+    maxdiff_out[live] = maxd
     return m_out, maxdiff_out, maxdiff_n_out, merge_out, ok_out
 
 

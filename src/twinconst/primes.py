@@ -166,14 +166,3 @@ def twin_lessers(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Ite
         for k in np.flatnonzero(f[:-2] & f[2:]):
             yield start + int(k)
         start = window_hi + 1
-
-
-class PrimeEngine:
-    """Queryable primality source; safe for concurrent readers (stateless)."""
-
-    is_prime = staticmethod(is_prime)
-    next_prime = staticmethod(next_prime)
-    next_composite = staticmethod(next_composite)
-    consecutive_primes_from = staticmethod(consecutive_primes_from)
-    sieve_segment = staticmethod(sieve_segment)
-    twin_lessers = staticmethod(twin_lessers)

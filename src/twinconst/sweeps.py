@@ -1,9 +1,10 @@
 """Bulk twin-pair sweeps over value ranges: chunked, parallel, deterministic.
 
 Each chunk is sieved independently (share-nothing workers) and simulated by
-the kernel in kernels.py; the rare pairs that outrun the kernel's bitmap or
-index table are redone on the unbounded point-query path. Chunk results are
-merged in ascending range order, so reports do not depend on worker count.
+the lockstep kernel in kernels.py, which advances all of the chunk's pairs
+together; the rare pairs that outrun the kernel's bitmap or index table are
+redone on the unbounded point-query path. Chunk results are merged in
+ascending range order, so reports do not depend on worker count.
 """
 
 from __future__ import annotations
