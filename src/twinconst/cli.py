@@ -86,21 +86,12 @@ def _merge_sequence_terms(count: int, bound: int):
         ps.append(primes.next_prime(a))
 
 
-def _nth_twin_lesser(count: int) -> int:
-    hi = 1 << 12
-    while True:
-        twins = list(primes.twin_lessers(hi))
-        if len(twins) >= count:
-            return twins[count - 1]
-        hi *= 4
-
-
 def _maxdiff_terms(count: int, workers: int):
     """Exact max differences for the first count twin pairs (run-to-merge)."""
-    hi = _nth_twin_lesser(count)
+    hi = primes.nth_twin_lesser(count)
     result = scan_twin_range(3, hi, stop_on_excess=False, workers=workers)
-    terms = tuple(int(d) for d in result.max_diff[:count])
-    unmerged = bool((result.merge_n[:count] == UNMERGED).any())
+    terms = tuple(int(d) for d in result.max_diff)
+    unmerged = bool((result.merge_n == UNMERGED).any())
     return terms, unmerged
 
 
@@ -115,6 +106,9 @@ def _cmd_scan(args) -> int:
         return EXIT_OK
     if args.count is None:
         print(f"error: scan {args.kind} requires --count", file=sys.stderr)
+        return EXIT_ARG
+    if args.count < 1:
+        print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
         return EXIT_ARG
     if args.kind == "m":
         terms = constellations.scan_m_sequence(args.count)

@@ -110,16 +110,20 @@ def corollary_patterns(m: int) -> list[GapPattern]:
     raise ValueError(f"patterns defined for m in {{15, 17}} only, got {m}")
 
 
-def predict_near_bulk(twin_ks: np.ndarray, lo: int, flags: np.ndarray) -> np.ndarray:
+def predict_near_bulk(
+    twin_ks: np.ndarray, lo: int, flags: np.ndarray, csum: np.ndarray | None = None
+) -> np.ndarray:
     """Vectorized predicts_near over twin lessers at lo + twin_ks.
 
-    flags must extend at least 20 values past the largest twin lesser.
+    flags must extend at least 20 values past the largest twin lesser. csum is
+    flags' prefix count (kernels.prime_prefix_counts), built here when absent.
     """
-    from .kernels import match_offsets_bulk
+    from .kernels import match_offsets_bulk, prime_prefix_counts
 
     ps = lo + twin_ks
     out = np.zeros(ps.size, dtype=bool)
-    csum = np.concatenate(([0], np.cumsum(flags)))
+    if csum is None:
+        csum = prime_prefix_counts(flags)
     for cls, pattern in NEAR_PATTERNS.items():
         sel = ps % 30 == cls.value
         if sel.any():
@@ -145,14 +149,8 @@ def scan_m_sequence(count: int) -> list[int]:
     """First-excess indices for the first count twin pairs (0 = never exceeds)."""
     from .sweeps import scan_twin_range
 
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    hi = 1 << 12
-    while True:
-        result = scan_twin_range(3, hi)
-        if result.ps.size >= count:
-            return [int(m) for m in result.m[:count]]
-        hi *= 4
+    result = scan_twin_range(3, primes.nth_twin_lesser(count))
+    return [int(m) for m in result.m]
 
 
 def simulated_near(p: int, bound: int = DEFAULT_BOUND) -> bool:

@@ -92,6 +92,14 @@ def pair_stats_kernel(
     return m_out, maxdiff_out, maxdiff_n_out, merge_out, ok_out
 
 
+def prime_prefix_counts(flags: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum of a bitmap of fewer than 2^31 values, as int32:
+    out[k] = primes among flags[:k]."""
+    out = np.zeros(flags.size + 1, np.int32)
+    np.cumsum(flags, dtype=np.int32, out=out[1:])
+    return out
+
+
 def match_offsets_bulk(
     ks: np.ndarray,
     flags: np.ndarray,
@@ -102,8 +110,8 @@ def match_offsets_bulk(
 ) -> np.ndarray:
     """Vectorized gap-pattern test at base offsets ks into a primality bitmap.
 
-    csum must be the exclusive prefix sum of flags (csum[k] = primes among
-    flags[:k]). Callers guarantee ks + max offset stays inside flags.
+    csum must be the exclusive prefix sum of flags (prime_prefix_counts).
+    Callers guarantee ks + max offset stays inside flags.
     """
     out = np.ones(ks.size, dtype=bool)
     for o in offsets:

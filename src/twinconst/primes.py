@@ -2,11 +2,14 @@
 
 Point queries use a deterministic Miller-Rabin base set (exact for all
 inputs below 3.3e24, hence for the whole supported range). Bulk scans use
-a numpy segmented sieve of Eratosthenes.
+a numpy segmented sieve of Eratosthenes: small base primes are crossed off
+by strided slices, large ones together in numpy batches, and the base primes
+themselves come from a grow-only per-process cache.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -24,6 +27,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_LIMIT = 1 << 20
 
+# Base primes below this are crossed off one strided slice each; the rest have
+# at most width / _LARGE_PRIME_MIN multiples in a window and are crossed off
+# together, _LARGE_PRIME_BATCH primes per numpy pass.
+_LARGE_PRIME_MIN = 1 << 12
+_LARGE_PRIME_BATCH = 1 << 16
+_BASE_PRIME_MAX = math.isqrt(RANGE_LIMIT)  # < 2^32, so uint32 holds every base prime
+
 
 def prime_flags_upto(limit: int) -> np.ndarray:
     """Boolean array f with f[i] True iff i is prime, for 0 <= i <= limit."""
@@ -40,7 +50,27 @@ _SMALL_FLAGS = prime_flags_upto(_SMALL_LIMIT)
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    return np.flatnonzero(prime_flags_upto(limit)).astype(np.int64)
+    return np.flatnonzero(prime_flags_upto(limit))
+
+
+# (limit, primes <= limit as read-only uint32), grown on demand by _base_primes
+_base_cache = (0, np.zeros(0, np.uint32))
+
+
+def _base_primes(limit: int) -> np.ndarray:
+    """Primes <= limit (limit <= isqrt(2^63)), served from the per-process cache.
+
+    The cache is rebuilt an eighth past a limit it does not cover, so the next
+    windows of an ascending sweep reuse it.
+    """
+    global _base_cache
+    top, cached = _base_cache
+    if limit > top:
+        top = min(max(limit + limit // 8, 1 << 16), _BASE_PRIME_MAX)
+        cached = primes_upto(top).astype(np.uint32)
+        cached.setflags(write=False)
+        _base_cache = (top, cached)
+    return cached[: cached.searchsorted(limit, "right")]
 
 
 def _miller_rabin(n: int) -> bool:
@@ -141,16 +171,33 @@ def sieve_segment(lo: int, hi: int, *, max_size: int = MAX_SEGMENT_SIZE) -> Segm
         raise ValueError("segment outside supported range [0, 2^63]")
     if hi - lo + 1 > max_size:
         raise ValueError(f"segment width {hi - lo + 1} exceeds max {max_size}")
+    base = _base_primes(math.isqrt(hi))
     n = hi - lo + 1
     flags = np.ones(n, dtype=bool)
     for v in (0, 1):
         if lo <= v <= hi:
             flags[v - lo] = False
-    for p in primes_upto(math.isqrt(hi)):
-        p = int(p)
-        start = max(p * p, ((lo + p - 1) // p) * p)
+    split = int(base.searchsorted(_LARGE_PRIME_MIN))
+    for p in base[:split].tolist():
+        start = max(p * p, -(-lo // p) * p)
         if start <= hi:
             flags[start - lo :: p] = False
+    # Offsets from lo in uint64: p * p <= hi <= 2^63 and lo plus a residue
+    # below 2^32 both fit, and every offset is below 2^63, so the int64 view
+    # reads the same values.
+    ulo = np.uint64(lo)
+    for b in range(split, base.size, _LARGE_PRIME_BATCH):
+        p = base[b : b + _LARGE_PRIME_BATCH].astype(np.uint64)
+        first = np.maximum(p * p, ulo + (p - ulo % p) % p)
+        start = (first - ulo).view(np.int64)
+        step = p.view(np.int64)
+        while True:
+            live = start < n
+            start, step = start[live], step[live]
+            if not start.size:
+                break
+            flags[start] = False
+            start += step
     return Segment(lo, hi, flags)
 
 
@@ -166,3 +213,12 @@ def twin_lessers(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Ite
         for k in np.flatnonzero(f[:-2] & f[2:]):
             yield start + int(k)
         start = window_hi + 1
+
+
+def nth_twin_lesser(count: int) -> int:
+    """The count-th twin lesser in ascending order (count >= 1)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    # small segments: the first 2^14 values already hold 342 twin pairs
+    lessers = twin_lessers(STEP_HEADROOM, segment_size=1 << 14)
+    return next(itertools.islice(lessers, count - 1, None))

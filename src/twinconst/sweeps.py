@@ -18,7 +18,7 @@ import numpy as np
 from . import primes
 from .constellations import _EXCESS17_OFFSETS, predict_near_bulk
 from .hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, pair_trace
-from .kernels import match_offsets_bulk, pair_stats_kernel
+from .kernels import match_offsets_bulk, pair_stats_kernel, prime_prefix_counts
 
 DEFAULT_CHUNK = 1 << 20  # checkpoint cadence ~1e6 scanned values
 VALUE_MARGIN = 1 << 18  # sieve headroom past the chunk for trace values
@@ -101,10 +101,11 @@ def _scan_chunk(args) -> TwinScanResult:
         fallback_count += 1
     near = (merge_n > 0) & (maxd <= threshold)
     predicted = cor17 = cor15 = None
+    if predict or corollary_check:
+        csum = prime_prefix_counts(flags)
     if predict:
-        predicted = predict_near_bulk(twin_ks, lo, flags)
+        predicted = predict_near_bulk(twin_ks, lo, flags, csum)
     if corollary_check:
-        csum = np.concatenate(([0], np.cumsum(flags)))
         cor17 = np.zeros(twin_ks.size, dtype=bool)
         cor15 = np.zeros(twin_ks.size, dtype=bool)
         for offsets in _EXCESS17_OFFSETS:
@@ -176,14 +177,20 @@ def scan_twin_range(
     else:
         own_pool = executor is None
         ex = executor or ProcessPoolExecutor(max_workers=workers)
+        futures = []
         try:
-            futures = [ex.submit(_scan_chunk, span) for span in spans]
+            for span in spans:
+                futures.append(ex.submit(_scan_chunk, span))
             for fut in futures:
                 part = fut.result()
                 if on_chunk is not None:
                     on_chunk(part)
                 parts.append(part)
         finally:
+            # after a failure, drop the chunks no worker has started
             if own_pool:
-                ex.shutdown()
+                ex.shutdown(cancel_futures=True)
+            else:
+                for fut in futures:
+                    fut.cancel()
     return TwinScanResult.concat(parts)

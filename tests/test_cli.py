@@ -96,6 +96,13 @@ def test_scan_missing_arg(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["m", "maxdiff", "merge"])
+def test_scan_count_below_one(capsys, kind):
+    code, out, err = run(capsys, "scan", kind, "--count", "0")
+    assert code == 2
+    assert out == "" and "--count must be >= 1" in err
+
+
 def test_scan_bfile_round_trip(capsys):
     from twinconst.bfile import parse_bfile
     code, out, _ = run(capsys, "scan", "c", "--limit", "100",

@@ -162,3 +162,88 @@ def test_prime_flags_upto_matches_flatnonzero():
     listed = np.flatnonzero(flags)
     assert listed[0] == 2 and listed[-1] == 997
     assert len(listed) == 168
+
+
+def _assert_window_matches_point_queries(lo, hi):
+    seg = primes.sieve_segment(lo, hi)
+    assert seg.flags.size == hi - lo + 1
+    for k in range(hi - lo + 1):
+        assert bool(seg.flags[k]) == primes.is_prime(lo + k), lo + k
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (10**12 - 1234, 10**12 + 1766),
+    (10**14 + 4321, 10**14 + 7321),
+    (999_983 * 1_000_003, 999_983 * 1_000_003 + 3000),  # lo's least factor is large
+    (4099**2 - 3000, 4099**2),  # hi = p * p for the largest base prime p
+])
+def test_sieve_segment_large_base_primes_value_by_value(lo, hi):
+    # isqrt(hi) is 4099 to 1e7: the base primes from 2^12 up take the
+    # batched numpy path, not the strided slice
+    _assert_window_matches_point_queries(lo, hi)
+
+
+def test_sieve_segment_matches_per_prime_loop():
+    # reference: one strided slice per base prime, whatever its size
+    lo, hi = 10**12 + 12345, 10**12 + 12345 + (1 << 16)
+    want = np.ones(hi - lo + 1, dtype=bool)
+    for p in np.flatnonzero(primes.prime_flags_upto(math.isqrt(hi))).tolist():
+        want[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    assert np.array_equal(primes.sieve_segment(lo, hi).flags, want)
+
+
+def test_sieve_segment_crosses_off_by_every_batched_base_prime():
+    # q * r with r the next prime has q as its least factor, so only q can
+    # cross it off; q runs over the ends of the first two numpy batches
+    base = primes.primes_upto(10**6)
+    first = int(np.searchsorted(base, primes._LARGE_PRIME_MIN))
+    edges = (first, first + primes._LARGE_PRIME_BATCH)
+    for i in sorted({j for e in edges for j in (e - 1, e, e + 1)}):
+        q = int(base[i])
+        x = q * primes.next_prime(q)
+        seg = primes.sieve_segment(x - 2, x + 2)
+        assert not seg.is_prime(x), q
+
+
+def test_sieve_segment_window_below_squares_of_large_base_primes():
+    # lo < p < p * p <= hi for the base primes 4099..4177: each must be kept
+    # as a prime and crossed off only from p * p on
+    lo, hi = 1000, 4200**2
+    seg = primes.sieve_segment(lo, hi)
+    assert np.array_equal(seg.flags, primes.prime_flags_upto(hi)[lo:])
+
+
+def test_sieve_segment_base_prime_cache_grows_and_slices_down(monkeypatch):
+    monkeypatch.setattr(primes, "_base_cache", (0, np.zeros(0, np.uint32)))
+    for lo in (10**14, 10**6, 10**12):
+        _assert_window_matches_point_queries(lo, lo + 2000)
+    top, cached = primes._base_cache
+    assert top >= math.isqrt(10**14 + 2000)
+    assert cached.dtype == np.uint32 and not cached.flags.writeable
+
+
+def test_sieve_segment_offsets_exact_near_range_limit(monkeypatch):
+    # with a stub base-prime list the sieve crosses off exactly the multiples
+    # of the stub primes, so a window at the top of the range checks the
+    # offset arithmetic without sieving by all primes below 3e9
+    top = primes.RANGE_LIMIT
+    big = [q for q in range(math.isqrt(top) - 300, math.isqrt(top) + 1) if primes.is_prime(q)]
+    stub = np.array([2, 3, 4099, 65537] + big, dtype=np.uint32)
+    monkeypatch.setattr(primes, "_base_primes", lambda limit: stub[stub <= limit])
+    lo = top - 10**5
+    seg = primes.sieve_segment(lo, top)
+    want = [all((lo + k) % int(q) for q in stub) for k in range(top - lo + 1)]
+    assert seg.flags.tolist() == want
+    assert not primes.sieve_segment(top, top).flags[0]
+
+
+def test_twin_prime_counts_match_published_values():
+    # pi_2(10^k) for k = 3..6, OEIS A007508
+    for k, want in ((3, 35), (4, 205), (5, 1224), (6, 8169)):
+        assert sum(1 for _ in primes.twin_lessers(10**k)) == want
+
+
+def test_nth_twin_lesser():
+    assert [primes.nth_twin_lesser(n) for n in (1, 2, 3, 35, 205)] == [3, 5, 11, 881, 9929]
+    with pytest.raises(ValueError):
+        primes.nth_twin_lesser(0)

@@ -1,3 +1,6 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,21 @@ from twinconst.verify import (
 )
 
 C_PREFIX = [3, 11, 17, 29, 59, 227, 269, 1277, 1289, 1607, 2129, 2789, 3527, 3917]
+
+_real_scan_chunk = sweeps._scan_chunk
+_FAILING_LO = 20_003  # the third 10_000-value chunk
+_chunk_log = None  # directory where _fail_third_chunk records every chunk it starts
+
+
+def _fail_third_chunk(args):
+    # module level, so a pool can send it to forked workers by reference
+    lo = args[0]
+    (_chunk_log / str(lo)).touch()
+    if lo == _FAILING_LO:
+        raise RuntimeError("injected worker failure")
+    if lo > _FAILING_LO:
+        time.sleep(0.05)  # later chunks are slow, so a pool still running them shows
+    return _real_scan_chunk(args)
 
 
 def test_theorem1_small_range():
@@ -122,6 +140,20 @@ def test_partitioned_scan_worker_failure_gives_partial_report(monkeypatch):
     assert not report.verified
     assert "injected worker failure" in report.details["error"]
     assert report.details["completed_hi"] == 20_002  # two chunks finished
+
+
+def test_partitioned_scan_worker_failure_two_workers(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys.modules[__name__], "_chunk_log", tmp_path)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _fail_third_chunk)
+    report = partitioned_scan(400_000, 2, chunk=10_000)
+    assert report.aborted
+    assert not report.verified
+    assert "injected worker failure" in report.details["error"]
+    assert report.details["completed_hi"] == 20_002
+    # of the 40 queued chunks, only those a worker had already taken may run
+    # after the failure; the rest are cancelled
+    started = len(list(tmp_path.iterdir()))
+    assert 3 <= started < 20
 
 
 def test_checkpoint_resume(tmp_path):
