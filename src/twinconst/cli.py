@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 
 from . import constellations, primes, verify
 from .bfile import SequenceRecord, get_fixture
@@ -17,8 +18,8 @@ from .hseq import (
     DEFAULT_THRESHOLD,
     NotMergedWithin,
     h_sequence,
-    merge_position,
     pair_trace,
+    prime_pair_merges,
 )
 from .sweeps import UNMERGED, scan_twin_range
 
@@ -74,16 +75,8 @@ def _cmd_trace(args) -> int:
 
 def _merge_sequence_terms(count: int, bound: int):
     """Flattened merge positions for pairs (a, b), grouped by a ascending."""
-    terms = []
-    ps = [3]
-    while True:
-        a = ps[-1]
-        for b in ps[:-1]:
-            pos = merge_position(a, b, bound)
-            terms.append(None if isinstance(pos, NotMergedWithin) else pos)
-            if len(terms) == count:
-                return terms
-        ps.append(primes.next_prime(a))
+    return [None if isinstance(pos, NotMergedWithin) else pos
+            for _, _, pos in islice(prime_pair_merges(bound), count)]
 
 
 def _maxdiff_terms(count: int, workers: int):

@@ -111,25 +111,21 @@ def corollary_patterns(m: int) -> list[GapPattern]:
 
 
 def predict_near_bulk(
-    twin_ks: np.ndarray, lo: int, flags: np.ndarray, csum: np.ndarray | None = None
+    twin_ks: np.ndarray, lo: int, flags: np.ndarray, csum: np.ndarray
 ) -> np.ndarray:
     """Vectorized predicts_near over twin lessers at lo + twin_ks.
 
-    flags must extend at least 20 values past the largest twin lesser. csum is
-    flags' prefix count (kernels.prime_prefix_counts), built here when absent.
+    flags must extend at least 20 values past the largest twin lesser; csum is
+    its prefix count (kernels.prime_prefix_counts).
     """
-    from .kernels import match_offsets_bulk, prime_prefix_counts
+    from .kernels import match_offsets_bulk
 
     ps = lo + twin_ks
     out = np.zeros(ps.size, dtype=bool)
-    if csum is None:
-        csum = prime_prefix_counts(flags)
     for cls, pattern in NEAR_PATTERNS.items():
         sel = ps % 30 == cls.value
         if sel.any():
-            out[sel] = match_offsets_bulk(
-                twin_ks[sel], flags, csum, pattern.offsets, True, None
-            )
+            out[sel] = match_offsets_bulk(twin_ks[sel], flags, csum, pattern)
     out[ps == 3] = True
     out[ps == 5] = False
     return out

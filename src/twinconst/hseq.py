@@ -107,6 +107,20 @@ def merge_position(a: int, b: int, bound: int = DEFAULT_BOUND) -> int | NotMerge
     return NotMergedWithin(bound)
 
 
+def prime_pair_merges(bound: int = DEFAULT_BOUND):
+    """Endless (a, b, merge_position(a, b, bound)) over odd primes b < a,
+    grouped by a ascending: (5, 3), (7, 3), (7, 5), (11, 3), ...
+
+    The pairs among the first k odd primes are the first k(k-1)/2 items.
+    """
+    ps = [3]
+    while True:
+        a = primes.next_prime(ps[-1])
+        for b in ps:
+            yield a, b, merge_position(a, b, bound)
+        ps.append(a)
+
+
 def pair_trace(
     a: int,
     b: int,

@@ -101,24 +101,20 @@ def prime_prefix_counts(flags: np.ndarray) -> np.ndarray:
 
 
 def match_offsets_bulk(
-    ks: np.ndarray,
-    flags: np.ndarray,
-    csum: np.ndarray,
-    offsets: tuple[int, ...],
-    require_consecutive: bool,
-    forbidden_next: int | None,
+    ks: np.ndarray, flags: np.ndarray, csum: np.ndarray, pattern
 ) -> np.ndarray:
-    """Vectorized gap-pattern test at base offsets ks into a primality bitmap.
+    """Vectorized constellations.matches_pattern: does the GapPattern pattern
+    sit at each base offset ks into a primality bitmap?
 
     csum must be the exclusive prefix sum of flags (prime_prefix_counts).
-    Callers guarantee ks + max offset stays inside flags.
+    Callers guarantee ks plus every offset of pattern stays inside flags.
     """
     out = np.ones(ks.size, dtype=bool)
-    for o in offsets:
+    for o in pattern.offsets:
         out &= flags[ks + o]
-    if require_consecutive:
-        last = offsets[-1]
-        out &= (csum[ks + last + 1] - csum[ks]) == len(offsets)
-    if forbidden_next is not None:
-        out &= ~flags[ks + forbidden_next]
+    if pattern.require_consecutive:
+        last = pattern.offsets[-1]
+        out &= (csum[ks + last + 1] - csum[ks]) == len(pattern.offsets)
+    if pattern.forbidden_next is not None:
+        out &= ~flags[ks + pattern.forbidden_next]
     return out

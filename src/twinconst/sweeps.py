@@ -10,13 +10,13 @@ ascending range order, so reports do not depend on worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import primes
-from .constellations import _EXCESS17_OFFSETS, predict_near_bulk
+from .constellations import corollary_patterns, predict_near_bulk
 from .hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, pair_trace
 from .kernels import match_offsets_bulk, pair_stats_kernel, prime_prefix_counts
 
@@ -29,56 +29,62 @@ _IDX_PRIME = primes.prime_flags_upto(IDX_LIMIT - 1)
 UNMERGED = -1  # merge_n marker: not merged within DEFAULT_BOUND indices
 
 
+def _column(dtype, requested_by: Optional[str] = None):
+    """A per-pair array field of TwinScanResult. A column with requested_by is
+    None unless the scan_twin_range option of that name was set."""
+    default = MISSING if requested_by is None else None
+    return field(default=default, metadata={"dtype": dtype, "requested_by": requested_by})
+
+
 @dataclass
 class TwinScanResult:
     """Per-twin-pair statistics over [lo, hi], ascending by lesser member p.
 
     merge_n is 0 when the scan stopped at the first excess (merge not needed),
     UNMERGED when even the unbounded fallback gave up. near means "merged with
-    max difference <= threshold". predicted/cor17/cor15 are present only when
-    requested.
+    max difference <= threshold"; fallback marks the pairs redone on the
+    unbounded path.
     """
 
     lo: int
     hi: int
     threshold: int
-    ps: np.ndarray
-    m: np.ndarray
-    max_diff: np.ndarray
-    max_diff_n: np.ndarray
-    merge_n: np.ndarray
-    near: np.ndarray
-    predicted: Optional[np.ndarray]
-    cor17: Optional[np.ndarray]
-    cor15: Optional[np.ndarray]
-    fallback_count: int = 0
+    ps: np.ndarray = _column(np.int64)
+    m: np.ndarray = _column(np.int64)
+    max_diff: np.ndarray = _column(np.int64)
+    max_diff_n: np.ndarray = _column(np.int64)
+    merge_n: np.ndarray = _column(np.int64)
+    near: np.ndarray = _column(bool)
+    fallback: np.ndarray = _column(bool)
+    predicted: Optional[np.ndarray] = _column(bool, "predict")
+    cor17: Optional[np.ndarray] = _column(bool, "corollary_check")
+    cor15: Optional[np.ndarray] = _column(bool, "corollary_check")
+
+    @property
+    def fallback_count(self) -> int:
+        return int(np.count_nonzero(self.fallback))
+
+    @classmethod
+    def columns(cls) -> list[Field]:
+        return [f for f in fields(cls) if "dtype" in f.metadata]
+
+    @classmethod
+    def empty(cls, lo: int, hi: int, threshold: int, **options: bool) -> "TwinScanResult":
+        """No pairs, with the optional columns that options (scan_twin_range's
+        predict, corollary_check) request."""
+        return cls(lo, hi, threshold, **{
+            f.name: np.zeros(0, f.metadata["dtype"]) for f in cls.columns()
+            if f.metadata["requested_by"] is None or options[f.metadata["requested_by"]]})
 
     @classmethod
     def concat(cls, parts: list["TwinScanResult"]) -> "TwinScanResult":
         if not parts:
             raise ValueError("nothing to concatenate")
-
-        def cat(name):
-            arrs = [getattr(p, name) for p in parts]
-            if any(a is None for a in arrs):
-                return None
-            return np.concatenate(arrs)
-
-        return cls(
-            lo=parts[0].lo,
-            hi=parts[-1].hi,
-            threshold=parts[0].threshold,
-            ps=cat("ps"),
-            m=cat("m"),
-            max_diff=cat("max_diff"),
-            max_diff_n=cat("max_diff_n"),
-            merge_n=cat("merge_n"),
-            near=cat("near"),
-            predicted=cat("predicted"),
-            cor17=cat("cor17"),
-            cor15=cat("cor15"),
-            fallback_count=sum(p.fallback_count for p in parts),
-        )
+        cols = {}
+        for f in cls.columns():
+            arrs = [getattr(p, f.name) for p in parts]
+            cols[f.name] = None if any(a is None for a in arrs) else np.concatenate(arrs)
+        return cls(parts[0].lo, parts[-1].hi, parts[0].threshold, **cols)
 
 
 def _scan_chunk(args) -> TwinScanResult:
@@ -90,7 +96,6 @@ def _scan_chunk(args) -> TwinScanResult:
     m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(
         twin_ks, flags, _IDX_PRIME, threshold, stop_on_excess
     )
-    fallback_count = 0
     for i in np.flatnonzero(~ok):
         p = lo + int(twin_ks[i])
         rep = pair_trace(p + 2, p, threshold, DEFAULT_BOUND)
@@ -98,7 +103,6 @@ def _scan_chunk(args) -> TwinScanResult:
         maxd[i] = rep.max_diff
         maxd_n[i] = rep.max_diff_first_index
         merge_n[i] = rep.merge_index if rep.merged else UNMERGED
-        fallback_count += 1
     near = (merge_n > 0) & (maxd <= threshold)
     predicted = cor17 = cor15 = None
     if predict or corollary_check:
@@ -106,11 +110,10 @@ def _scan_chunk(args) -> TwinScanResult:
     if predict:
         predicted = predict_near_bulk(twin_ks, lo, flags, csum)
     if corollary_check:
-        cor17 = np.zeros(twin_ks.size, dtype=bool)
-        cor15 = np.zeros(twin_ks.size, dtype=bool)
-        for offsets in _EXCESS17_OFFSETS:
-            cor17 |= match_offsets_bulk(twin_ks, flags, csum, offsets, True, 32)
-            cor15 |= match_offsets_bulk(twin_ks, flags, csum, offsets + (32,), True, None)
+        cor17, cor15 = (
+            np.any([match_offsets_bulk(twin_ks, flags, csum, pattern)
+                    for pattern in corollary_patterns(m_val)], axis=0)
+            for m_val in (17, 15))
     return TwinScanResult(
         lo=lo,
         hi=hi,
@@ -121,10 +124,10 @@ def _scan_chunk(args) -> TwinScanResult:
         max_diff_n=maxd_n,
         merge_n=merge_n,
         near=near,
+        fallback=~ok,
         predicted=predicted,
         cor17=cor17,
         cor15=cor15,
-        fallback_count=fallback_count,
     )
 
 
@@ -148,18 +151,12 @@ def scan_twin_range(
     margin trades sieve width against fallback rate; pass an executor to
     reuse a worker pool across many scans.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     lo = max(lo, 3)
     if hi < lo:
-        ints = np.zeros(0, np.int64)
-        bools = np.zeros(0, bool)
-        return TwinScanResult(
-            lo=lo, hi=hi, threshold=threshold,
-            ps=ints, m=ints, max_diff=ints, max_diff_n=ints, merge_n=ints,
-            near=bools,
-            predicted=bools if predict else None,
-            cor17=bools if corollary_check else None,
-            cor15=bools if corollary_check else None,
-        )
+        return TwinScanResult.empty(lo, hi, threshold, predict=predict,
+                                    corollary_check=corollary_check)
     spans = []
     start = lo
     while start <= hi:
@@ -167,30 +164,21 @@ def scan_twin_range(
         spans.append(
             (start, end, threshold, stop_on_excess, predict, corollary_check, margin))
         start = end + 1
+    pool = None
+    if workers > 1 and len(spans) > 1:
+        pool = executor or ProcessPoolExecutor(max_workers=workers)
+    chunks = pool.map(_scan_chunk, spans) if pool else map(_scan_chunk, spans)
     parts: list[TwinScanResult] = []
-    if workers <= 1 or len(spans) == 1:
-        for span in spans:
-            part = _scan_chunk(span)
+    try:
+        for part in chunks:
             if on_chunk is not None:
                 on_chunk(part)
             parts.append(part)
-    else:
-        own_pool = executor is None
-        ex = executor or ProcessPoolExecutor(max_workers=workers)
-        futures = []
-        try:
-            for span in spans:
-                futures.append(ex.submit(_scan_chunk, span))
-            for fut in futures:
-                part = fut.result()
-                if on_chunk is not None:
-                    on_chunk(part)
-                parts.append(part)
-        finally:
-            # after a failure, drop the chunks no worker has started
-            if own_pool:
-                ex.shutdown(cancel_futures=True)
-            else:
-                for fut in futures:
-                    fut.cancel()
+    finally:
+        if pool is not None:
+            # after a failure, drop the chunks no worker has started; a
+            # pool's map cancels them only once its iterator is closed
+            chunks.close()
+            if executor is None:
+                pool.shutdown()
     return TwinScanResult.concat(parts)

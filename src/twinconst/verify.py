@@ -13,26 +13,23 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from . import primes
 from .hseq import (
     DEFAULT_BOUND,
     DEFAULT_THRESHOLD,
     NotMergedWithin,
     h_sequence,
-    merge_position,
+    prime_pair_merges,
 )
 from .sweeps import DEFAULT_CHUNK, TwinScanResult, scan_twin_range
 
 ALLOWED_M_VALUES = frozenset({0, 3, 5, 7, 9, 11, 13, 15, 17})
 
-CHECKPOINT_VERSION = 1
-
-_ARRAY_FIELDS = ("ps", "m", "max_diff", "max_diff_n", "merge_n", "near",
-                 "predicted", "cor17", "cor15")
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -96,10 +93,9 @@ def _save_checkpoint(path: str, params: dict, next_lo: int,
                      acc: Optional[TwinScanResult]) -> None:
     arrays = {}
     if acc is not None:
-        for name in _ARRAY_FIELDS:
-            arr = getattr(acc, name)
-            if arr is not None:
-                arrays[name] = arr
+        for f in TwinScanResult.columns():
+            if getattr(acc, f.name) is not None:
+                arrays[f.name] = getattr(acc, f.name)
     meta = {"version": CHECKPOINT_VERSION, "params": params, "next_lo": next_lo,
             "have": sorted(arrays)}
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
@@ -124,11 +120,9 @@ def _load_checkpoint(path: str, params: dict):
         next_lo = int(meta["next_lo"])
         if not meta["have"]:
             return next_lo, None
-        kwargs = {name: (data[name] if name in meta["have"] else None)
-                  for name in _ARRAY_FIELDS}
-        acc = TwinScanResult(lo=3, hi=next_lo - 1, threshold=params["threshold"],
-                             **kwargs)
-        return next_lo, acc
+        cols = {f.name: (data[f.name] if f.name in meta["have"] else None)
+                for f in TwinScanResult.columns()}
+        return next_lo, TwinScanResult(3, next_lo - 1, params["threshold"], **cols)
 
 
 def partitioned_scan(
@@ -148,6 +142,8 @@ def partitioned_scan(
     Identical output for any worker count; on worker failure returns the
     partial in-order report with aborted=True.
     """
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     t0 = time.perf_counter()
     params = {"limit": limit, "threshold": threshold, "stop_on_excess": stop_on_excess,
               "predict": predict, "corollary_check": corollary_check, "chunk": chunk}
@@ -182,8 +178,8 @@ def partitioned_scan(
     if parts:
         result = TwinScanResult.concat(parts)
     else:
-        result = scan_twin_range(3, 2, threshold=threshold, predict=predict,
-                                 corollary_check=corollary_check)
+        result = TwinScanResult.empty(3, 2, threshold, predict=predict,
+                                      corollary_check=corollary_check)
     if checkpoint is not None and not aborted and os.path.exists(checkpoint):
         os.unlink(checkpoint)
 
@@ -310,27 +306,18 @@ def probe_conjecture1(prime_count: int, bound: int = DEFAULT_BOUND) -> CampaignR
     Non-merging within bound is recorded as a finding, not a counterexample.
     """
     t0 = time.perf_counter()
-    ps = []
-    p = 3
-    while len(ps) < prime_count:
-        ps.append(p)
-        p = primes.next_prime(p)
+    k = max(prime_count, 0)
     positions = []
     unmerged = []
-    for a in ps:
-        for b in ps:
-            if b >= a:
-                break
-            pos = merge_position(a, b, bound)
-            if isinstance(pos, NotMergedWithin):
-                unmerged.append((a, b))
-                positions.append((a, b, None))
-            else:
-                positions.append((a, b, pos))
+    for a, b, pos in islice(prime_pair_merges(bound), k * (k - 1) // 2):
+        if isinstance(pos, NotMergedWithin):
+            unmerged.append((a, b))
+            pos = None
+        positions.append((a, b, pos))
     report = CampaignReport(
         campaign="conjecture1",
         lo=3,
-        hi=ps[-1] if ps else 3,
+        hi=positions[-1][0] if positions else 3,
         pairs_examined=len(positions),
         counterexamples=[],
         m_value_histogram={},

@@ -3,6 +3,7 @@ import pytest
 
 from twinconst import primes
 from twinconst.constellations import (
+    NEAR_PATTERNS,
     GapPattern,
     TwinClass,
     classify_twin,
@@ -14,6 +15,7 @@ from twinconst.constellations import (
     scan_m_sequence,
     simulated_near,
 )
+from twinconst.kernels import match_offsets_bulk, prime_prefix_counts
 
 
 def test_classify_twin():
@@ -94,9 +96,32 @@ def test_predict_near_bulk_matches_scalar():
     flags = seg.flags
     width = 40_000
     twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
-    bulk = predict_near_bulk(twin_ks, lo, flags)
+    bulk = predict_near_bulk(twin_ks, lo, flags, prime_prefix_counts(flags))
     for k, got in zip(twin_ks, bulk):
         assert bool(got) == predicts_near(lo + int(k))
+
+
+def test_match_offsets_bulk_matches_scalar():
+    patterns = [
+        *NEAR_PATTERNS.values(),
+        *corollary_patterns(17),
+        *corollary_patterns(15),
+        GapPattern((0, 2, 12), require_consecutive=False),
+        GapPattern((0, 2, 6), forbidden_next=8),
+    ]
+    hits = np.zeros(len(patterns), dtype=int)
+    # the middle window holds 7447049, the first base of the m=15 pattern
+    # (0, 2, 8, 12, 18, 24, 30, 32); the window from 3 holds one of every other
+    for lo, width in ((3, 1 << 19), (7_446_000, 1 << 12), (10**12, 1 << 12)):
+        flags = primes.sieve_segment(lo, lo + width + 40).flags
+        csum = prime_prefix_counts(flags)
+        ks = np.flatnonzero(flags[:width])
+        for i, pattern in enumerate(patterns):
+            bulk = match_offsets_bulk(ks, flags, csum, pattern)
+            scalar = [matches_pattern(lo + k, pattern) for k in ks.tolist()]
+            assert bulk.tolist() == scalar, (lo, pattern)
+            hits[i] += np.count_nonzero(bulk)
+    assert hits.all(), hits
 
 
 def test_corollary_patterns():

@@ -1,10 +1,15 @@
+import dataclasses
+import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import twinconst.sweeps as sweeps
+import twinconst.verify as verify_mod
+from twinconst.sweeps import TwinScanResult, scan_twin_range
 from twinconst.verify import (
     ALLOWED_M_VALUES,
     partitioned_scan,
@@ -18,18 +23,29 @@ C_PREFIX = [3, 11, 17, 29, 59, 227, 269, 1277, 1289, 1607, 2129, 2789, 3527, 391
 
 _real_scan_chunk = sweeps._scan_chunk
 _FAILING_LO = 20_003  # the third 10_000-value chunk
-_chunk_log = None  # directory where _fail_third_chunk records every chunk it starts
+_chunk_log = None  # directory where the chunk functions below record each chunk they start
 
 
-def _fail_third_chunk(args):
-    # module level, so a pool can send it to forked workers by reference
+# module level, so a pool can send these to forked workers by reference
+def _logged_chunk(args):
     lo = args[0]
     (_chunk_log / str(lo)).touch()
-    if lo == _FAILING_LO:
-        raise RuntimeError("injected worker failure")
     if lo > _FAILING_LO:
         time.sleep(0.05)  # later chunks are slow, so a pool still running them shows
     return _real_scan_chunk(args)
+
+
+def _fail_third_chunk(args):
+    if args[0] == _FAILING_LO:
+        (_chunk_log / str(args[0])).touch()
+        raise RuntimeError("injected worker failure")
+    return _logged_chunk(args)
+
+
+def _first_pair_falls_back(args):
+    part = _real_scan_chunk(args)
+    part.fallback[:1] = True
+    return part
 
 
 def test_theorem1_small_range():
@@ -156,37 +172,94 @@ def test_partitioned_scan_worker_failure_two_workers(monkeypatch, tmp_path):
     assert 3 <= started < 20
 
 
-def test_checkpoint_resume(tmp_path):
+def test_partitioned_scan_checkpoint_failure_two_workers(monkeypatch, tmp_path):
     ckpt = str(tmp_path / "scan.ckpt.npz")
-    fresh = partitioned_scan(60_000, 1, chunk=20_000)
+    log = tmp_path / "chunks"
+    log.mkdir()
+    monkeypatch.setattr(sys.modules[__name__], "_chunk_log", log)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _logged_chunk)
+    real_save = verify_mod._save_checkpoint
+
+    def failing_save(path, params, next_lo, acc):
+        if next_lo > _FAILING_LO:  # the third chunk's checkpoint write
+            raise OSError("injected checkpoint failure")
+        real_save(path, params, next_lo, acc)
+
+    monkeypatch.setattr(verify_mod, "_save_checkpoint", failing_save)
+    report = partitioned_scan(400_000, 2, chunk=10_000, checkpoint=ckpt)
+    assert report.aborted
+    assert "OSError: injected checkpoint failure" in report.details["error"]
+    assert report.details["completed_hi"] == 30_002
+    assert os.path.exists(ckpt)
+    # a failing on_chunk callback cancels the queued chunks, as a failing chunk does
+    started = len(list(log.iterdir()))
+    assert 3 <= started < 20
+
+
+def test_callback_failure_cancels_queued_chunks_of_callers_pool(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys.modules[__name__], "_chunk_log", tmp_path)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _logged_chunk)
+
+    def fail_third(part):
+        if part.lo == _FAILING_LO:
+            raise OSError("injected callback failure")
+
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        # excinfo keeps the traceback, and with it the sweep's map iterator,
+        # alive until the pool shuts down: only an explicit cancel stops the
+        # queued chunks
+        with pytest.raises(OSError, match="injected callback failure") as excinfo:
+            scan_twin_range(3, 400_000, chunk=10_000, workers=2, executor=pool,
+                            on_chunk=fail_third)
+    started = len(list(tmp_path.iterdir()))
+    assert 3 <= started < 20
+
+
+def test_checkpoint_resume(tmp_path, monkeypatch):
+    ckpt = str(tmp_path / "scan.ckpt.npz")
+    # every chunk sends its first pair to the fallback, so the fallback
+    # column must survive the checkpoint (the real stragglers cost seconds)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _first_pair_falls_back)
+    kwargs = dict(chunk=20_000, corollary_check=True)
+    fresh = partitioned_scan(60_000, 1, **kwargs)
+    assert fresh.details["fallback_pairs"] == 3
 
     # abort after the first chunk, leaving a checkpoint behind
-    real = sweeps._scan_chunk
-    calls = {"n": 0}
+    started = []
 
     def flaky(args):
-        calls["n"] += 1
-        if calls["n"] > 1:
+        started.append(args[0])
+        if len(started) > 1:
             raise RuntimeError("boom")
-        return real(args)
+        return _first_pair_falls_back(args)
 
-    import twinconst.verify as verify_mod
-    orig = sweeps._scan_chunk
-    sweeps._scan_chunk = flaky
-    try:
-        partial = partitioned_scan(60_000, 1, chunk=20_000, checkpoint=ckpt)
-    finally:
-        sweeps._scan_chunk = orig
+    monkeypatch.setattr(sweeps, "_scan_chunk", flaky)
+    partial = partitioned_scan(60_000, 1, checkpoint=ckpt, **kwargs)
     assert partial.aborted
-    import os
     assert os.path.exists(ckpt)
 
-    resumed = partitioned_scan(60_000, 1, chunk=20_000, checkpoint=ckpt)
+    def recorded(args):
+        started.append(args[0])
+        return _first_pair_falls_back(args)
+
+    started.clear()
+    monkeypatch.setattr(sweeps, "_scan_chunk", recorded)
+    resumed = partitioned_scan(60_000, 1, checkpoint=ckpt, **kwargs)
+    assert started == [20_003, 40_003]  # the first chunk came from the checkpoint
     assert not resumed.aborted
-    for name in ("ps", "m", "max_diff", "near"):
-        assert np.array_equal(getattr(resumed.result, name),
-                              getattr(fresh.result, name))
+    assert resumed.details == fresh.details
+    for f in dataclasses.fields(TwinScanResult):
+        assert np.array_equal(getattr(resumed.result, f.name),
+                              getattr(fresh.result, f.name)), f.name
     assert not os.path.exists(ckpt)  # removed after a clean finish
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_chunk_below_one_is_rejected(chunk):
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        scan_twin_range(3, 100, chunk=chunk)
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        partitioned_scan(100, 1, chunk=chunk)
 
 
 def test_checkpoint_param_mismatch_is_ignored(tmp_path):
