@@ -18,10 +18,9 @@ from .hseq import (
     DEFAULT_THRESHOLD,
     NotMergedWithin,
     h_sequence,
-    pair_trace,
     prime_pair_merges,
 )
-from .sweeps import UNMERGED, scan_twin_range
+from .sweeps import UNMERGED, pair_report, scan_twin_range
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -58,7 +57,7 @@ def _cmd_hseq(args) -> int:
 
 def _cmd_trace(args) -> int:
     try:
-        report = pair_trace(args.a, args.b, args.threshold, args.bound)
+        report = pair_report(args.a, args.b, args.threshold, args.bound)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARG

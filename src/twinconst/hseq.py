@@ -121,6 +121,18 @@ def prime_pair_merges(bound: int = DEFAULT_BOUND):
         ps.append(a)
 
 
+def check_pair(a: int, b: int, threshold: int, bound: int) -> None:
+    """Raise ValueError unless a > b are odd primes, threshold >= 1 and bound >= 2."""
+    _require_prime_start(a)
+    _require_prime_start(b)
+    if a <= b:
+        raise ValueError(f"require a > b, got a={a} b={b}")
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    if bound < 2:
+        raise ValueError(f"bound must be >= 2, got {bound}")
+
+
 def pair_trace(
     a: int,
     b: int,
@@ -130,16 +142,11 @@ def pair_trace(
     """Streaming joint scan: merge index, max difference, first excess index.
 
     When the pair does not merge within bound, max_diff and first_excess are
-    lower-bound observations over the scanned prefix.
+    lower-bound observations over the scanned prefix. This pure-Python walk,
+    one Miller-Rabin step per trace and index, is the reference oracle;
+    sweeps.pair_report gives the same report from the vectorized walker.
     """
-    _require_prime_start(a)
-    _require_prime_start(b)
-    if a <= b:
-        raise ValueError(f"require a > b, got a={a} b={b}")
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
+    check_pair(a, b, threshold, bound)
     max_diff = -1
     max_diff_n = 2
     first_excess = 0

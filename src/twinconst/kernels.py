@@ -3,13 +3,26 @@
 pair_stats_kernel advances every twin pair of a chunk together, one trace
 index at a time: at index n all pairs take the same kind of step (to the
 next prime or the next composite), so each index costs a few array
-operations over the pairs still walking. match_offsets_bulk tests a gap
-pattern at many base offsets at once.
+operations over the pairs still walking. walk_pairs takes the pairs it gives
+up on, and any other pair, to their merge or a bound in rank space, one prime
+index at a time. match_offsets_bulk tests a gap pattern at many base offsets
+at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import primes
+
+UNMERGED = -1  # merge_n marker: not merged within the walk's bound
+
+# Values sieved past each trace when the walk sieves, doubled when a window
+# holds only one block; 2^17 added about 2 MB to scan maxdiff's peak RSS.
+WALK_WINDOW = 1 << 15
+WALK_BLOCK = 512  # prime indices per statistics block of the walk
+_BLOCK_CELLS = 1 << 14  # cap on a block's indices x traces, bounding its arrays
+_INDEX_SPAN = 1 << 16  # prime indices are listed this many indices at a time
 
 
 def pair_stats_kernel(
@@ -28,8 +41,8 @@ def pair_stats_kernel(
       maxdiff_n    first index attaining maxdiff_out
       merge_out    merge index, 0 if not reached (excess stop or overrun)
       ok_out       False when the bitmap/index tables were exhausted; caller
-                   must redo that pair on the unbounded path (its other
-                   outputs cover only the indices simulated)
+                   must redo that pair with walk_pairs (its other outputs
+                   cover only the indices simulated)
     """
     npairs = twin_ks.size
     m_out = np.full(npairs, 2 if threshold < 2 else 0, np.int64)
@@ -90,6 +103,164 @@ def pair_stats_kernel(
     ok_out[live] = False
     maxdiff_out[live] = maxd
     return m_out, maxdiff_out, maxdiff_n_out, merge_out, ok_out
+
+
+def _index_primes(bound: int):
+    """Ascending arrays of the prime indices 2, 3, 5, ... through the first
+    prime index >= bound."""
+    start = 0
+    while True:
+        end = start + _INDEX_SPAN - 1
+        qs = start + np.flatnonzero(primes.prime_flags_between(start, end))
+        yield qs
+        if qs.size and qs[-1] >= bound:
+            return
+        start = end + 1
+
+
+def _rank_line(values: np.ndarray, width: int):
+    """Rank-space tables for traces at the prime values (2, P).
+
+    Each cluster of values gets one sieved window that reaches width values
+    past its largest value. The windows lie end to end on a virtual line, one
+    non-prime pad after each. A prime's rank is the count of non-primes before
+    it on the line, so rank is strictly increasing over primes. Positions and
+    ranks are int32, so the line must stay below 2^31 values; the pairs of one
+    sweep chunk (below 2^27 values wide) need a few times 2^27 at most. Returns:
+      C     C[r] is the line position of the non-prime of rank r, so the
+            prime of rank R sits at C[R] - 1
+      F     F[x] is the least prime rank >= x, or the sentinel one past the
+            last prime rank at F[-1], where walk_pairs clips larger x
+      R     each trace's rank
+      off   value = line position + off, per trace
+      last  rank of the last prime of each trace's window
+    """
+    los: list[int] = []
+    his: list[int] = []
+    for v in sorted(values.ravel().tolist()):
+        if los and v <= his[-1] and v + width - los[-1] < primes.MAX_SEGMENT_SIZE:
+            his[-1] = v + width
+        else:
+            los.append(v)
+            his.append(v + width)
+    starts = np.cumsum([0] + [hi - lo + 2 for lo, hi in zip(los, his)])
+    line = np.zeros(starts[-1], bool)
+    for lo, hi, s in zip(los, his, starts.tolist()):
+        line[s : s + hi - lo + 1] = primes.sieve_segment(lo, hi).flags
+    pos = np.arange(line.size, dtype=np.int32)
+    C = pos[~line]
+    prime_pos = pos[line]
+    ranks = prime_pos - np.arange(prime_pos.size, dtype=np.int32)
+    sentinel = ranks[-1] + 1
+    F = np.repeat(np.append(ranks, sentinel),
+                  np.diff(ranks, prepend=-1, append=sentinel))
+    seg = np.searchsorted(los, values, "right") - 1
+    off = np.asarray(los, np.int64)[seg] - starts[seg]
+    R = ranks[prime_pos.searchsorted(values - off)]
+    last_prime = prime_pos.searchsorted(starts[1:] - 1) - 1
+    last = ranks[last_prime][seg]
+    return C, F, R, off, last
+
+
+def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
+    """The greedy pair recurrence for starts a > b (odd primes, arrays), from
+    index 2 to the merge, to index bound or, with stop_on_excess, to the
+    first index where the difference exceeds threshold.
+
+    Returns m, max_diff, max_diff_n and merge_n as pair_stats_kernel does for
+    the pairs it resolves, except that merge_n is UNMERGED for a pair that
+    walked to bound without merging or stopping; its max_diff, max_diff_n and
+    m then cover indices 2..bound.
+
+    Each trace is held at a prime index as the rank R of its value (see
+    _rank_line). The L composite indices up to the next prime index take the
+    non-primes of ranks R .. R + L - 1 and that prime index takes the prime
+    of rank F[R + L], so one step per prime index moves every trace, and the
+    values of a block of steps come from one gather. The window is sieved
+    again when a trace nears its end.
+    """
+    a = np.asarray(a, np.int64)
+    b = np.asarray(b, np.int64)
+    diff2 = a - b
+    m_out = np.where(diff2 > threshold, 2, 0)
+    maxdiff_out = diff2.copy()
+    maxdiff_n_out = np.full(a.size, 2, np.int64)
+    merge_out = np.zeros(a.size, np.int64)
+    live = np.flatnonzero(m_out == 0) if stop_on_excess else np.arange(a.size)
+    index_chunks = _index_primes(bound)
+    qs = next(index_chunks)
+    j = 0  # qs[j] is the prime index the live traces are at
+    window = WALK_WINDOW
+    R = None
+    resieve, fresh = True, False
+    while live.size and qs[j] < bound:
+        if qs.size - j <= WALK_BLOCK:
+            qs = np.concatenate((qs[j:], next(index_chunks, qs[:0])))
+            j = 0
+        if resieve:
+            # a window that held at most one block of steps is too narrow
+            window *= 2 if fresh else 1
+            values = np.stack((a[live], b[live])) if R is None else C[R] - 1 + off
+            C = F = None  # free the old tables first
+            C, F, R, off, last = _rank_line(values, window)
+            resieve, fresh = False, True
+        # K steps, from prime index qs[j] to qs[j + K], within the cell cap
+        span = max(_BLOCK_CELLS // R.size, 1)
+        K = int(qs.searchsorted(qs[j] + span, "right")) - 1 - j
+        K = max(1, min(K, WALK_BLOCK, qs.size - 1 - j))
+        q = qs[j : j + K + 1]
+        gaps = np.diff(q)
+        Rs = np.empty((K + 1,) + R.shape, R.dtype)
+        Rs[0] = R
+        # the step from index 2 to 3 has no composite index but still moves
+        prev = R
+        for row, L in zip(Rs[1:], np.maximum(gaps - 1, 1).tolist()):
+            F.take(prev + L, out=row, mode="clip")
+            prev = row
+        if np.any(Rs[K] > last):
+            resieve = True  # a trace left its window: redo the block
+            continue
+        fresh = False
+        R = Rs[K]
+        advance = np.max(R - Rs[0])
+        # one row per index qs[j] + 1 .. min(qs[j + K], bound)
+        rows = min(int(q[-1]), bound) - int(q[0])
+        ns = np.arange(q[0] + 1, q[0] + 1 + rows)
+        step = np.repeat(np.arange(K), gaps)[:rows]
+        t = (ns - q[step] - 1).astype(np.int32)
+        at_prime = ns == q[step + 1]
+        t[at_prime] = 0
+        # C[R] - 1 is the prime of rank R; the -1 cancels in the difference
+        vals = np.take(C, Rs[step + at_prime] + t[:, None, None])
+        d = vals[:, 0] - vals[:, 1] + (off[0] - off[1])
+        # traces a > b never cross, so d >= 0, and d stays 0 after a merge
+        zero = d == 0
+        merged = zero.any(0)
+        z = zero.argmax(0)
+        excess = d > threshold
+        new_m = (m_out[live] == 0) & excess.any(0)
+        e = excess.argmax(0)
+        end = np.where(merged, z, rows - 1)
+        if stop_on_excess:
+            end = np.where(new_m, e, end)  # an excess comes before a merge
+        d = np.where(np.arange(rows)[:, None] <= end, d, -1)
+        top = d.argmax(0)
+        top_d = d[top, np.arange(top.size)]
+        up = top_d > maxdiff_out[live]
+        maxdiff_out[live[up]] = top_d[up]
+        maxdiff_n_out[live[up]] = ns[top[up]]
+        m_out[live[new_m]] = ns[e[new_m]]
+        done = merged | new_m if stop_on_excess else merged
+        met = merged & ~new_m if stop_on_excess else merged
+        merge_out[live[met]] = ns[z[met]]
+        j += K
+        if done.any():
+            keep = ~done
+            live, R, off, last = live[keep], R[:, keep], off[:, keep], last[:, keep]
+        # sieve again before a block like this one could leave the window
+        resieve = live.size > 0 and np.min(last - R) < advance
+    merge_out[live] = UNMERGED
+    return m_out, maxdiff_out, maxdiff_n_out, merge_out
 
 
 def prime_prefix_counts(flags: np.ndarray) -> np.ndarray:

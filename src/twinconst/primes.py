@@ -47,6 +47,15 @@ def prime_flags_upto(limit: int) -> np.ndarray:
 
 
 _SMALL_FLAGS = prime_flags_upto(_SMALL_LIMIT)
+_SMALL_FLAGS.setflags(write=False)
+
+
+def prime_flags_between(lo: int, hi: int) -> np.ndarray:
+    """Flags f[k] True iff lo + k is prime, for 0 <= lo <= lo + k <= hi: a
+    read-only view of the import-time table when it covers hi, else a sieve."""
+    if hi <= _SMALL_LIMIT:
+        return _SMALL_FLAGS[lo : hi + 1]
+    return sieve_segment(lo, hi).flags
 
 
 def primes_upto(limit: int) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 Each chunk is sieved independently (share-nothing workers) and simulated by
 the lockstep kernel in kernels.py, which advances all of the chunk's pairs
-together; the rare pairs that outrun the kernel's bitmap or index table are
-redone on the unbounded point-query path. Chunk results are merged in
-ascending range order, so reports do not depend on worker count.
+together; the pairs that outrun the kernel's bitmap or its short index table
+(long run-to-merge walks) are walked again in rank space by
+kernels.walk_pairs, on windows it sieves as the traces advance, up to
+DEFAULT_BOUND. Chunk results are merged in ascending range order, so reports
+do not depend on worker count. pair_report puts single pairs (twinconst
+trace) through the same walker.
 """
 
 from __future__ import annotations
@@ -17,16 +20,28 @@ import numpy as np
 
 from . import primes
 from .constellations import corollary_patterns, predict_near_bulk
-from .hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, pair_trace
-from .kernels import match_offsets_bulk, pair_stats_kernel, prime_prefix_counts
+from .hseq import (
+    DEFAULT_BOUND,
+    DEFAULT_THRESHOLD,
+    NotMergedWithin,
+    PairReport,
+    check_pair,
+    pair_trace,  # noqa: F401  (unused here; perfbench/child.py wraps sweeps.pair_trace)
+)
+from .kernels import (
+    UNMERGED,
+    match_offsets_bulk,
+    pair_stats_kernel,
+    prime_prefix_counts,
+    walk_pairs,
+)
 
 DEFAULT_CHUNK = 1 << 20  # checkpoint cadence ~1e6 scanned values
 VALUE_MARGIN = 1 << 18  # sieve headroom past the chunk for trace values
-IDX_LIMIT = 1 << 17  # index primality table length
-
-_IDX_PRIME = primes.prime_flags_upto(IDX_LIMIT - 1)
-
-UNMERGED = -1  # merge_n marker: not merged within DEFAULT_BOUND indices
+# Indices the lockstep kernel steps through. Stop-on-excess pairs resolve by
+# index 17 (Theorem 2's m <= 17); the pairs still walking here, long
+# run-to-merge walks, are left to walk_pairs.
+IDX_LIMIT = 1 << 12
 
 
 def _column(dtype, requested_by: Optional[str] = None):
@@ -41,9 +56,10 @@ class TwinScanResult:
     """Per-twin-pair statistics over [lo, hi], ascending by lesser member p.
 
     merge_n is 0 when the scan stopped at the first excess (merge not needed),
-    UNMERGED when even the unbounded fallback gave up. near means "merged with
-    max difference <= threshold"; fallback marks the pairs redone on the
-    unbounded path.
+    UNMERGED when the pair did not merge (nor, in stop-on-excess mode, exceed
+    threshold) within DEFAULT_BOUND indices. near means "merged with max
+    difference <= threshold"; fallback marks the pairs the lockstep kernel
+    handed to the rank-space walker.
     """
 
     lo: int
@@ -94,15 +110,13 @@ def _scan_chunk(args) -> TwinScanResult:
     width = hi - lo + 1
     twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
     m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(
-        twin_ks, flags, _IDX_PRIME, threshold, stop_on_excess
-    )
-    for i in np.flatnonzero(~ok):
-        p = lo + int(twin_ks[i])
-        rep = pair_trace(p + 2, p, threshold, DEFAULT_BOUND)
-        m[i] = rep.first_excess
-        maxd[i] = rep.max_diff
-        maxd_n[i] = rep.max_diff_first_index
-        merge_n[i] = rep.merge_index if rep.merged else UNMERGED
+        twin_ks, flags, primes.prime_flags_between(0, IDX_LIMIT - 1), threshold,
+        stop_on_excess)
+    redo = np.flatnonzero(~ok)
+    if redo.size:
+        ps = lo + twin_ks[redo]
+        m[redo], maxd[redo], maxd_n[redo], merge_n[redo] = walk_pairs(
+            ps + 2, ps, threshold, stop_on_excess, DEFAULT_BOUND)
     near = (merge_n > 0) & (maxd <= threshold)
     predicted = cor17 = cor15 = None
     if predict or corollary_check:
@@ -128,6 +142,28 @@ def _scan_chunk(args) -> TwinScanResult:
         predicted=predicted,
         cor17=cor17,
         cor15=cor15,
+    )
+
+
+def pair_report(
+    a: int,
+    b: int,
+    threshold: int = DEFAULT_THRESHOLD,
+    bound: int = DEFAULT_BOUND,
+) -> PairReport:
+    """hseq.pair_trace's report for the traces started at a > b, from
+    kernels.walk_pairs; raises the same ValueError for the same arguments."""
+    check_pair(a, b, threshold, bound)
+    m, maxd, maxd_n, merge = (int(x[0]) for x in walk_pairs([a], [b], threshold, False, bound))
+    return PairReport(
+        a=a,
+        b=b,
+        threshold=threshold,
+        bound=bound,
+        merge_index=NotMergedWithin(bound) if merge == UNMERGED else merge,
+        max_diff=maxd,
+        max_diff_first_index=maxd_n,
+        first_excess=m,
     )
 
 

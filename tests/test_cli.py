@@ -50,6 +50,24 @@ def test_trace_invalid_pair(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("5", "5"), "require a > b, got a=5 b=5"),
+    (("5", "9"), "start must be an odd prime >= 3, got 9"),
+    (("7", "5", "--threshold", "0"), "threshold must be >= 1, got 0"),
+    (("7", "5", "--bound", "1"), "bound must be >= 2, got 1"),
+])
+def test_trace_argument_errors(capsys, argv, message):
+    code, out, err = run(capsys, "trace", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_trace_long_walk(capsys):
+    # 3467's traces merge after 841793 indices, far past the kernel's table
+    code, out, _ = run(capsys, "trace", "3469", "3467")
+    assert code == 0
+    assert out == "merge=841793 max_diff=4546 max_diff_at=555109 m=3\n"
+
+
 def test_trace_bound_exhausted(capsys):
     code, out, _ = run(capsys, "trace", "17", "3", "--bound", "100")
     assert code == 3

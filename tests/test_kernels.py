@@ -1,13 +1,16 @@
-"""The lockstep pair kernel against the point-query oracle hseq.pair_trace,
-through scan_twin_range and its fallback for pairs the kernel gives up on."""
+"""The lockstep pair kernel and the rank-space walker against the point-query
+oracle hseq.pair_trace, through scan_twin_range, sweeps.pair_report and
+kernels.walk_pairs."""
 
 import numpy as np
 import pytest
 
+import twinconst.kernels as kernels
 import twinconst.sweeps as sweeps
+from twinconst import primes
 from twinconst.hseq import DEFAULT_BOUND, pair_trace
-from twinconst.kernels import pair_stats_kernel
-from twinconst.sweeps import scan_twin_range
+from twinconst.kernels import UNMERGED, pair_stats_kernel, walk_pairs
+from twinconst.sweeps import TwinScanResult, pair_report, scan_twin_range
 
 
 def _assert_matches_oracle(result, bound_at_stop):
@@ -23,31 +26,46 @@ def _assert_matches_oracle(result, bound_at_stop):
         assert merge_n == (rep.merge_index if rep.merged else 0), p
 
 
+def _oracle(a, b, threshold, stop_on_excess, bound):
+    """walk_pairs' (m, max_diff, max_diff_n, merge_n) for one pair, from
+    pair_trace."""
+    rep = pair_trace(a, b, threshold, bound)
+    if stop_on_excess and rep.first_excess:
+        rep = pair_trace(a, b, threshold, rep.first_excess)
+        return rep.first_excess, rep.max_diff, rep.max_diff_first_index, 0
+    merge = rep.merge_index if rep.merged else UNMERGED
+    return rep.first_excess, rep.max_diff, rep.max_diff_first_index, merge
+
+
+def _assert_walk_matches_oracle(a, b, threshold, stop_on_excess, bound):
+    out = walk_pairs(a, b, threshold, stop_on_excess, bound)
+    for i, pair in enumerate(zip(a, b)):
+        got = tuple(int(col[i]) for col in out)
+        assert got == _oracle(*pair, threshold, stop_on_excess, bound), (pair, bound)
+
+
 @pytest.fixture
 def recorded_fallbacks(monkeypatch):
-    """pair_trace reports handed to the sweep's fallback, keyed by lesser."""
-    reports = {}
+    """Lessers of the pairs the sweep hands to the walker, in order."""
+    lessers = []
 
-    def recording(a, b, threshold, bound):
-        reports[b] = rep = pair_trace(a, b, threshold, bound)
-        return rep
+    def recording(a, b, *args):
+        lessers.extend(np.asarray(b).tolist())
+        return walk_pairs(a, b, *args)
 
-    monkeypatch.setattr(sweeps, "pair_trace", recording)
-    return reports
+    monkeypatch.setattr(sweeps, "walk_pairs", recording)
+    return lessers
 
 
 def test_run_to_merge_below_1e4_matches_oracle(recorded_fallbacks):
     result = scan_twin_range(3, 9931, stop_on_excess=False)
     assert result.ps.size == 205
-    # the two stragglers outrun the index table and take the fallback; their
-    # statistics are the oracle's own reports, so check only the rest here
-    assert result.fallback_count == 2
-    assert sorted(recorded_fallbacks) == [3467, 6701]
-    for i, p in enumerate(result.ps.tolist()):
-        rep = recorded_fallbacks.get(p) or pair_trace(p + 2, p, result.threshold)
-        assert rep.merged, p
-        assert int(result.max_diff[i]) == rep.max_diff, p
-        assert int(result.merge_n[i]) == rep.merge_index, p
+    # the pairs still walking when the kernel's index table ends take the
+    # walker, the stragglers 3467 and 6701 (merges at 841793 and 503819)
+    # among them; the oracle checks them like every other pair
+    assert result.ps[result.fallback].tolist() == recorded_fallbacks
+    assert {3467, 6701} < set(recorded_fallbacks)
+    _assert_matches_oracle(result, bound_at_stop=False)
 
 
 @pytest.mark.parametrize("threshold", [1, 6])
@@ -67,9 +85,76 @@ def test_pairs_off_the_bitmap_reach_the_fallback():
     _assert_matches_oracle(result, bound_at_stop=False)
 
 
+@pytest.mark.parametrize("lo", [10**6, 10**12])
+@pytest.mark.parametrize("stop_on_excess", [True, False])
+def test_small_chunks_and_margin_give_the_default_scan(lo, stop_on_excess):
+    # with 4 values of margin nearly every pair leaves the kernel's bitmap;
+    # the walker must then report what the kernel reports, in both modes
+    hi = lo + (1 << 14) - 1
+    small = scan_twin_range(lo, hi, stop_on_excess=stop_on_excess, chunk=32, margin=4)
+    default = scan_twin_range(lo, hi, stop_on_excess=stop_on_excess)
+    assert small.fallback_count > small.ps.size // 2
+    for f in TwinScanResult.columns():
+        if f.name != "fallback":
+            assert np.array_equal(getattr(small, f.name), getattr(default, f.name)), f.name
+
+
+@pytest.mark.parametrize("threshold", [1, 6])
+@pytest.mark.parametrize("stop_on_excess", [True, False])
+def test_walk_matches_oracle_at_small_bounds(threshold, stop_on_excess):
+    # twin and non-twin starts; 1009 - 3 and 10^6 + 3 - 7 are far enough
+    # apart for each trace to get a window of its own. Bounds 9, 50 and 1000
+    # end inside composite runs, 3, 11 and 47 on prime indices.
+    a = [5, 7, 13, 19, 43, 1009, 10**6 + 3, 1019, 17]
+    b = [3, 5, 11, 17, 41, 3, 7, 1013, 3]
+    for bound in (2, 3, 4, 9, 11, 47, 50, 1000, 20000):
+        _assert_walk_matches_oracle(a, b, threshold, stop_on_excess, bound)
+
+
+def test_bound_inside_a_composite_run_before_the_merge():
+    # 6701's traces merge at index 503819; 503818 is composite
+    assert not primes.is_prime(503818)
+    rep = pair_trace(6703, 6701, 6, 503818)
+    assert not rep.merged
+    assert pair_report(6703, 6701, 6, 503818) == rep
+
+
+def test_unmerged_pair_at_default_bound():
+    # the traces of 14629 and 14627 do not meet within 10^6 indices: the
+    # walker reports UNMERGED, with the oracle's lower-bound statistics
+    rep = pair_trace(14629, 14627, 6, DEFAULT_BOUND)
+    assert not rep.merged
+    assert pair_report(14629, 14627) == rep
+
+
+@pytest.mark.parametrize("window", [64, 1024])
+def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
+    # near 10^12 one block of steps moves a trace by some 10^4 values, so the
+    # walker must widen these windows as well as sieve them again
+    widths = []
+    rank_line = kernels._rank_line
+
+    def counting(values, width):
+        widths.append(width)
+        return rank_line(values, width)
+
+    monkeypatch.setattr(kernels, "WALK_WINDOW", window)
+    monkeypatch.setattr(kernels, "_rank_line", counting)
+    lo = 10**12 + 5000
+    result = scan_twin_range(lo, lo + 1500, stop_on_excess=False, margin=4)
+    longest = int(np.argmax(result.merge_n))
+    assert result.ps[longest] == 10**12 + 5647 and result.merge_n[longest] == 3181
+    assert result.fallback[longest] and result.fallback_count >= 3
+    assert len(widths) >= 3 and max(widths) > window
+    assert len(widths) - len(set(widths)) >= 1  # sieved again at one width
+    _assert_matches_oracle(result, bound_at_stop=False)
+
+
 def test_chunk_without_twin_pairs():
     result = scan_twin_range(20, 28)
     assert result.ps.size == 0 and result.fallback_count == 0
     empty = np.zeros(0, np.int64)
-    out = pair_stats_kernel(empty, np.ones(64, bool), sweeps._IDX_PRIME, 6, True)
+    idx_prime = primes.prime_flags_between(0, sweeps.IDX_LIMIT - 1)
+    out = pair_stats_kernel(empty, np.ones(64, bool), idx_prime, 6, True)
     assert [a.size for a in out] == [0] * 5
+    assert [a.size for a in walk_pairs(empty, empty, 6, False, DEFAULT_BOUND)] == [0] * 4

@@ -164,6 +164,14 @@ def test_prime_flags_upto_matches_flatnonzero():
     assert len(listed) == 168
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 4095), (1000, 1 << 20), ((1 << 20) - 50, (1 << 20) + 50)])
+def test_prime_flags_between(lo, hi):
+    flags = primes.prime_flags_between(lo, hi)
+    assert np.array_equal(flags, primes.prime_flags_upto(hi)[lo:])
+    if hi <= 1 << 20:  # a view of the import-time table, which nothing may write
+        assert not flags.flags.writeable
+
+
 def _assert_window_matches_point_queries(lo, hi):
     seg = primes.sieve_segment(lo, hi)
     assert seg.flags.size == hi - lo + 1
