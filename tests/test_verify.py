@@ -42,6 +42,19 @@ def _fail_third_chunk(args):
     return _logged_chunk(args)
 
 
+_plants = []  # (column, lesser p, new value or None to flip) for _planted_chunk
+
+
+def _planted_chunk(args):
+    part = _real_scan_chunk(args)
+    for column, p, value in _plants:
+        i = int(np.searchsorted(part.ps, p))
+        if i < part.ps.size and part.ps[i] == p:
+            col = getattr(part, column)
+            col[i] = (not col[i]) if value is None else value
+    return part
+
+
 def _first_pair_falls_back(args):
     part = _real_scan_chunk(args)
     part.fallback[:1] = True
@@ -283,3 +296,57 @@ def test_report_serialization(tmp_path):
     report.write(str(path))
     content = path.read_text()
     assert "pairs_examined" in content
+
+
+PLANT_LIMIT = 2_200_000  # three default-size chunks; plants sit in the first and third
+
+
+@pytest.mark.parametrize("campaign, plants, expected", [
+    (verify_theorem1,
+     [("predicted", 500_111, None), ("predicted", 514_637, None),
+      ("predicted", 2_097_257, None)],
+     "classifier"),
+    (verify_theorem2, [("m", 500_177, 4), ("m", 2_097_287, 4)],
+     "m in {0,3,5,7,9,11,13,15,17}"),
+    # both lessers are 30t+29 with m = 3
+    (verify_corollaries, [("cor17", 500_909, None), ("cor15", 2_097_449, None)],
+     "pattern"),
+    (verify_corollaries, [("max_diff", 500_231, 4), ("max_diff", 2_097_479, 4)],
+     "max_diff >= 6"),
+], ids=["t1-predicted", "t2-m", "cor-pattern", "cor-max-diff"])
+def test_planted_counterexamples(monkeypatch, campaign, plants, expected):
+    from twinconst.hseq import h_sequence
+
+    monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
+    reports = [campaign(PLANT_LIMIT, workers) for workers in (1, 2)]
+    planted = sorted(p for _, p, _ in plants)
+    for report in reports:
+        assert not report.verified
+        with_p = [ce for ce in report.counterexamples if "p" in ce]
+        assert sorted(ce["p"] for ce in with_p) == planted
+        for ce in with_p:
+            p = ce["p"]
+            assert list(h_sequence(p + 2, 40).values) == ce["upper_trace"]
+            assert list(h_sequence(p, 40).values) == ce["lower_trace"]
+        if expected == "classifier":
+            assert all(ce["expected"] != ce["observed"] for ce in with_p)
+        elif expected == "pattern":
+            assert all(ce["observed"]["m"] == 3 and ce["observed"]["pattern"]
+                       for ce in with_p)
+            assert [ce["expected"] for ce in with_p] == [
+                "m==17 iff pattern(17)", "m==15 iff pattern(15)"]
+        else:
+            assert all(ce["expected"] == expected and ce["observed"] == 4
+                       for ce in with_p)
+        if expected == "max_diff >= 6":
+            assert [ce for ce in report.counterexamples if "p" not in ce] == [
+                {"expected": "max_diff 4 exactly at p=3", "observed": [3] + planted}]
+            assert report.details["min_max_diff_excluding_p3"] == 4
+        else:
+            assert len(with_p) == len(report.counterexamples)
+        if campaign is verify_theorem2:
+            assert report.details["first_occurrence"][4] == planted[0]
+    # fold order may interleave the kinds of counterexample across chunks
+    rows = [sorted(r for r in report.rows() if "wall_time_s" not in r) for report in reports]
+    assert rows[0] == rows[1]
