@@ -127,17 +127,17 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.target == "t1":
-        report = verify.verify_theorem1(args.limit, args.workers,
-                                        checkpoint=args.checkpoint)
-    elif args.target == "t2":
-        report = verify.verify_theorem2(args.limit, args.workers,
-                                        checkpoint=args.checkpoint)
-    elif args.target == "cor":
-        report = verify.verify_corollaries(args.limit, args.workers,
-                                           checkpoint=args.checkpoint)
-    else:  # conj1
-        report = verify.probe_conjecture1(args.primes, args.bound)
+    campaigns = {"t1": verify.verify_theorem1, "t2": verify.verify_theorem2,
+                 "cor": verify.verify_corollaries}
+    try:
+        if args.target in campaigns:
+            report = campaigns[args.target](args.limit, args.workers,
+                                            checkpoint=args.checkpoint)
+        else:  # conj1
+            report = verify.probe_conjecture1(args.primes, args.bound)
+    except ValueError as exc:  # e.g. a file at --checkpoint that is no checkpoint
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ARG
     report_path = args.report or f"twinconst-{args.target}.report"
     report.write(report_path)
     print(report.to_text(), end="")
@@ -237,6 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 1) < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return EXIT_ARG
     return args.func(args)
 
 

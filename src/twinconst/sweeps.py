@@ -180,17 +180,19 @@ def scan_twin_range(
     margin: int = VALUE_MARGIN,
     on_chunk: Optional[Callable[[TwinScanResult], None]] = None,
     executor: Optional[ProcessPoolExecutor] = None,
-) -> TwinScanResult:
+) -> Optional[TwinScanResult]:
     """Sweep all twin lessers in [lo, hi]; stop_on_excess=False runs each pair
     to its merge so max_diff is exact even past the threshold.
 
+    Returns the chunks' results concatenated; on_chunk instead takes each
+    chunk's result in order, none is kept, and the call returns None.
     margin trades sieve width against fallback rate; pass an executor to
     reuse a worker pool across many scans.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     lo = max(lo, 3)
-    if hi < lo:
+    if hi < lo and on_chunk is None:
         return TwinScanResult.empty(lo, hi, threshold, predict=predict,
                                     corollary_check=corollary_check)
     spans = []
@@ -205,11 +207,10 @@ def scan_twin_range(
         pool = executor or ProcessPoolExecutor(max_workers=workers)
     chunks = pool.map(_scan_chunk, spans) if pool else map(_scan_chunk, spans)
     parts: list[TwinScanResult] = []
+    take = on_chunk or parts.append
     try:
         for part in chunks:
-            if on_chunk is not None:
-                on_chunk(part)
-            parts.append(part)
+            take(part)
     finally:
         if pool is not None:
             # after a failure, drop the chunks no worker has started; a
@@ -217,4 +218,4 @@ def scan_twin_range(
             chunks.close()
             if executor is None:
                 pool.shutdown()
-    return TwinScanResult.concat(parts)
+    return TwinScanResult.concat(parts) if on_chunk is None else None

@@ -2,34 +2,34 @@
 
 Every campaign compares a fast claim (pattern classifier, value-set bound,
 corollary equivalence) against direct simulation over a value range and
-reports counterexamples with replay data. Long scans checkpoint to a
-resumable .npz state file (format documented in the README).
+reports counterexamples with replay data. partitioned_scan folds each
+chunk of the sweep into the campaign's report as the chunk arrives; long
+scans checkpoint that report to a resumable JSON file (format documented in
+the README).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .hseq import (
-    DEFAULT_BOUND,
-    DEFAULT_THRESHOLD,
-    NotMergedWithin,
-    h_sequence,
-    prime_pair_merges,
-)
+from .hseq import DEFAULT_BOUND, NotMergedWithin, h_sequence, prime_pair_merges
 from .sweeps import DEFAULT_CHUNK, TwinScanResult, scan_twin_range
 
 ALLOWED_M_VALUES = frozenset({0, 3, 5, 7, 9, 11, 13, 15, 17})
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# what a checkpoint keeps of a CampaignReport: no wall time, so its bytes repeat
+_STATE_FIELDS = ("pairs_examined", "counterexamples", "m_value_histogram",
+                 "residue_counts", "details")
 
 
 @dataclass
@@ -44,7 +44,6 @@ class CampaignReport:
     wall_time: float
     aborted: bool = False
     details: dict = field(default_factory=dict)
-    result: Optional[TwinScanResult] = field(default=None, repr=False)
 
     @property
     def verified(self) -> bool:
@@ -89,19 +88,19 @@ class CampaignReport:
             fh.write("\n")
 
 
-def _save_checkpoint(path: str, params: dict, next_lo: int,
-                     acc: Optional[TwinScanResult]) -> None:
-    arrays = {}
-    if acc is not None:
-        for f in TwinScanResult.columns():
-            if getattr(acc, f.name) is not None:
-                arrays[f.name] = getattr(acc, f.name)
-    meta = {"version": CHECKPOINT_VERSION, "params": params, "next_lo": next_lo,
-            "have": sorted(arrays)}
+def _int_keys(pairs: list) -> dict:
+    """JSON object hook: the keys of the int-keyed maps (m histogram, residue
+    counts, first occurrences) were ints before JSON made them strings."""
+    return {int(k) if k.isdigit() else k: v for k, v in pairs}
+
+
+def _save_checkpoint(path: str, params: dict, next_lo: int, state: Optional[dict]) -> None:
+    text = json.dumps({"version": CHECKPOINT_VERSION, "params": params,
+                       "next_lo": next_lo, "state": state})
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, meta=np.array(json.dumps(meta)), **arrays)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -110,130 +109,126 @@ def _save_checkpoint(path: str, params: dict, next_lo: int,
 
 
 def _load_checkpoint(path: str, params: dict):
-    """Return (next_lo, accumulated result or None), or None on absence/mismatch."""
+    """Return (next_lo, report state), or None when there is no file at path
+    or its version or params differ; raise ValueError, naming path, for a
+    file that is not a JSON checkpoint."""
     if not os.path.exists(path):
         return None
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("version") != CHECKPOINT_VERSION or meta.get("params") != params:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:  # ValueError: not UTF-8 or not JSON; KeyError, TypeError: not a checkpoint
+        meta = json.loads(raw, object_pairs_hook=_int_keys)
+        if meta["version"] != CHECKPOINT_VERSION or meta["params"] != params:
             return None
-        next_lo = int(meta["next_lo"])
-        if not meta["have"]:
-            return next_lo, None
-        cols = {f.name: (data[f.name] if f.name in meta["have"] else None)
-                for f in TwinScanResult.columns()}
-        return next_lo, TwinScanResult(3, next_lo - 1, params["threshold"], **cols)
+        if set(meta["state"]) != set(_STATE_FIELDS):
+            raise KeyError("state")
+        return int(meta["next_lo"]), meta["state"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a JSON checkpoint ({exc!r})") from None
 
 
 def partitioned_scan(
     limit: int,
     workers: int = 1,
     *,
-    threshold: int = DEFAULT_THRESHOLD,
-    stop_on_excess: bool = True,
     predict: bool = True,
     corollary_check: bool = False,
     chunk: int = DEFAULT_CHUNK,
     checkpoint: Optional[str] = None,
     campaign: str = "scan",
 ) -> CampaignReport:
-    """Deterministic chunked sweep of all twin lessers <= limit.
+    """Deterministic chunked sweep of all twin lessers <= limit, folded into
+    one report chunk by chunk: pair, m value, near residue and fallback
+    counts, plus the details and counterexamples of campaign "theorem1",
+    "theorem2" or "corollaries" ("scan" adds none).
 
     Identical output for any worker count; on worker failure returns the
-    partial in-order report with aborted=True.
+    report of the completed prefix with aborted=True.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     t0 = time.perf_counter()
-    params = {"limit": limit, "threshold": threshold, "stop_on_excess": stop_on_excess,
-              "predict": predict, "corollary_check": corollary_check, "chunk": chunk}
-    parts: list[TwinScanResult] = []
+    details, fold = _CAMPAIGNS[campaign]
+    params = {"limit": limit, "predict": predict, "corollary_check": corollary_check,
+              "chunk": chunk, "campaign": campaign}
+    report = CampaignReport(
+        campaign=campaign, lo=3, hi=limit, pairs_examined=0, counterexamples=[],
+        m_value_histogram={}, residue_counts={}, wall_time=0.0,
+        details={"fallback_pairs": 0, **copy.deepcopy(details)})
     start = 3
     if checkpoint is not None:
         loaded = _load_checkpoint(checkpoint, params)
         if loaded is not None:
-            start, acc = loaded
-            if acc is not None:
-                parts.append(acc)
+            start, state = loaded
+            report = replace(report, **state)
+    completed_hi = start - 1
 
-    def collect(part: TwinScanResult) -> None:
-        parts.append(part)
+    def fold_chunk(part: TwinScanResult) -> None:
+        nonlocal completed_hi
+        report.pairs_examined += int(part.ps.size)
+        _count_into(report.m_value_histogram, part.m)
+        _count_into(report.residue_counts, part.ps[part.near] % 10)
+        report.details["fallback_pairs"] += part.fallback_count
+        fold(report, part)
+        completed_hi = part.hi
         if checkpoint is not None:
             _save_checkpoint(checkpoint, params, part.hi + 1,
-                             TwinScanResult.concat(parts))
+                             {name: getattr(report, name) for name in _STATE_FIELDS})
 
-    aborted = False
-    error = None
     if start <= limit:
         try:
             scan_twin_range(
                 start, limit,
-                threshold=threshold, stop_on_excess=stop_on_excess,
                 predict=predict, corollary_check=corollary_check,
-                workers=workers, chunk=chunk, on_chunk=collect,
+                workers=workers, chunk=chunk, on_chunk=fold_chunk,
             )
         except Exception as exc:  # worker failure: report the completed prefix
-            aborted = True
-            error = f"{type(exc).__name__}: {exc}"
-    if parts:
-        result = TwinScanResult.concat(parts)
-    else:
-        result = TwinScanResult.empty(3, 2, threshold, predict=predict,
-                                      corollary_check=corollary_check)
-    if checkpoint is not None and not aborted and os.path.exists(checkpoint):
+            report.aborted = True
+            report.details.update(error=f"{type(exc).__name__}: {exc}",
+                                  completed_hi=completed_hi)
+    if checkpoint is not None and not report.aborted and os.path.exists(checkpoint):
         os.unlink(checkpoint)
-
-    m_hist = {int(k): int(v) for k, v in zip(*np.unique(result.m, return_counts=True))}
-    near_ps = result.ps[result.near]
-    res_counts = {
-        int(k): int(v)
-        for k, v in zip(*np.unique(near_ps % 10, return_counts=True))
-    }
-    report = CampaignReport(
-        campaign=campaign,
-        lo=3,
-        hi=limit,
-        pairs_examined=int(result.ps.size),
-        counterexamples=[],
-        m_value_histogram=m_hist,
-        residue_counts=res_counts,
-        wall_time=time.perf_counter() - t0,
-        aborted=aborted,
-        details={"fallback_pairs": result.fallback_count},
-        result=result,
-    )
-    if error:
-        report.details["error"] = error
-        report.details["completed_hi"] = parts[-1].hi if parts else 2
+    report.wall_time = time.perf_counter() - t0
     return report
 
 
-def _replay(p: int, depth: int = 40) -> dict:
-    """Traces of both sequences for offline inspection of a counterexample."""
-    return {
-        "p": p,
-        "upper_trace": list(h_sequence(p + 2, depth).values),
-        "lower_trace": list(h_sequence(p, depth).values),
-    }
+def _counterexample(p: int, expected, observed, depth: int = 40) -> dict:
+    """A counterexample with the traces of both sequences, for offline replay."""
+    return {"p": p, "expected": expected, "observed": observed,
+            "upper_trace": list(h_sequence(p + 2, depth).values),
+            "lower_trace": list(h_sequence(p, depth).values)}
+
+
+def _count_into(counts: dict, values: np.ndarray) -> None:
+    for k, v in zip(*np.unique(values, return_counts=True)):
+        counts[int(k)] = counts.get(int(k), 0) + int(v)
+
+
+def _fold_theorem1(report: CampaignReport, part: TwinScanResult) -> None:
+    for i in np.flatnonzero(part.predicted != part.near):
+        report.counterexamples.append(_counterexample(
+            int(part.ps[i]), bool(part.predicted[i]), bool(part.near[i])))
+    near = part.ps[part.near]
+    d = report.details
+    d["c_count"] += int(near.size)
+    d["c_prefix"] += near[:50 - len(d["c_prefix"])].tolist()
+    d["c_mod10_eq_1"] += near[near % 10 == 1].tolist()
 
 
 def verify_theorem1(limit: int, workers: int = 1,
                     checkpoint: Optional[str] = None) -> CampaignReport:
     """Classifier vs simulation equivalence for nearness over twin lessers <= limit."""
-    report = partitioned_scan(limit, workers, predict=True, checkpoint=checkpoint,
-                              campaign="theorem1")
-    result = report.result
-    for i in np.flatnonzero(result.predicted != result.near):
-        p = int(result.ps[i])
-        ce = {"p": p, "expected": bool(result.predicted[i]),
-              "observed": bool(result.near[i])}
-        ce.update(_replay(p))
-        report.counterexamples.append(ce)
-    c_list = [int(p) for p in result.ps[result.near]]
-    report.details["c_count"] = len(c_list)
-    report.details["c_prefix"] = c_list[:50]
-    report.details["c_mod10_eq_1"] = [p for p in c_list if p % 10 == 1]
-    return report
+    return partitioned_scan(limit, workers, predict=True, checkpoint=checkpoint,
+                            campaign="theorem1")
+
+
+def _fold_theorem2(report: CampaignReport, part: TwinScanResult) -> None:
+    for i in np.flatnonzero(~np.isin(part.m, sorted(ALLOWED_M_VALUES))):
+        report.counterexamples.append(_counterexample(
+            int(part.ps[i]), "m in {0,3,5,7,9,11,13,15,17}", int(part.m[i])))
+    first_occurrence = report.details["first_occurrence"]
+    for m, i in zip(*np.unique(part.m, return_index=True)):
+        first_occurrence.setdefault(int(m), int(part.ps[i]))
 
 
 def verify_theorem2(limit: int, workers: int = 1,
@@ -241,21 +236,32 @@ def verify_theorem2(limit: int, workers: int = 1,
     """First-excess values over twin lessers <= limit stay in the nine-value set."""
     report = partitioned_scan(limit, workers, predict=False, checkpoint=checkpoint,
                               campaign="theorem2")
-    result = report.result
-    for i in np.flatnonzero(~np.isin(result.m, sorted(ALLOWED_M_VALUES))):
-        p = int(result.ps[i])
-        ce = {"p": p, "expected": "m in {0,3,5,7,9,11,13,15,17}",
-              "observed": int(result.m[i])}
-        ce.update(_replay(p))
-        report.counterexamples.append(ce)
-    first_occurrence = {}
-    for i, m in enumerate(result.m):
-        m = int(m)
-        if m not in first_occurrence:
-            first_occurrence[m] = int(result.ps[i])
-    report.details["first_occurrence"] = dict(sorted(first_occurrence.items()))
+    first_occurrence = dict(sorted(report.details["first_occurrence"].items()))
+    report.details["first_occurrence"] = first_occurrence
     report.details["observed_m_values"] = sorted(first_occurrence)
     return report
+
+
+def _fold_corollaries(report: CampaignReport, part: TwinScanResult) -> None:
+    d = report.details
+    d["max_diff_4_at"] += part.ps[part.max_diff == 4].tolist()
+    others = part.ps != 3
+    for i in np.flatnonzero(others & (part.max_diff < 6)):
+        report.counterexamples.append(_counterexample(
+            int(part.ps[i]), "max_diff >= 6", int(part.max_diff[i])))
+    if others.any():
+        low, prev = int(part.max_diff[others].min()), d["min_max_diff_excluding_p3"]
+        d["min_max_diff_excluding_p3"] = low if prev is None else min(prev, low)
+    # corollary equivalences are stated for constellations based at p = 30t+29
+    cls29 = (part.ps % 30) == 29
+    for m_val, matches in ((17, part.cor17), (15, part.cor15)):
+        is_m = part.m == m_val
+        for i in np.flatnonzero(cls29 & (is_m != matches)):
+            report.counterexamples.append(_counterexample(
+                int(part.ps[i]), f"m=={m_val} iff pattern({m_val})",
+                {"m": int(part.m[i]), "pattern": bool(matches[i])}))
+        d[f"count_m{m_val}"] += int(np.count_nonzero(is_m))
+        d[f"count_m{m_val}_outside_mod30_29"] += int(np.count_nonzero(is_m & ~cls29))
 
 
 def verify_corollaries(limit: int, workers: int = 1,
@@ -266,38 +272,26 @@ def verify_corollaries(limit: int, workers: int = 1,
     carry a prefix max_diff > 6, which decides the 4-versus->=6 dichotomy
     without simulating to the (possibly very distant) merge.
     """
-    report = partitioned_scan(limit, workers, stop_on_excess=True, predict=False,
-                              corollary_check=True, checkpoint=checkpoint,
-                              campaign="corollaries")
-    result = report.result
-    at4 = [int(p) for p in result.ps[result.max_diff == 4]]
+    report = partitioned_scan(limit, workers, predict=False, corollary_check=True,
+                              checkpoint=checkpoint, campaign="corollaries")
+    at4 = report.details.pop("max_diff_4_at")
     if at4 != [3]:
-        report.counterexamples.append(
-            {"expected": "max_diff 4 exactly at p=3", "observed": at4})
-    others = result.max_diff[result.ps != 3]
-    if others.size and int(others.min()) < 6:
-        bad = result.ps[(result.ps != 3) & (result.max_diff < 6)]
-        for p in bad:
-            ce = {"p": int(p), "expected": "max_diff >= 6",
-                  "observed": int(result.max_diff[result.ps == p][0])}
-            ce.update(_replay(int(p)))
-            report.counterexamples.append(ce)
-    # corollary equivalences are stated for constellations based at p = 30t+29
-    cls29 = (result.ps % 30) == 29
-    for m_val, matches in ((17, result.cor17), (15, result.cor15)):
-        mism = cls29 & ((result.m == m_val) != matches)
-        for i in np.flatnonzero(mism):
-            p = int(result.ps[i])
-            ce = {"p": p, "expected": f"m=={m_val} iff pattern({m_val})",
-                  "observed": {"m": int(result.m[i]), "pattern": bool(matches[i])}}
-            ce.update(_replay(p))
-            report.counterexamples.append(ce)
-        report.details[f"count_m{m_val}"] = int(np.count_nonzero(result.m == m_val))
-        report.details[f"count_m{m_val}_outside_mod30_29"] = int(
-            np.count_nonzero((result.m == m_val) & ~cls29))
-    report.details["min_max_diff_excluding_p3"] = (
-        int(others.min()) if others.size else None)
+        report.counterexamples.insert(
+            0, {"expected": "max_diff 4 exactly at p=3", "observed": at4})
     return report
+
+
+# per campaign: its own details before any chunk, in report order, and its
+# fold; verify_corollaries turns max_diff_4_at into its p = 3 check
+_CAMPAIGNS = {
+    "scan": ({}, lambda report, part: None),
+    "theorem1": ({"c_count": 0, "c_prefix": [], "c_mod10_eq_1": []}, _fold_theorem1),
+    "theorem2": ({"first_occurrence": {}}, _fold_theorem2),
+    "corollaries": ({"count_m17": 0, "count_m17_outside_mod30_29": 0,
+                     "count_m15": 0, "count_m15_outside_mod30_29": 0,
+                     "min_max_diff_excluding_p3": None, "max_diff_4_at": []},
+                    _fold_corollaries),
+}
 
 
 def probe_conjecture1(prime_count: int, bound: int = DEFAULT_BOUND) -> CampaignReport:

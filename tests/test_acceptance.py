@@ -1,16 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The 10^7 sweep is computed once and shared by criteria 5 and 6.
+lines. The 10^7 Theorem 1 campaign is run once and shared by criteria 5 and 6.
 """
 
 import time
 
-import numpy as np
 import pytest
 
 import prop_checks
-from twinconst import partitioned_scan, verify_corollaries
+from twinconst import verify_corollaries, verify_theorem1
 from twinconst.cli import _maxdiff_terms, _merge_sequence_terms
 from twinconst.constellations import scan_c_sequence, scan_m_sequence
 from twinconst.hseq import h_sequence, merge_position, pair_trace
@@ -31,7 +30,7 @@ def _report(n, label, elapsed=None):
 @pytest.fixture(scope="module")
 def sweep_1e7():
     t0 = time.perf_counter()
-    report = partitioned_scan(10**7, workers=1, predict=True)
+    report = verify_theorem1(10**7)
     return report, time.perf_counter() - t0
 
 
@@ -74,11 +73,11 @@ def test_criterion_4_m_sequence():
 
 def test_criterion_5_classifier_equivalence_1e7(sweep_1e7):
     report, elapsed = sweep_1e7
-    result = report.result
-    mismatches = np.flatnonzero(result.predicted != result.near)
-    assert mismatches.size == 0, result.ps[mismatches][:10]
+    assert report.verified, report.counterexamples[:3]
+    assert report.pairs_examined == 58980  # pi_2(10^7), OEIS A007508
+    assert report.details["c_count"] == sum(report.residue_counts.values())
     assert elapsed < 300.0
-    _report(5, f"classifier == simulation on {result.ps.size} twin pairs <= 1e7",
+    _report(5, f"classifier == simulation on {report.pairs_examined} twin pairs <= 1e7",
             elapsed)
 
 
@@ -103,12 +102,11 @@ def test_criterion_8_corollary_1():
     t0 = time.perf_counter()
     report = verify_corollaries(10**6)
     elapsed = time.perf_counter() - t0
+    # verified includes "max_diff 4 exactly at p=3" and "max_diff >= 6" for
+    # every other p
     assert report.verified, report.counterexamples[:3]
-    result = report.result
-    at4 = [int(p) for p in result.ps[result.max_diff == 4]]
-    assert at4 == [3]
-    others = result.max_diff[result.ps != 3]
-    assert int(others.min()) >= 6
+    assert report.pairs_examined == 8169  # pi_2(10^6), OEIS A007508
+    assert report.details["min_max_diff_excluding_p3"] == 6
     _report(8, "unique max-diff 4 at p=3; all others >= 6 (twins <= 1e6)", elapsed)
 
 

@@ -175,6 +175,20 @@ def test_compare_unknown(capsys):
     assert "unknown fixture" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["scan", "c", "--limit", "100"],
+    ["verify", "t1", "--limit", "100"],
+    ["compare", "a276826"],
+], ids=["scan", "verify", "compare"])
+def test_workers_below_one(capsys, tmp_path, monkeypatch, argv, workers):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--workers", workers)
+    assert code == 2
+    assert out == "" and f"--workers must be >= 1, got {workers}" in err
+    assert not list(tmp_path.iterdir())  # no report written
+
+
 def test_worker_env_default(monkeypatch):
     monkeypatch.setenv("TWINCONST_WORKERS", "3")
     from twinconst.cli import _default_workers

@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import os
 import sys
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 
 import twinconst.sweeps as sweeps
 import twinconst.verify as verify_mod
-from twinconst.sweeps import TwinScanResult, scan_twin_range
+from twinconst.sweeps import scan_twin_range
+from twinconst.sweeps import DEFAULT_CHUNK
 from twinconst.verify import (
     ALLOWED_M_VALUES,
     partitioned_scan,
@@ -131,14 +134,24 @@ def test_probe_conjecture1_683_family():
     assert tail == [683] * 5
 
 
+def _text_and_rows(report):
+    """The report's output, less this run's wall time."""
+    report = dataclasses.replace(report, wall_time=0.0)
+    return report.to_text(), report.rows()
+
+
 def test_partitioned_scan_worker_invariance():
-    r1 = partitioned_scan(10**5, 1)
-    r4 = partitioned_scan(10**5, 4)
-    for name in ("ps", "m", "max_diff", "max_diff_n", "merge_n", "near", "predicted"):
-        assert np.array_equal(getattr(r1.result, name), getattr(r4.result, name))
-    assert r1.m_value_histogram == r4.m_value_histogram
-    assert r1.residue_counts == r4.residue_counts
-    assert r1.counterexamples == r4.counterexamples
+    # per-pair columns are compared across worker counts by
+    # prop_checks.run_parallel_determinism
+    for campaign, options in (("theorem1", {}), ("theorem2", {"predict": False}),
+                              ("corollaries", {"predict": False, "corollary_check": True})):
+        r1 = partitioned_scan(3 * 10**5, 1, chunk=30_000, campaign=campaign, **options)
+        r4 = partitioned_scan(3 * 10**5, 4, chunk=30_000, campaign=campaign, **options)
+        one_chunk = partitioned_scan(3 * 10**5, 1, campaign=campaign, **options)
+        # c_prefix fills up (50 terms) in the seventh chunk
+        assert campaign != "theorem1" or r1.details["c_count"] > 50
+        assert _text_and_rows(r1) == _text_and_rows(r4) == _text_and_rows(one_chunk)
+        assert r1.details == r4.details == one_chunk.details
 
 
 def test_partitioned_scan_residues():
@@ -193,10 +206,10 @@ def test_partitioned_scan_checkpoint_failure_two_workers(monkeypatch, tmp_path):
     monkeypatch.setattr(sweeps, "_scan_chunk", _logged_chunk)
     real_save = verify_mod._save_checkpoint
 
-    def failing_save(path, params, next_lo, acc):
+    def failing_save(path, params, next_lo, state):
         if next_lo > _FAILING_LO:  # the third chunk's checkpoint write
             raise OSError("injected checkpoint failure")
-        real_save(path, params, next_lo, acc)
+        real_save(path, params, next_lo, state)
 
     monkeypatch.setattr(verify_mod, "_save_checkpoint", failing_save)
     report = partitioned_scan(400_000, 2, chunk=10_000, checkpoint=ckpt)
@@ -231,7 +244,7 @@ def test_callback_failure_cancels_queued_chunks_of_callers_pool(monkeypatch, tmp
 def test_checkpoint_resume(tmp_path, monkeypatch):
     ckpt = str(tmp_path / "scan.ckpt.npz")
     # every chunk sends its first pair to the fallback, so the fallback
-    # column must survive the checkpoint (the real stragglers cost seconds)
+    # count must survive the checkpoint (the real stragglers cost seconds)
     monkeypatch.setattr(sweeps, "_scan_chunk", _first_pair_falls_back)
     kwargs = dict(chunk=20_000, corollary_check=True)
     fresh = partitioned_scan(60_000, 1, **kwargs)
@@ -261,10 +274,20 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
     assert started == [20_003, 40_003]  # the first chunk came from the checkpoint
     assert not resumed.aborted
     assert resumed.details == fresh.details
-    for f in dataclasses.fields(TwinScanResult):
-        assert np.array_equal(getattr(resumed.result, f.name),
-                              getattr(fresh.result, f.name)), f.name
+    assert _text_and_rows(resumed) == _text_and_rows(fresh)
     assert not os.path.exists(ckpt)  # removed after a clean finish
+
+
+def test_scan_keeps_no_chunk_it_hands_to_on_chunk():
+    refs = []
+
+    def on_chunk(part):
+        assert all(ref() is None for ref in refs)  # the earlier chunks are gone
+        refs.append(weakref.ref(part))
+
+    assert scan_twin_range(3, 30_000, chunk=10_000, on_chunk=on_chunk) is None
+    assert len(refs) == 3
+    assert all(ref() is None for ref in refs)
 
 
 @pytest.mark.parametrize("chunk", [0, -1])
@@ -301,7 +324,7 @@ def test_report_serialization(tmp_path):
 PLANT_LIMIT = 2_200_000  # three default-size chunks; plants sit in the first and third
 
 
-@pytest.mark.parametrize("campaign, plants, expected", [
+PLANTED = pytest.mark.parametrize("campaign, plants, expected", [
     (verify_theorem1,
      [("predicted", 500_111, None), ("predicted", 514_637, None),
       ("predicted", 2_097_257, None)],
@@ -314,6 +337,9 @@ PLANT_LIMIT = 2_200_000  # three default-size chunks; plants sit in the first an
     (verify_corollaries, [("max_diff", 500_231, 4), ("max_diff", 2_097_479, 4)],
      "max_diff >= 6"),
 ], ids=["t1-predicted", "t2-m", "cor-pattern", "cor-max-diff"])
+
+
+@PLANTED
 def test_planted_counterexamples(monkeypatch, campaign, plants, expected):
     from twinconst.hseq import h_sequence
 
@@ -350,3 +376,106 @@ def test_planted_counterexamples(monkeypatch, campaign, plants, expected):
     # fold order may interleave the kinds of counterexample across chunks
     rows = [sorted(r for r in report.rows() if "wall_time_s" not in r) for report in reports]
     assert rows[0] == rows[1]
+
+
+@PLANTED
+def test_resumed_campaign_matches_uninterrupted(tmp_path, monkeypatch, campaign, plants,
+                                                expected):
+    ckpt = str(tmp_path / "campaign.ckpt")
+    monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
+    fresh = campaign(PLANT_LIMIT)
+    started = []
+
+    def abort_third(args):
+        started.append(args[0])
+        if len(started) == 3:
+            raise RuntimeError("boom")
+        return _planted_chunk(args)
+
+    monkeypatch.setattr(sweeps, "_scan_chunk", abort_third)
+    partial = campaign(PLANT_LIMIT, checkpoint=ckpt)
+    assert partial.aborted and os.path.exists(ckpt)
+    started.clear()
+    resumed = campaign(PLANT_LIMIT, checkpoint=ckpt)
+    assert started == [2 * DEFAULT_CHUNK + 3]  # two chunks came from the checkpoint
+    assert _text_and_rows(resumed) == _text_and_rows(fresh)
+    assert resumed.counterexamples == fresh.counterexamples
+    # JSON keys are strings; the int-keyed maps come back with int keys
+    maps = [resumed.m_value_histogram, resumed.residue_counts]
+    if campaign is verify_theorem2:
+        maps.append(resumed.details["first_occurrence"])
+    for counts in maps:
+        assert counts and all(type(k) is int for k in counts)
+    assert not os.path.exists(ckpt)
+
+
+def _v2_npz_checkpoint(path):
+    meta = {"version": 2, "params": {}, "next_lo": 10_003, "have": ["ps"]}
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), ps=np.array([3, 5]))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_bytes(b"\x00\xffnot a checkpoint\n"),
+    lambda path: path.write_text("[1, 2, 3]"),
+    lambda path: path.write_text('{"version": 3}'),
+    _v2_npz_checkpoint,
+], ids=["garbage", "json-list", "json-without-params", "v2-npz"])
+def test_checkpoint_that_is_not_one_is_rejected(tmp_path, capsys, write):
+    from twinconst.cli import main
+
+    ckpt = tmp_path / "scan.ckpt"
+    write(ckpt)
+    before = ckpt.read_bytes()
+    with pytest.raises(ValueError, match="not a JSON checkpoint") as excinfo:
+        partitioned_scan(30_000, 1, chunk=10_000, checkpoint=str(ckpt))
+    assert str(ckpt) in str(excinfo.value)
+    report = tmp_path / "t1.report"
+    code = main(["verify", "t1", "--limit", "30000", "--checkpoint", str(ckpt),
+                 "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2 and f"error: {ckpt}: not a JSON checkpoint" in err
+    assert ckpt.read_bytes() == before
+    assert not report.exists()
+
+
+_T1_PARAMS = {"limit": 30_000, "predict": True, "corollary_check": False,
+              "chunk": 10_000, "campaign": "theorem1"}
+_STATE = {"pairs_examined": 10**6, "counterexamples": [], "m_value_histogram": {},
+          "residue_counts": {}, "details": {}}
+
+
+def test_checkpoint_of_another_version_is_ignored(tmp_path):
+    ckpt = tmp_path / "scan.ckpt"
+    fresh = partitioned_scan(30_000, 1, chunk=10_000, campaign="theorem1")
+    ckpt.write_text(json.dumps({"version": 2, "params": _T1_PARAMS, "next_lo": 20_003,
+                                "state": _STATE}))
+    report = partitioned_scan(30_000, 1, chunk=10_000, checkpoint=str(ckpt),
+                              campaign="theorem1")
+    assert _text_and_rows(report) == _text_and_rows(fresh)
+    assert not ckpt.exists()
+
+
+def test_checkpoint_without_report_state_is_rejected(tmp_path):
+    ckpt = tmp_path / "scan.ckpt"
+    state = {k: v for k, v in _STATE.items() if k != "details"}
+    ckpt.write_text(json.dumps({"version": 3, "params": _T1_PARAMS, "next_lo": 20_003,
+                                "state": state}))
+    with pytest.raises(ValueError, match="not a JSON checkpoint"):
+        partitioned_scan(30_000, 1, chunk=10_000, checkpoint=str(ckpt),
+                         campaign="theorem1")
+
+
+def test_planted_m_outside_mod30_29_is_counted_not_reported(monkeypatch):
+    # the corollaries' equivalences are stated for 30t+29 lessers only
+    plants = [("m", 500_111, 17), ("m", 2_097_257, 15)]  # lessers 30t+11 and 30t+17
+    assert [p % 30 for _, p, _ in plants] == [11, 17]
+    fresh = verify_corollaries(PLANT_LIMIT)
+    monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
+    report = verify_corollaries(PLANT_LIMIT)
+    assert report.verified
+    for m_val in (17, 15):
+        assert report.details[f"count_m{m_val}"] == fresh.details[f"count_m{m_val}"] + 1
+        assert report.details[f"count_m{m_val}_outside_mod30_29"] == 1
