@@ -3,13 +3,18 @@
 A twin lesser p is "near" when the traces started at p and p+2 never drift
 more than 6 apart. Simulation (hseq.pair_trace) is the ground truth; the
 pattern classifier here predicts the same answer from a constellation test
-and is verified against simulation by the sweep campaigns.
+and is verified against simulation by the sweep campaigns. A constellation
+is a GapPattern: a prime/composite word over the even offsets 0..span from
+its base, read by matches_pattern one value at a time and by
+kernels.match_offsets_bulk from a sieved bitmap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -28,15 +33,15 @@ class TwinClass(Enum):
 
 @dataclass(frozen=True)
 class GapPattern:
-    """Offsets of a prime constellation relative to a base prime p.
+    """A prime constellation as a prime/composite word from a base prime p.
 
-    require_consecutive demands no omitted primes inside [p, p + offsets[-1]];
-    forbidden_next, when set, demands p + forbidden_next composite.
+    p + o is prime for each o in offsets and composite for every other even
+    o <= span; span defaults to offsets[-1]. Odd offsets need no entry: p is
+    odd, so p + o is even and composite.
     """
 
     offsets: tuple[int, ...]
-    require_consecutive: bool = True
-    forbidden_next: int | None = None
+    span: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.offsets or self.offsets[0] != 0:
@@ -45,6 +50,15 @@ class GapPattern:
             raise ValueError("offsets must be even")
         if any(x >= y for x, y in zip(self.offsets, self.offsets[1:])):
             raise ValueError("offsets must be strictly increasing")
+        if self.span is None:
+            object.__setattr__(self, "span", self.offsets[-1])
+        if self.span < self.offsets[-1] or self.span % 2:
+            raise ValueError("span must be even and at least offsets[-1]")
+
+    @cached_property
+    def word(self) -> tuple[tuple[int, bool], ...]:
+        """(o, whether p + o is prime) for the even offsets o = 0, 2, ..., span."""
+        return tuple((o, o in self.offsets) for o in range(0, self.span + 1, 2))
 
 
 # Five- and seven-prime constellations characterizing nearness per residue class.
@@ -75,18 +89,10 @@ def classify_twin(p: int) -> TwinClass:
 
 
 def matches_pattern(p: int, pattern: GapPattern) -> bool:
-    """True iff the constellation described by pattern sits at base p."""
-    if not primes.is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not all(primes.is_prime(p + o) for o in pattern.offsets):
-        return False
-    if pattern.require_consecutive:
-        run = primes.consecutive_primes_from(p, len(pattern.offsets))
-        if run != [p + o for o in pattern.offsets]:
-            return False
-    if pattern.forbidden_next is not None and primes.is_prime(p + pattern.forbidden_next):
-        return False
-    return True
+    """True iff the constellation described by pattern sits at the odd prime p."""
+    if p % 2 == 0 or not primes.is_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    return all(primes.is_prime(p + o) == prime for o, prime in pattern.word)
 
 
 def predicts_near(p: int) -> bool:
@@ -104,19 +110,21 @@ def predicts_near(p: int) -> bool:
 def corollary_patterns(m: int) -> list[GapPattern]:
     """Constellations equivalent to first-excess index 17 (m=17) or 15 (m=15)."""
     if m == 17:
-        return [GapPattern(o, forbidden_next=32) for o in _EXCESS17_OFFSETS]
+        return [GapPattern(o, span=32) for o in _EXCESS17_OFFSETS]
     if m == 15:
         return [GapPattern(o + (32,)) for o in _EXCESS17_OFFSETS]
     raise ValueError(f"patterns defined for m in {{15, 17}} only, got {m}")
 
 
-def predict_near_bulk(
-    twin_ks: np.ndarray, lo: int, flags: np.ndarray, csum: np.ndarray
-) -> np.ndarray:
+# the furthest offset any classifier or corollary pattern reads
+MAX_SPAN = max(pattern.span for pattern in (
+    *NEAR_PATTERNS.values(), *corollary_patterns(17), *corollary_patterns(15)))
+
+
+def predict_near_bulk(twin_ks: np.ndarray, lo: int, flags: np.ndarray) -> np.ndarray:
     """Vectorized predicts_near over twin lessers at lo + twin_ks.
 
-    flags must extend at least 20 values past the largest twin lesser; csum is
-    its prefix count (kernels.prime_prefix_counts).
+    flags must extend at least MAX_SPAN values past the largest twin lesser.
     """
     from .kernels import match_offsets_bulk
 
@@ -125,7 +133,7 @@ def predict_near_bulk(
     for cls, pattern in NEAR_PATTERNS.items():
         sel = ps % 30 == cls.value
         if sel.any():
-            out[sel] = match_offsets_bulk(twin_ks[sel], flags, csum, pattern)
+            out[sel] = match_offsets_bulk(twin_ks[sel], flags, pattern)
     out[ps == 3] = True
     out[ps == 5] = False
     return out

@@ -5,8 +5,8 @@ index at a time: at index n all pairs take the same kind of step (to the
 next prime or the next composite), so each index costs a few array
 operations over the pairs still walking. walk_pairs takes the pairs it gives
 up on, and any other pair, to their merge or a bound in rank space, one prime
-index at a time. match_offsets_bulk tests a gap pattern at many base offsets
-at once.
+index at a time. match_offsets_bulk tests a gap pattern's prime/composite
+word at many base offsets at once.
 """
 
 from __future__ import annotations
@@ -263,29 +263,13 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
     return m_out, maxdiff_out, maxdiff_n_out, merge_out
 
 
-def prime_prefix_counts(flags: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum of a bitmap of fewer than 2^31 values, as int32:
-    out[k] = primes among flags[:k]."""
-    out = np.zeros(flags.size + 1, np.int32)
-    np.cumsum(flags, dtype=np.int32, out=out[1:])
-    return out
+def match_offsets_bulk(ks: np.ndarray, flags: np.ndarray, pattern) -> np.ndarray:
+    """Vectorized constellations.matches_pattern: does the GapPattern pattern's
+    prime/composite word sit at each base offset ks into a primality bitmap?
 
-
-def match_offsets_bulk(
-    ks: np.ndarray, flags: np.ndarray, csum: np.ndarray, pattern
-) -> np.ndarray:
-    """Vectorized constellations.matches_pattern: does the GapPattern pattern
-    sit at each base offset ks into a primality bitmap?
-
-    csum must be the exclusive prefix sum of flags (prime_prefix_counts).
-    Callers guarantee ks plus every offset of pattern stays inside flags.
+    Callers guarantee ks + pattern.span stays inside flags.
     """
     out = np.ones(ks.size, dtype=bool)
-    for o in pattern.offsets:
-        out &= flags[ks + o]
-    if pattern.require_consecutive:
-        last = pattern.offsets[-1]
-        out &= (csum[ks + last + 1] - csum[ks]) == len(pattern.offsets)
-    if pattern.forbidden_next is not None:
-        out &= ~flags[ks + pattern.forbidden_next]
+    for o, prime in pattern.word:
+        out &= flags[ks + o] == prime
     return out

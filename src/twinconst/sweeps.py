@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import primes
-from .constellations import corollary_patterns, predict_near_bulk
+from .constellations import MAX_SPAN, corollary_patterns, predict_near_bulk
 from .hseq import (
     DEFAULT_BOUND,
     DEFAULT_THRESHOLD,
@@ -28,13 +28,7 @@ from .hseq import (
     check_pair,
     pair_trace,  # noqa: F401  (unused here; perfbench/child.py wraps sweeps.pair_trace)
 )
-from .kernels import (
-    UNMERGED,
-    match_offsets_bulk,
-    pair_stats_kernel,
-    prime_prefix_counts,
-    walk_pairs,
-)
+from .kernels import UNMERGED, match_offsets_bulk, pair_stats_kernel, walk_pairs
 
 DEFAULT_CHUNK = 1 << 20  # checkpoint cadence ~1e6 scanned values
 VALUE_MARGIN = 1 << 18  # sieve headroom past the chunk for trace values
@@ -105,13 +99,14 @@ class TwinScanResult:
 
 def _scan_chunk(args) -> TwinScanResult:
     lo, hi, threshold, stop_on_excess, predict, corollary_check, margin = args
-    seg = primes.sieve_segment(lo, hi + margin, max_size=1 << 27)
+    # the kernel walks on margin values past hi; the matchers read MAX_SPAN
+    seg = primes.sieve_segment(lo, hi + max(margin, MAX_SPAN), max_size=1 << 27)
     flags = seg.flags
     width = hi - lo + 1
     twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
     m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(
-        twin_ks, flags, primes.prime_flags_between(0, IDX_LIMIT - 1), threshold,
-        stop_on_excess)
+        twin_ks, flags[: width + margin], primes.prime_flags_between(0, IDX_LIMIT - 1),
+        threshold, stop_on_excess)
     redo = np.flatnonzero(~ok)
     if redo.size:
         ps = lo + twin_ks[redo]
@@ -119,13 +114,11 @@ def _scan_chunk(args) -> TwinScanResult:
             ps + 2, ps, threshold, stop_on_excess, DEFAULT_BOUND)
     near = (merge_n > 0) & (maxd <= threshold)
     predicted = cor17 = cor15 = None
-    if predict or corollary_check:
-        csum = prime_prefix_counts(flags)
     if predict:
-        predicted = predict_near_bulk(twin_ks, lo, flags, csum)
+        predicted = predict_near_bulk(twin_ks, lo, flags)
     if corollary_check:
         cor17, cor15 = (
-            np.any([match_offsets_bulk(twin_ks, flags, csum, pattern)
+            np.any([match_offsets_bulk(twin_ks, flags, pattern)
                     for pattern in corollary_patterns(m_val)], axis=0)
             for m_val in (17, 15))
     return TwinScanResult(
@@ -186,11 +179,15 @@ def scan_twin_range(
 
     Returns the chunks' results concatenated; on_chunk instead takes each
     chunk's result in order, none is kept, and the call returns None.
-    margin trades sieve width against fallback rate; pass an executor to
-    reuse a worker pool across many scans.
+    margin (>= 2) is how far past each chunk the lockstep kernel may walk
+    before it hands a pair to the rank-space walker; it trades sieve width
+    against fallback rate. Pass an executor to reuse a worker pool across
+    many scans.
     """
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if margin < 2:
+        raise ValueError(f"margin must be >= 2, got {margin}")
     lo = max(lo, 3)
     if hi < lo and on_chunk is None:
         return TwinScanResult.empty(lo, hi, threshold, predict=predict,

@@ -131,8 +131,6 @@ def partitioned_scan(
     limit: int,
     workers: int = 1,
     *,
-    predict: bool = True,
-    corollary_check: bool = False,
     chunk: int = DEFAULT_CHUNK,
     checkpoint: Optional[str] = None,
     campaign: str = "scan",
@@ -140,7 +138,9 @@ def partitioned_scan(
     """Deterministic chunked sweep of all twin lessers <= limit, folded into
     one report chunk by chunk: pair, m value, near residue and fallback
     counts, plus the details and counterexamples of campaign "theorem1",
-    "theorem2" or "corollaries" ("scan" adds none).
+    "theorem2" or "corollaries" ("scan" adds none). The campaign also names
+    the columns the sweep computes for its fold: theorem1 the classifier's
+    prediction, corollaries the m=15/17 pattern matches.
 
     Identical output for any worker count; on worker failure returns the
     report of the completed prefix with aborted=True.
@@ -148,9 +148,8 @@ def partitioned_scan(
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     t0 = time.perf_counter()
-    details, fold = _CAMPAIGNS[campaign]
-    params = {"limit": limit, "predict": predict, "corollary_check": corollary_check,
-              "chunk": chunk, "campaign": campaign}
+    details, fold, options = _CAMPAIGNS[campaign]
+    params = {"limit": limit, "chunk": chunk, "campaign": campaign}
     report = CampaignReport(
         campaign=campaign, lo=3, hi=limit, pairs_examined=0, counterexamples=[],
         m_value_histogram={}, residue_counts={}, wall_time=0.0,
@@ -177,11 +176,8 @@ def partitioned_scan(
 
     if start <= limit:
         try:
-            scan_twin_range(
-                start, limit,
-                predict=predict, corollary_check=corollary_check,
-                workers=workers, chunk=chunk, on_chunk=fold_chunk,
-            )
+            scan_twin_range(start, limit, workers=workers, chunk=chunk,
+                            on_chunk=fold_chunk, **options)
         except Exception as exc:  # worker failure: report the completed prefix
             report.aborted = True
             report.details.update(error=f"{type(exc).__name__}: {exc}",
@@ -218,8 +214,7 @@ def _fold_theorem1(report: CampaignReport, part: TwinScanResult) -> None:
 def verify_theorem1(limit: int, workers: int = 1,
                     checkpoint: Optional[str] = None) -> CampaignReport:
     """Classifier vs simulation equivalence for nearness over twin lessers <= limit."""
-    return partitioned_scan(limit, workers, predict=True, checkpoint=checkpoint,
-                            campaign="theorem1")
+    return partitioned_scan(limit, workers, checkpoint=checkpoint, campaign="theorem1")
 
 
 def _fold_theorem2(report: CampaignReport, part: TwinScanResult) -> None:
@@ -234,8 +229,7 @@ def _fold_theorem2(report: CampaignReport, part: TwinScanResult) -> None:
 def verify_theorem2(limit: int, workers: int = 1,
                     checkpoint: Optional[str] = None) -> CampaignReport:
     """First-excess values over twin lessers <= limit stay in the nine-value set."""
-    report = partitioned_scan(limit, workers, predict=False, checkpoint=checkpoint,
-                              campaign="theorem2")
+    report = partitioned_scan(limit, workers, checkpoint=checkpoint, campaign="theorem2")
     first_occurrence = dict(sorted(report.details["first_occurrence"].items()))
     report.details["first_occurrence"] = first_occurrence
     report.details["observed_m_values"] = sorted(first_occurrence)
@@ -272,8 +266,8 @@ def verify_corollaries(limit: int, workers: int = 1,
     carry a prefix max_diff > 6, which decides the 4-versus->=6 dichotomy
     without simulating to the (possibly very distant) merge.
     """
-    report = partitioned_scan(limit, workers, predict=False, corollary_check=True,
-                              checkpoint=checkpoint, campaign="corollaries")
+    report = partitioned_scan(limit, workers, checkpoint=checkpoint,
+                              campaign="corollaries")
     at4 = report.details.pop("max_diff_4_at")
     if at4 != [3]:
         report.counterexamples.insert(
@@ -281,16 +275,18 @@ def verify_corollaries(limit: int, workers: int = 1,
     return report
 
 
-# per campaign: its own details before any chunk, in report order, and its
-# fold; verify_corollaries turns max_diff_4_at into its p = 3 check
+# per campaign: its own details before any chunk, in report order, its fold,
+# and the scan_twin_range options for the columns that fold reads;
+# verify_corollaries turns max_diff_4_at into its p = 3 check
 _CAMPAIGNS = {
-    "scan": ({}, lambda report, part: None),
-    "theorem1": ({"c_count": 0, "c_prefix": [], "c_mod10_eq_1": []}, _fold_theorem1),
-    "theorem2": ({"first_occurrence": {}}, _fold_theorem2),
+    "scan": ({}, lambda report, part: None, {}),
+    "theorem1": ({"c_count": 0, "c_prefix": [], "c_mod10_eq_1": []}, _fold_theorem1,
+                 {"predict": True}),
+    "theorem2": ({"first_occurrence": {}}, _fold_theorem2, {}),
     "corollaries": ({"count_m17": 0, "count_m17_outside_mod30_29": 0,
                      "count_m15": 0, "count_m15_outside_mod30_29": 0,
                      "min_max_diff_excluding_p3": None, "max_diff_4_at": []},
-                    _fold_corollaries),
+                    _fold_corollaries, {"corollary_check": True}),
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from twinconst import primes
 from twinconst.constellations import (
+    MAX_SPAN,
     NEAR_PATTERNS,
     GapPattern,
     TwinClass,
@@ -15,7 +16,10 @@ from twinconst.constellations import (
     scan_m_sequence,
     simulated_near,
 )
-from twinconst.kernels import match_offsets_bulk, prime_prefix_counts
+from twinconst.kernels import match_offsets_bulk
+
+PRODUCTION_PATTERNS = [*NEAR_PATTERNS.values(), *corollary_patterns(17),
+                       *corollary_patterns(15)]
 
 
 def test_classify_twin():
@@ -46,6 +50,11 @@ def test_gap_pattern_validation():
         GapPattern((0, 4, 2))
     with pytest.raises(ValueError):
         GapPattern(())
+    with pytest.raises(ValueError):
+        GapPattern((0, 2, 6), span=4)
+    with pytest.raises(ValueError):
+        GapPattern((0, 2), span=5)
+    assert GapPattern((0, 2, 6)).span == 6
 
 
 def test_matches_pattern():
@@ -56,22 +65,22 @@ def test_matches_pattern():
     assert matches_pattern(11, seven)
     with pytest.raises(ValueError):
         matches_pattern(15, five)
+    with pytest.raises(ValueError):
+        matches_pattern(2, GapPattern((0,)))
 
 
-def test_matches_pattern_consecutive_flag():
-    # 5,7,11,13,17,19: pattern {0,2,6,8,12} holds at 5 but 11 is not p+4
-    pat_loose = GapPattern((0, 2, 12), require_consecutive=False)
-    pat_strict = GapPattern((0, 2, 12), require_consecutive=True)
-    assert matches_pattern(5, pat_loose)
-    assert not matches_pattern(5, pat_strict)
+def test_matches_pattern_word():
+    # 5, 7, 11, 13, 17: 5 + 12 is prime, but so are 5 + 6 and 5 + 8
+    assert not matches_pattern(5, GapPattern((0, 2, 12)))
+    assert matches_pattern(5, GapPattern((0, 2, 6, 8, 12)))
+    # 137, 139, 149: nothing prime in between
+    assert matches_pattern(137, GapPattern((0, 2, 12)))
 
 
-def test_matches_pattern_forbidden_next():
-    base = GapPattern((0, 2), require_consecutive=False)
-    blocked = GapPattern((0, 2), require_consecutive=False, forbidden_next=6)
-    assert matches_pattern(5, base)
-    assert not matches_pattern(5, blocked)  # 5+6=11 is prime
-    assert matches_pattern(29, blocked)  # 29+6=35 is composite
+def test_matches_pattern_span():
+    assert matches_pattern(5, GapPattern((0, 2)))
+    assert not matches_pattern(5, GapPattern((0, 2), span=6))  # 5+6=11 is prime
+    assert matches_pattern(29, GapPattern((0, 2), span=6))  # 33 and 35 are composite
 
 
 def test_predicts_near_examples():
@@ -96,32 +105,57 @@ def test_predict_near_bulk_matches_scalar():
     flags = seg.flags
     width = 40_000
     twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
-    bulk = predict_near_bulk(twin_ks, lo, flags, prime_prefix_counts(flags))
+    bulk = predict_near_bulk(twin_ks, lo, flags)
     for k, got in zip(twin_ks, bulk):
         assert bool(got) == predicts_near(lo + int(k))
 
 
 def test_match_offsets_bulk_matches_scalar():
-    patterns = [
-        *NEAR_PATTERNS.values(),
-        *corollary_patterns(17),
-        *corollary_patterns(15),
-        GapPattern((0, 2, 12), require_consecutive=False),
-        GapPattern((0, 2, 6), forbidden_next=8),
-    ]
+    patterns = [*PRODUCTION_PATTERNS, GapPattern((0, 2, 12)), GapPattern((0, 2, 6), span=8)]
     hits = np.zeros(len(patterns), dtype=int)
     # the middle window holds 7447049, the first base of the m=15 pattern
     # (0, 2, 8, 12, 18, 24, 30, 32); the window from 3 holds one of every other
     for lo, width in ((3, 1 << 19), (7_446_000, 1 << 12), (10**12, 1 << 12)):
         flags = primes.sieve_segment(lo, lo + width + 40).flags
-        csum = prime_prefix_counts(flags)
         ks = np.flatnonzero(flags[:width])
         for i, pattern in enumerate(patterns):
-            bulk = match_offsets_bulk(ks, flags, csum, pattern)
+            bulk = match_offsets_bulk(ks, flags, pattern)
             scalar = [matches_pattern(lo + k, pattern) for k in ks.tolist()]
             assert bulk.tolist() == scalar, (lo, pattern)
             hits[i] += np.count_nonzero(bulk)
     assert hits.all(), hits
+
+
+# hits of each production pattern among the primes of [3, 2^20 + 2]: near
+# 17, 29 and 11; m=17; m=15
+FIRST_CHUNK_HITS = [56, 60, 2, 2, 2, 2, 0, 1, 2]
+
+
+@pytest.mark.parametrize("lo, hi, scalar_hi", [
+    (3, 1 << 22, 1 << 20),
+    (7_446_000, 7_450_000, 7_450_000),
+    (10**12, 10**12 + 4096, 10**12 + 4096),
+])
+def test_matchers_agree_with_sieved_primes(lo, hi, scalar_hi):
+    """Both matchers say "match" at a prime p exactly when the primes in
+    [p, p + span] are p + offsets, compared as whole windows of the sieve,
+    odd values included. The scalar matcher's Miller-Rabin queries would take
+    about a minute over the primes of (2^20, 2^22], so it checks those up to
+    scalar_hi only."""
+    flags = primes.sieve_segment(lo, hi + MAX_SPAN).flags
+    ks = np.flatnonzero(flags[: hi - lo + 1])
+    windows = np.lib.stride_tricks.sliding_window_view(flags, MAX_SPAN + 1)[ks]
+    scalar_ks = ks[lo + ks <= scalar_hi].tolist()
+    for i, pattern in enumerate(PRODUCTION_PATTERNS):
+        word = np.zeros(pattern.span + 1, bool)
+        word[list(pattern.offsets)] = True
+        expected = (windows[:, : pattern.span + 1] == word).all(axis=1)
+        assert np.array_equal(match_offsets_bulk(ks, flags, pattern), expected), pattern
+        scalar = [matches_pattern(lo + k, pattern) for k in scalar_ks]
+        assert scalar == expected[: len(scalar_ks)].tolist(), pattern
+        if lo == 3:
+            hits = np.count_nonzero(expected[lo + ks < 3 + (1 << 20)])
+            assert hits == FIRST_CHUNK_HITS[i], pattern
 
 
 def test_corollary_patterns():
@@ -129,12 +163,13 @@ def test_corollary_patterns():
     assert len(pats17) == 3
     for pat in pats17:
         assert pat.offsets[-1] == 30
-        assert pat.forbidden_next == 32
+        assert pat.span == 32
     pats15 = corollary_patterns(15)
     assert len(pats15) == 3
     for pat in pats15:
         assert pat.offsets[-1] == 32
-        assert pat.forbidden_next is None
+        assert pat.span == 32
+    assert MAX_SPAN == 32
     with pytest.raises(ValueError):
         corollary_patterns(16)
 

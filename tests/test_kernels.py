@@ -89,10 +89,12 @@ def test_pairs_off_the_bitmap_reach_the_fallback():
 @pytest.mark.parametrize("stop_on_excess", [True, False])
 def test_small_chunks_and_margin_give_the_default_scan(lo, stop_on_excess):
     # with 4 values of margin nearly every pair leaves the kernel's bitmap;
-    # the walker must then report what the kernel reports, in both modes
+    # the walker must then report what the kernel reports, in both modes, and
+    # the matchers still read the MAX_SPAN values past each chunk
     hi = lo + (1 << 14) - 1
-    small = scan_twin_range(lo, hi, stop_on_excess=stop_on_excess, chunk=32, margin=4)
-    default = scan_twin_range(lo, hi, stop_on_excess=stop_on_excess)
+    columns = dict(stop_on_excess=stop_on_excess, predict=True, corollary_check=True)
+    small = scan_twin_range(lo, hi, chunk=32, margin=4, **columns)
+    default = scan_twin_range(lo, hi, **columns)
     assert small.fallback_count > small.ps.size // 2
     for f in TwinScanResult.columns():
         if f.name != "fallback":

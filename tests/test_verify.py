@@ -143,11 +143,10 @@ def _text_and_rows(report):
 def test_partitioned_scan_worker_invariance():
     # per-pair columns are compared across worker counts by
     # prop_checks.run_parallel_determinism
-    for campaign, options in (("theorem1", {}), ("theorem2", {"predict": False}),
-                              ("corollaries", {"predict": False, "corollary_check": True})):
-        r1 = partitioned_scan(3 * 10**5, 1, chunk=30_000, campaign=campaign, **options)
-        r4 = partitioned_scan(3 * 10**5, 4, chunk=30_000, campaign=campaign, **options)
-        one_chunk = partitioned_scan(3 * 10**5, 1, campaign=campaign, **options)
+    for campaign in ("theorem1", "theorem2", "corollaries"):
+        r1 = partitioned_scan(3 * 10**5, 1, chunk=30_000, campaign=campaign)
+        r4 = partitioned_scan(3 * 10**5, 4, chunk=30_000, campaign=campaign)
+        one_chunk = partitioned_scan(3 * 10**5, 1, campaign=campaign)
         # c_prefix fills up (50 terms) in the seventh chunk
         assert campaign != "theorem1" or r1.details["c_count"] > 50
         assert _text_and_rows(r1) == _text_and_rows(r4) == _text_and_rows(one_chunk)
@@ -199,7 +198,7 @@ def test_partitioned_scan_worker_failure_two_workers(monkeypatch, tmp_path):
 
 
 def test_partitioned_scan_checkpoint_failure_two_workers(monkeypatch, tmp_path):
-    ckpt = str(tmp_path / "scan.ckpt.npz")
+    ckpt = str(tmp_path / "scan.ckpt")
     log = tmp_path / "chunks"
     log.mkdir()
     monkeypatch.setattr(sys.modules[__name__], "_chunk_log", log)
@@ -242,11 +241,11 @@ def test_callback_failure_cancels_queued_chunks_of_callers_pool(monkeypatch, tmp
 
 
 def test_checkpoint_resume(tmp_path, monkeypatch):
-    ckpt = str(tmp_path / "scan.ckpt.npz")
+    ckpt = str(tmp_path / "scan.ckpt")
     # every chunk sends its first pair to the fallback, so the fallback
     # count must survive the checkpoint (the real stragglers cost seconds)
     monkeypatch.setattr(sweeps, "_scan_chunk", _first_pair_falls_back)
-    kwargs = dict(chunk=20_000, corollary_check=True)
+    kwargs = dict(chunk=20_000, campaign="corollaries")
     fresh = partitioned_scan(60_000, 1, **kwargs)
     assert fresh.details["fallback_pairs"] == 3
 
@@ -296,10 +295,14 @@ def test_chunk_below_one_is_rejected(chunk):
         scan_twin_range(3, 100, chunk=chunk)
     with pytest.raises(ValueError, match="chunk must be >= 1"):
         partitioned_scan(100, 1, chunk=chunk)
+    # margins 1 and 0 leave the greater member of a pair at hi off the
+    # kernel's bitmap
+    with pytest.raises(ValueError, match="margin must be >= 2"):
+        scan_twin_range(3, 100, margin=chunk + 1)
 
 
 def test_checkpoint_param_mismatch_is_ignored(tmp_path):
-    ckpt = str(tmp_path / "scan.ckpt.npz")
+    ckpt = str(tmp_path / "scan.ckpt")
     partial_params_scan = partitioned_scan(30_000, 1, chunk=10_000, checkpoint=ckpt)
     # finished cleanly, so no checkpoint left; write one then change params
     from twinconst.verify import _save_checkpoint
@@ -440,8 +443,7 @@ def test_checkpoint_that_is_not_one_is_rejected(tmp_path, capsys, write):
     assert not report.exists()
 
 
-_T1_PARAMS = {"limit": 30_000, "predict": True, "corollary_check": False,
-              "chunk": 10_000, "campaign": "theorem1"}
+_T1_PARAMS = {"limit": 30_000, "chunk": 10_000, "campaign": "theorem1"}
 _STATE = {"pairs_examined": 10**6, "counterexamples": [], "m_value_histogram": {},
           "residue_counts": {}, "details": {}}
 
@@ -450,6 +452,19 @@ def test_checkpoint_of_another_version_is_ignored(tmp_path):
     ckpt = tmp_path / "scan.ckpt"
     fresh = partitioned_scan(30_000, 1, chunk=10_000, campaign="theorem1")
     ckpt.write_text(json.dumps({"version": 2, "params": _T1_PARAMS, "next_lo": 20_003,
+                                "state": _STATE}))
+    report = partitioned_scan(30_000, 1, chunk=10_000, checkpoint=str(ckpt),
+                              campaign="theorem1")
+    assert _text_and_rows(report) == _text_and_rows(fresh)
+    assert not ckpt.exists()
+
+
+def test_checkpoint_with_sweep_options_in_params_is_ignored(tmp_path):
+    # params once also held the sweep options, which the campaign now implies
+    ckpt = tmp_path / "scan.ckpt"
+    fresh = partitioned_scan(30_000, 1, chunk=10_000, campaign="theorem1")
+    params = {**_T1_PARAMS, "predict": True, "corollary_check": False}
+    ckpt.write_text(json.dumps({"version": 3, "params": params, "next_lo": 20_003,
                                 "state": _STATE}))
     report = partitioned_scan(30_000, 1, chunk=10_000, checkpoint=str(ckpt),
                               campaign="theorem1")
