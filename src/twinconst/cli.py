@@ -9,18 +9,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
 
 from . import constellations, primes, verify
 from .bfile import SequenceRecord, get_fixture
-from .hseq import (
-    DEFAULT_BOUND,
-    DEFAULT_THRESHOLD,
-    NotMergedWithin,
-    h_sequence,
-    prime_pair_merges,
-)
-from .sweeps import UNMERGED, pair_report, scan_twin_range
+from .hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, h_sequence
+from .sweeps import UNMERGED, pair_report, prime_pair_merges, scan_twin_range
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -74,8 +67,7 @@ def _cmd_trace(args) -> int:
 
 def _merge_sequence_terms(count: int, bound: int):
     """Flattened merge positions for pairs (a, b), grouped by a ascending."""
-    return [None if isinstance(pos, NotMergedWithin) else pos
-            for _, _, pos in islice(prime_pair_merges(bound), count)]
+    return [pos for _, _, pos in prime_pair_merges(count, bound)]
 
 
 def _maxdiff_terms(count: int, workers: int):
@@ -115,14 +107,17 @@ def _cmd_scan(args) -> int:
             return EXIT_BOUND
         return EXIT_OK
     # kind == "merge"
-    terms = _merge_sequence_terms(args.count, args.bound)
-    if any(t is None for t in terms):
-        shown = tuple(t for t in terms if t is not None)
-        _print_record(SequenceRecord("merge-positions", 1, shown), fmt)
+    try:
+        terms = _merge_sequence_terms(args.count, args.bound)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ARG
+    shown = tuple(t for t in terms if t is not None)
+    _print_record(SequenceRecord("merge-positions", 1, shown), fmt)
+    if len(shown) < len(terms):
         print(f"warning: some pairs did not merge within bound {args.bound}; "
               "partial output", file=sys.stderr)
         return EXIT_BOUND
-    _print_record(SequenceRecord("merge-positions", 1, tuple(terms)), fmt)
     return EXIT_OK
 
 

@@ -4,6 +4,10 @@ A trace with start s is the lexicographically first strictly increasing
 sequence with value(2) = s and value(n) prime exactly when the index n is
 prime. Two traces with different prime starts eventually take equal values;
 the statistics here locate that merge and the difference profile before it.
+
+Each step is a pure-Python Miller-Rabin point query: this is the reference
+oracle for the walkers of kernels.py, which step every sweep, scan and pair
+report; h_sequence also materializes short traces.
 """
 
 from __future__ import annotations
@@ -107,20 +111,6 @@ def merge_position(a: int, b: int, bound: int = DEFAULT_BOUND) -> int | NotMerge
     return NotMergedWithin(bound)
 
 
-def prime_pair_merges(bound: int = DEFAULT_BOUND):
-    """Endless (a, b, merge_position(a, b, bound)) over odd primes b < a,
-    grouped by a ascending: (5, 3), (7, 3), (7, 5), (11, 3), ...
-
-    The pairs among the first k odd primes are the first k(k-1)/2 items.
-    """
-    ps = [3]
-    while True:
-        a = primes.next_prime(ps[-1])
-        for b in ps:
-            yield a, b, merge_position(a, b, bound)
-        ps.append(a)
-
-
 def check_pair(a: int, b: int, threshold: int, bound: int) -> None:
     """Raise ValueError unless a > b are odd primes, threshold >= 1 and bound >= 2."""
     _require_prime_start(a)
@@ -144,7 +134,8 @@ def pair_trace(
     When the pair does not merge within bound, max_diff and first_excess are
     lower-bound observations over the scanned prefix. This pure-Python walk,
     one Miller-Rabin step per trace and index, is the reference oracle;
-    sweeps.pair_report gives the same report from the vectorized walker.
+    sweeps.pair_report gives the same report from the rank-space walker, and
+    no sweep or command steps a trace through here.
     """
     check_pair(a, b, threshold, bound)
     max_diff = -1

@@ -1,10 +1,11 @@
 """Exact primality, prime stepping, and segmented sieving over the 64-bit range.
 
-Point queries use a deterministic Miller-Rabin base set (exact for all
-inputs below 3.3e24, hence for the whole supported range). Bulk scans use
-a numpy segmented sieve of Eratosthenes: small base primes are crossed off
-by strided slices, large ones together in numpy batches, and the base primes
-themselves come from a grow-only per-process cache.
+Point queries use deterministic Miller-Rabin base sets: 2, 7, 61 below 2^32,
+and above it twelve bases, exact below 3.3e24, hence for the whole supported
+range. Bulk scans use a numpy segmented sieve of Eratosthenes: small base
+primes are crossed off by strided slices, large ones together in numpy
+batches, and the base primes themselves come from a grow-only per-process
+cache.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ MAX_SEGMENT_SIZE = 1 << 26
 
 # Deterministic for n < 3.317e24 (includes all 64-bit inputs).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic for n < 4 759 123 141 (Jaeschke 1993), so for all n < 2^32.
+_MR_BASES_32 = (2, 7, 61)
 
 _SMALL_LIMIT = 1 << 20
 
@@ -88,7 +91,7 @@ def _miller_rabin(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES_32 if n < 1 << 32 else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

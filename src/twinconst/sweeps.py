@@ -7,11 +7,13 @@ together; the pairs that outrun the kernel's bitmap or its short index table
 kernels.walk_pairs, on windows it sieves as the traces advance, up to
 DEFAULT_BOUND. Chunk results are merged in ascending range order, so reports
 do not depend on worker count. pair_report puts single pairs (twinconst
-trace) through the same walker.
+trace) through the same walker, and prime_pair_merges the pairs of small
+prime starts (scan merge, verify conj1).
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Callable, Optional
@@ -158,6 +160,20 @@ def pair_report(
         max_diff_first_index=maxd_n,
         first_excess=m,
     )
+
+
+def prime_pair_merges(count: int, bound: int = DEFAULT_BOUND) -> list[tuple]:
+    """(a, b, merge index or None past bound) for the first count pairs of odd
+    primes b < a, in the order (5, 3), (7, 3), (7, 5), (11, 3), ..., so the
+    pairs among the first k odd primes come first. All take one walk_pairs call.
+    """
+    if bound < 2:
+        raise ValueError(f"bound must be >= 2, got {bound}")
+    count = max(count, 0)
+    ps = np.array(primes.consecutive_primes_from(3, math.isqrt(2 * count) + 2))
+    a, b = (ps[i[:count]].tolist() for i in np.tril_indices(ps.size, -1))
+    merge_n = walk_pairs(a, b, DEFAULT_THRESHOLD, False, bound)[3].tolist()
+    return [(x, y, None if n == UNMERGED else n) for x, y, n in zip(a, b, merge_n)]
 
 
 def scan_twin_range(

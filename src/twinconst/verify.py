@@ -16,13 +16,12 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .hseq import DEFAULT_BOUND, NotMergedWithin, h_sequence, prime_pair_merges
-from .sweeps import DEFAULT_CHUNK, TwinScanResult, scan_twin_range
+from .hseq import DEFAULT_BOUND, h_sequence
+from .sweeps import DEFAULT_CHUNK, TwinScanResult, prime_pair_merges, scan_twin_range
 
 ALLOWED_M_VALUES = frozenset({0, 3, 5, 7, 9, 11, 13, 15, 17})
 
@@ -297,13 +296,8 @@ def probe_conjecture1(prime_count: int, bound: int = DEFAULT_BOUND) -> CampaignR
     """
     t0 = time.perf_counter()
     k = max(prime_count, 0)
-    positions = []
-    unmerged = []
-    for a, b, pos in islice(prime_pair_merges(bound), k * (k - 1) // 2):
-        if isinstance(pos, NotMergedWithin):
-            unmerged.append((a, b))
-            pos = None
-        positions.append((a, b, pos))
+    positions = prime_pair_merges(k * (k - 1) // 2, bound)
+    unmerged = [(a, b) for a, b, pos in positions if pos is None]
     report = CampaignReport(
         campaign="conjecture1",
         lo=3,

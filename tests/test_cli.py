@@ -121,6 +121,12 @@ def test_scan_count_below_one(capsys, kind):
     assert out == "" and "--count must be >= 1" in err
 
 
+def test_scan_merge_bound_below_two(capsys):
+    code, out, err = run(capsys, "scan", "merge", "--count", "3", "--bound", "1")
+    assert code == 2
+    assert out == "" and "bound must be >= 2, got 1" in err
+
+
 def test_scan_bfile_round_trip(capsys):
     from twinconst.bfile import parse_bfile
     code, out, _ = run(capsys, "scan", "c", "--limit", "100",

@@ -1,6 +1,6 @@
 """The lockstep pair kernel and the rank-space walker against the point-query
-oracle hseq.pair_trace, through scan_twin_range, sweeps.pair_report and
-kernels.walk_pairs."""
+oracles hseq.pair_trace and hseq.merge_position, through scan_twin_range,
+sweeps.pair_report, sweeps.prime_pair_merges and kernels.walk_pairs."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ import pytest
 import twinconst.kernels as kernels
 import twinconst.sweeps as sweeps
 from twinconst import primes
-from twinconst.hseq import DEFAULT_BOUND, pair_trace
+from twinconst.hseq import DEFAULT_BOUND, NotMergedWithin, merge_position, pair_trace
 from twinconst.kernels import UNMERGED, pair_stats_kernel, walk_pairs
-from twinconst.sweeps import TwinScanResult, pair_report, scan_twin_range
+from twinconst.sweeps import TwinScanResult, pair_report, prime_pair_merges, scan_twin_range
 
 
 def _assert_matches_oracle(result, bound_at_stop):
@@ -127,6 +127,27 @@ def test_unmerged_pair_at_default_bound():
     rep = pair_trace(14629, 14627, 6, DEFAULT_BOUND)
     assert not rep.merged
     assert pair_report(14629, 14627) == rep
+
+
+@pytest.mark.parametrize("prime_count, bound", [
+    # 17's traces merge with those of 3..13 at 683; 467 is the largest
+    # merge below it; at 1000 the 555 unmerged pairs walk to the bound
+    (40, 682), (40, 683), (40, 1000), (20, DEFAULT_BOUND)])
+def test_prime_pair_merges_match_oracle(prime_count, bound):
+    ps = primes.consecutive_primes_from(3, prime_count)
+    want = []
+    for i, a in enumerate(ps):
+        for b in ps[:i]:
+            pos = merge_position(a, b, bound)
+            want.append((a, b, None if isinstance(pos, NotMergedWithin) else pos))
+    assert prime_pair_merges(len(want), bound) == want
+
+
+def test_prime_pair_merges_edge_arguments():
+    assert prime_pair_merges(0) == []
+    assert prime_pair_merges(1, 2) == [(5, 3, None)]
+    with pytest.raises(ValueError, match="bound must be >= 2"):
+        prime_pair_merges(3, 1)
 
 
 @pytest.mark.parametrize("window", [64, 1024])

@@ -39,6 +39,31 @@ def test_is_prime_matches_trial_division_sampled():
         assert primes.is_prime(x) == trial_division(x), x
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 1 << r, n) == n - 1 for r in range(1, s))
+
+
+@pytest.mark.parametrize("factors, bases", [
+    ((151, 751, 28351), (2, 3, 5, 7)),  # 3 215 031 751, below 2^32
+    ((48781, 97561), (2, 7, 61)),  # 4 759 123 141, the least for 2, 7, 61
+])
+def test_is_prime_rejects_strong_pseudoprimes(factors, bases):
+    n = math.prod(factors)
+    assert all(_strong_probable_prime(n, a) for a in bases)
+    assert not primes.is_prime(n)
+
+
+def test_is_prime_matches_the_sieve_around_2_32():
+    # where the point query switches from bases 2, 7, 61 to the twelve bases
+    lo, hi = (1 << 32) - (1 << 16), (1 << 32) + (1 << 16)
+    flags = primes.sieve_segment(lo, hi).flags
+    assert [primes.is_prime(x) for x in range(lo, hi + 1)] == flags.tolist()
+
+
 def test_is_prime_range_guard():
     primes.is_prime(1 << 63)  # boundary value is in range, must not raise
     with pytest.raises(ValueError):
