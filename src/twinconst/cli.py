@@ -95,7 +95,7 @@ def _cmd_scan(args) -> int:
         print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
         return EXIT_ARG
     if args.kind == "m":
-        terms = constellations.scan_m_sequence(args.count)
+        terms = constellations.scan_m_sequence(args.count, workers=args.workers)
         _print_record(SequenceRecord("m-sequence", 1, tuple(terms)), fmt)
         return EXIT_OK
     if args.kind == "maxdiff":
@@ -143,22 +143,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not report.aborted else EXIT_MISMATCH
 
 
-def _recompute_fixture(name: str, workers: int) -> tuple[int, ...]:
-    if name == "merge-positions":
-        fixture = get_fixture(name)
-        terms = _merge_sequence_terms(len(fixture.terms), DEFAULT_BOUND)
+def _recompute_fixture(fixture: SequenceRecord, workers: int) -> tuple[int, ...]:
+    count = len(fixture.terms)
+    if fixture.name == "merge-positions":
+        terms = _merge_sequence_terms(count, DEFAULT_BOUND)
         return tuple(-1 if t is None else t for t in terms)
-    if name == "max-diffs":
-        fixture = get_fixture(name)
-        terms, _ = _maxdiff_terms(len(fixture.terms), workers)
-        return terms
-    if name == "c-sequence":
-        fixture = get_fixture(name)
-        return tuple(constellations.scan_c_sequence(max(fixture.terms),
-                                                    workers=workers))
+    if fixture.name == "max-diffs":
+        return _maxdiff_terms(count, workers)[0]
+    if fixture.name == "c-sequence":
+        return tuple(constellations.scan_c_sequence(max(fixture.terms), workers=workers))
     # m-sequence
-    fixture = get_fixture(name)
-    return tuple(constellations.scan_m_sequence(len(fixture.terms)))
+    return tuple(constellations.scan_m_sequence(count, workers=workers))
 
 
 def _cmd_compare(args) -> int:
@@ -167,7 +162,7 @@ def _cmd_compare(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_ARG
-    computed = _recompute_fixture(fixture.name, args.workers)
+    computed = _recompute_fixture(fixture, args.workers)
     if computed == fixture.terms:
         print(f"{fixture.name}: {len(fixture.terms)} terms match")
         return EXIT_OK

@@ -149,11 +149,11 @@ def scan_c_sequence(limit: int, workers: int = 1) -> list[int]:
     return [int(p) for p in result.ps[result.near]]
 
 
-def scan_m_sequence(count: int) -> list[int]:
+def scan_m_sequence(count: int, workers: int = 1) -> list[int]:
     """First-excess indices for the first count twin pairs (0 = never exceeds)."""
     from .sweeps import scan_twin_range
 
-    result = scan_twin_range(3, primes.nth_twin_lesser(count))
+    result = scan_twin_range(3, primes.nth_twin_lesser(count), workers=workers)
     return [int(m) for m in result.m]
 
 

@@ -91,9 +91,9 @@ def _stream_pair(a: int, b: int, bound: int):
     n = 2
     while va != vb and n < bound:
         n += 1
-        idx_prime = primes.is_prime(n)
-        va = h_step(va, idx_prime)
-        vb = h_step(vb, idx_prime)
+        n_is_prime = primes.is_prime(n)
+        va = h_step(va, n_is_prime)
+        vb = h_step(vb, n_is_prime)
         yield n, va, vb
 
 

@@ -17,9 +17,14 @@ from . import primes
 
 UNMERGED = -1  # merge_n marker: not merged within the walk's bound
 
-# Values sieved past each trace when the walk sieves, doubled when a window
-# holds only one block; 2^17 added about 2 MB to scan maxdiff's peak RSS.
+# Values sieved past those a trace holds: past each sweep chunk for this
+# module's kernel and matcher, and past each trace when the walk sieves, doubled
+# when a window holds only one block; 2^17 added 2 MB to scan maxdiff's peak RSS.
 WALK_WINDOW = 1 << 15
+# Indices pair_stats_kernel steps through. Stop-on-excess pairs resolve by
+# index 17 (Theorem 2's m <= 17); the pairs still walking here, long
+# run-to-merge walks, are left to walk_pairs.
+IDX_LIMIT = 1 << 12
 WALK_BLOCK = 512  # prime indices per statistics block of the walk
 _BLOCK_CELLS = 1 << 14  # cap on a block's indices x traces, bounding its arrays
 _INDEX_SPAN = 1 << 16  # prime indices are listed this many indices at a time
@@ -28,7 +33,6 @@ _INDEX_SPAN = 1 << 16  # prime indices are listed this many indices at a time
 def pair_stats_kernel(
     twin_ks: np.ndarray,
     flags: np.ndarray,
-    idx_prime: np.ndarray,
     threshold: int,
     stop_on_excess: bool,
 ):
@@ -40,9 +44,9 @@ def pair_stats_kernel(
       maxdiff_out  max diff over simulated indices (exact once merged)
       maxdiff_n    first index attaining maxdiff_out
       merge_out    merge index, 0 if not reached (excess stop or overrun)
-      ok_out       False when the bitmap/index tables were exhausted; caller
-                   must redo that pair with walk_pairs (its other outputs
-                   cover only the indices simulated)
+      ok_out       False when the bitmap or the IDX_LIMIT indices were
+                   exhausted; caller must redo that pair with walk_pairs (its
+                   other outputs cover only the indices simulated)
     """
     npairs = twin_ks.size
     m_out = np.full(npairs, 2 if threshold < 2 else 0, np.int64)
@@ -66,10 +70,11 @@ def pair_stats_kernel(
     live = np.arange(npairs)
     k = np.stack((twin_ks + 2, twin_ks)).astype(np.int64)
     maxd = maxdiff_out.copy()
-    for n in range(3, idx_prime.size):
+    index_is_prime = primes.prime_flags_between(0, IDX_LIMIT - 1)
+    for n in range(3, IDX_LIMIT):
         if not live.size:
             break
-        if idx_prime[n]:
+        if index_is_prime[n]:
             k = prime_ks[prime_ks.searchsorted(k, "right")]
         else:
             k = k + comp_step[k]
@@ -126,7 +131,7 @@ def _rank_line(values: np.ndarray, width: int):
     non-prime pad after each. A prime's rank is the count of non-primes before
     it on the line, so rank is strictly increasing over primes. Positions and
     ranks are int32, so the line must stay below 2^31 values; the pairs of one
-    sweep chunk (below 2^27 values wide) need a few times 2^27 at most. Returns:
+    sweep chunk (below 2^26 values wide) need a few times 2^26 at most. Returns:
       C     C[r] is the line position of the non-prime of rank r, so the
             prime of rank R sits at C[R] - 1
       F     F[x] is the least prime rank >= x, or the sentinel one past the

@@ -175,16 +175,16 @@ class Segment:
         return self.lo + np.flatnonzero(self.flags).astype(np.int64)
 
 
-def sieve_segment(lo: int, hi: int, *, max_size: int = MAX_SEGMENT_SIZE) -> Segment:
+def sieve_segment(lo: int, hi: int) -> Segment:
     """Sieve the window [lo, hi] using base primes up to sqrt(hi)."""
     if lo > hi:
         raise ValueError(f"empty segment [{lo}, {hi}]")
     if lo < 0 or hi > RANGE_LIMIT:
         raise ValueError("segment outside supported range [0, 2^63]")
-    if hi - lo + 1 > max_size:
-        raise ValueError(f"segment width {hi - lo + 1} exceeds max {max_size}")
-    base = _base_primes(math.isqrt(hi))
     n = hi - lo + 1
+    if n > MAX_SEGMENT_SIZE:
+        raise ValueError(f"segment width {n} exceeds max {MAX_SEGMENT_SIZE}")
+    base = _base_primes(math.isqrt(hi))
     flags = np.ones(n, dtype=bool)
     for v in (0, 1):
         if lo <= v <= hi:

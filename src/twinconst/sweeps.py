@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import primes
+from . import kernels, primes
 from .constellations import MAX_SPAN, corollary_patterns, predict_near_bulk
 from .hseq import (
     DEFAULT_BOUND,
@@ -33,11 +33,6 @@ from .hseq import (
 from .kernels import UNMERGED, match_offsets_bulk, pair_stats_kernel, walk_pairs
 
 DEFAULT_CHUNK = 1 << 20  # checkpoint cadence ~1e6 scanned values
-VALUE_MARGIN = 1 << 18  # sieve headroom past the chunk for trace values
-# Indices the lockstep kernel steps through. Stop-on-excess pairs resolve by
-# index 17 (Theorem 2's m <= 17); the pairs still walking here, long
-# run-to-merge walks, are left to walk_pairs.
-IDX_LIMIT = 1 << 12
 
 
 def _column(dtype, requested_by: Optional[str] = None):
@@ -99,16 +94,21 @@ class TwinScanResult:
         return cls(parts[0].lo, parts[-1].hi, parts[0].threshold, **cols)
 
 
+def check_chunk(chunk: int) -> None:
+    """Raise ValueError unless chunk values, with the values _scan_chunk
+    sieves past them, fit one sieve segment."""
+    largest = primes.MAX_SEGMENT_SIZE - max(kernels.WALK_WINDOW, MAX_SPAN)
+    if not 1 <= chunk <= largest:
+        raise ValueError(f"chunk must be >= 1 and <= {largest}, got {chunk}")
+
+
 def _scan_chunk(args) -> TwinScanResult:
-    lo, hi, threshold, stop_on_excess, predict, corollary_check, margin = args
-    # the kernel walks on margin values past hi; the matchers read MAX_SPAN
-    seg = primes.sieve_segment(lo, hi + max(margin, MAX_SPAN), max_size=1 << 27)
-    flags = seg.flags
+    lo, hi, threshold, stop_on_excess, predict, corollary_check = args
+    # the kernel walks on WALK_WINDOW values past hi; the matchers read MAX_SPAN
+    flags = primes.sieve_segment(lo, hi + max(kernels.WALK_WINDOW, MAX_SPAN)).flags
     width = hi - lo + 1
     twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
-    m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(
-        twin_ks, flags[: width + margin], primes.prime_flags_between(0, IDX_LIMIT - 1),
-        threshold, stop_on_excess)
+    m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_ks, flags, threshold, stop_on_excess)
     redo = np.flatnonzero(~ok)
     if redo.size:
         ps = lo + twin_ks[redo]
@@ -186,7 +186,6 @@ def scan_twin_range(
     corollary_check: bool = False,
     workers: int = 1,
     chunk: int = DEFAULT_CHUNK,
-    margin: int = VALUE_MARGIN,
     on_chunk: Optional[Callable[[TwinScanResult], None]] = None,
     executor: Optional[ProcessPoolExecutor] = None,
 ) -> Optional[TwinScanResult]:
@@ -195,15 +194,10 @@ def scan_twin_range(
 
     Returns the chunks' results concatenated; on_chunk instead takes each
     chunk's result in order, none is kept, and the call returns None.
-    margin (>= 2) is how far past each chunk the lockstep kernel may walk
-    before it hands a pair to the rank-space walker; it trades sieve width
-    against fallback rate. Pass an executor to reuse a worker pool across
+    check_chunk bounds chunk. Pass an executor to reuse a worker pool across
     many scans.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if margin < 2:
-        raise ValueError(f"margin must be >= 2, got {margin}")
+    check_chunk(chunk)
     lo = max(lo, 3)
     if hi < lo and on_chunk is None:
         return TwinScanResult.empty(lo, hi, threshold, predict=predict,
@@ -212,8 +206,7 @@ def scan_twin_range(
     start = lo
     while start <= hi:
         end = min(start + chunk - 1, hi)
-        spans.append(
-            (start, end, threshold, stop_on_excess, predict, corollary_check, margin))
+        spans.append((start, end, threshold, stop_on_excess, predict, corollary_check))
         start = end + 1
     pool = None
     if workers > 1 and len(spans) > 1:

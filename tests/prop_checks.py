@@ -43,9 +43,9 @@ def run_start_monotonicity(n_cases: int, seed: int = 1) -> int:
         steps = rng.randint(5, 200)
         va, vb = a, b
         for n in range(3, 3 + steps):
-            idx_prime = primes.is_prime(n)
-            va = h_step(va, idx_prime)
-            vb = h_step(vb, idx_prime)
+            n_is_prime = primes.is_prime(n)
+            va = h_step(va, n_is_prime)
+            vb = h_step(vb, n_is_prime)
             assert va >= vb, (a, b, n)
     return n_cases
 
@@ -59,9 +59,9 @@ def run_merge_persistence(n_cases: int, seed: int = 2) -> int:
         va, vb = a, b
         merged_at = None
         for n in range(3, 3000):
-            idx_prime = primes.is_prime(n)
-            va = h_step(va, idx_prime)
-            vb = h_step(vb, idx_prime)
+            n_is_prime = primes.is_prime(n)
+            va = h_step(va, n_is_prime)
+            vb = h_step(vb, n_is_prime)
             if merged_at is not None:
                 assert va == vb, (a, b, merged_at, n)
                 if n - merged_at >= 50:
@@ -79,10 +79,9 @@ def run_parallel_determinism(n_cases: int, seed: int = 3) -> int:
         for _ in range(n_cases):
             limit = rng.randint(10, 4096)
             chunk = rng.randint(256, 1024)
-            serial = scan_twin_range(3, limit, chunk=chunk, margin=4096,
-                                     predict=True, workers=1)
-            parallel = scan_twin_range(3, limit, chunk=chunk, margin=4096,
-                                       predict=True, workers=2, executor=pool)
+            serial = scan_twin_range(3, limit, chunk=chunk, predict=True, workers=1)
+            parallel = scan_twin_range(3, limit, chunk=chunk, predict=True,
+                                       workers=2, executor=pool)
             for name in ("ps", "m", "max_diff", "max_diff_n", "merge_n",
                          "near", "predicted"):
                 assert np.array_equal(getattr(serial, name),

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+import twinconst.sweeps as sweeps
 from twinconst.cli import main
 
 
@@ -158,6 +159,8 @@ def test_verify_cor(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "verify", "cor", "--limit", "10000")
     assert code == 0
+    code, out, _ = run(capsys, "verify", "cor", "--limit", "2")
+    assert code == 0 and "pairs_examined: 0" in out
 
 
 def test_verify_conj1(tmp_path, capsys, monkeypatch):
@@ -203,10 +206,25 @@ def test_worker_env_default(monkeypatch):
     assert _default_workers() == 1
 
 
-def test_output_worker_invariance(capsys):
+def test_output_worker_invariance(capsys, monkeypatch):
     code1, out1, _ = run(capsys, "scan", "c", "--limit", "50000",
                          "--workers", "1")
     code2, out2, _ = run(capsys, "scan", "c", "--limit", "50000",
                          "--workers", "4")
     assert code1 == code2 == 0
     assert out1 == out2
+    # the 10000th twin lesser, 1260989, puts two 2^20-value chunks in the
+    # scan, so two workers start a pool
+    pools = []
+
+    class RecordingPool(sweeps.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    code1, out1, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "1")
+    code2, out2, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert pools == [2]

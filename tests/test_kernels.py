@@ -78,23 +78,26 @@ def test_stop_on_excess_near_1e12_matches_oracle(threshold):
     _assert_matches_oracle(result, bound_at_stop=True)
 
 
-def test_pairs_off_the_bitmap_reach_the_fallback():
-    # a 64-value margin is far too short for run-to-merge walks
-    result = scan_twin_range(3, 2000, stop_on_excess=False, margin=64)
+def test_pairs_off_the_bitmap_reach_the_fallback(monkeypatch):
+    # a bitmap 64 values past the chunk is far too short for run-to-merge walks
+    monkeypatch.setattr(kernels, "WALK_WINDOW", 64)
+    result = scan_twin_range(3, 2000, stop_on_excess=False)
     assert result.fallback_count > 0
     _assert_matches_oracle(result, bound_at_stop=False)
 
 
 @pytest.mark.parametrize("lo", [10**6, 10**12])
 @pytest.mark.parametrize("stop_on_excess", [True, False])
-def test_small_chunks_and_margin_give_the_default_scan(lo, stop_on_excess):
-    # with 4 values of margin nearly every pair leaves the kernel's bitmap;
-    # the walker must then report what the kernel reports, in both modes, and
-    # the matchers still read the MAX_SPAN values past each chunk
+def test_small_chunks_and_margin_give_the_default_scan(lo, stop_on_excess, monkeypatch):
+    # a kernel that steps no index hands every pair to the walker, which must
+    # then report what the kernel reports, in both modes; with a 16-value
+    # window the matchers still read the MAX_SPAN values past each chunk
     hi = lo + (1 << 14) - 1
     columns = dict(stop_on_excess=stop_on_excess, predict=True, corollary_check=True)
-    small = scan_twin_range(lo, hi, chunk=32, margin=4, **columns)
     default = scan_twin_range(lo, hi, **columns)
+    monkeypatch.setattr(kernels, "IDX_LIMIT", 3)
+    monkeypatch.setattr(kernels, "WALK_WINDOW", 16)
+    small = scan_twin_range(lo, hi, chunk=32, **columns)
     assert small.fallback_count > small.ps.size // 2
     for f in TwinScanResult.columns():
         if f.name != "fallback":
@@ -162,9 +165,10 @@ def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
         return rank_line(values, width)
 
     monkeypatch.setattr(kernels, "WALK_WINDOW", window)
+    monkeypatch.setattr(kernels, "IDX_LIMIT", 3)  # every pair takes the walker
     monkeypatch.setattr(kernels, "_rank_line", counting)
     lo = 10**12 + 5000
-    result = scan_twin_range(lo, lo + 1500, stop_on_excess=False, margin=4)
+    result = scan_twin_range(lo, lo + 1500, stop_on_excess=False)
     longest = int(np.argmax(result.merge_n))
     assert result.ps[longest] == 10**12 + 5647 and result.merge_n[longest] == 3181
     assert result.fallback[longest] and result.fallback_count >= 3
@@ -177,7 +181,6 @@ def test_chunk_without_twin_pairs():
     result = scan_twin_range(20, 28)
     assert result.ps.size == 0 and result.fallback_count == 0
     empty = np.zeros(0, np.int64)
-    idx_prime = primes.prime_flags_between(0, sweeps.IDX_LIMIT - 1)
-    out = pair_stats_kernel(empty, np.ones(64, bool), idx_prime, 6, True)
+    out = pair_stats_kernel(empty, np.ones(64, bool), 6, True)
     assert [a.size for a in out] == [0] * 5
     assert [a.size for a in walk_pairs(empty, empty, 6, False, DEFAULT_BOUND)] == [0] * 4

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,8 +171,18 @@ def test_sieve_segment_agrees_with_point_queries():
 def test_sieve_segment_errors():
     with pytest.raises(ValueError):
         primes.sieve_segment(10, 5)
-    with pytest.raises(ValueError):
-        primes.sieve_segment(0, 100, max_size=50)
+
+
+def test_oversized_segment_is_rejected_before_allocation():
+    # one value past MAX_SEGMENT_SIZE; the bitmap alone would take 64 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds max"):
+            primes.sieve_segment(0, primes.MAX_SEGMENT_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_segment_is_prime_accessor():

@@ -26,7 +26,7 @@ def test_h_step_is_least_admissible(prev, want_prime):
 @settings(max_examples=300, deadline=None)
 def test_kernel_scan_agrees_with_streaming_trace(p):
     # dual route: lockstep bitmap kernel vs point-query streaming simulation
-    result = scan_twin_range(p, p, margin=1 << 18)
+    result = scan_twin_range(p, p)
     assert result.ps.tolist() == [p]
     rep = pair_trace(p + 2, p, bound=200_000)
     assert int(result.m[0]) == rep.first_excess

@@ -9,8 +9,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+import twinconst.kernels as kernels
 import twinconst.sweeps as sweeps
 import twinconst.verify as verify_mod
+from twinconst import primes
 from twinconst.sweeps import scan_twin_range
 from twinconst.sweeps import DEFAULT_CHUNK
 from twinconst.verify import (
@@ -111,6 +113,14 @@ def test_corollaries():
     # 12th twin pair (p=149) is the first with m=15
     assert report.details["count_m15"] >= 1
     assert report.m_value_histogram.get(15, 0) >= 1
+
+
+@pytest.mark.parametrize("limit", [-5, 2, 3])
+def test_corollaries_p3_check_needs_p3_in_range(limit):
+    # below 3 no pair is scanned, so there is no max_diff 4 at p = 3 to miss
+    report = verify_corollaries(limit)
+    assert report.verified, report.counterexamples
+    assert report.pairs_examined == (limit >= 3)
 
 
 def test_corollaries_pattern_equivalence_range():
@@ -295,10 +305,22 @@ def test_chunk_below_one_is_rejected(chunk):
         scan_twin_range(3, 100, chunk=chunk)
     with pytest.raises(ValueError, match="chunk must be >= 1"):
         partitioned_scan(100, 1, chunk=chunk)
-    # margins 1 and 0 leave the greater member of a pair at hi off the
-    # kernel's bitmap
-    with pytest.raises(ValueError, match="margin must be >= 2"):
-        scan_twin_range(3, 100, margin=chunk + 1)
+
+
+def test_chunk_past_one_sieve_segment_is_rejected(monkeypatch):
+    # a chunk is sieved with WALK_WINDOW values past its end, in one segment
+    largest = primes.MAX_SEGMENT_SIZE - kernels.WALK_WINDOW
+    assert scan_twin_range(3, 100, chunk=largest).ps.size == 8
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved a chunk")
+
+    monkeypatch.setattr(primes, "sieve_segment", no_sieve)
+    with pytest.raises(ValueError, match=f"chunk must be >= 1 and <= {largest}"):
+        scan_twin_range(3, 100, chunk=largest + 1)
+    # raised, not caught as a worker failure into an aborted report
+    with pytest.raises(ValueError, match=f"chunk must be >= 1 and <= {largest}"):
+        partitioned_scan(100, 1, chunk=largest + 1)
 
 
 def test_checkpoint_param_mismatch_is_ignored(tmp_path):
