@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import primes
+from .hseq import DEFAULT_THRESHOLD
 
 UNMERGED = -1  # merge_n marker: not merged within the walk's bound
 
@@ -33,14 +34,14 @@ _INDEX_SPAN = 1 << 16  # prime indices are listed this many indices at a time
 def pair_stats_kernel(
     twin_ks: np.ndarray,
     flags: np.ndarray,
-    threshold: int,
     stop_on_excess: bool,
 ):
     """Simulate the greedy pair recurrence for each twin lesser flags[k], flags[k+2].
 
     twin_ks must be ascending. Per pair i (b at offset twin_ks[i], a = b + 2)
     returns:
-      m_out        least index n with diff > threshold, 0 if none before merge
+      m_out        least index n with diff > DEFAULT_THRESHOLD, 0 if none
+                   before merge
       maxdiff_out  max diff over simulated indices (exact once merged)
       maxdiff_n    first index attaining maxdiff_out
       merge_out    merge index, 0 if not reached (excess stop or overrun)
@@ -49,13 +50,11 @@ def pair_stats_kernel(
                    other outputs cover only the indices simulated)
     """
     npairs = twin_ks.size
-    m_out = np.full(npairs, 2 if threshold < 2 else 0, np.int64)
+    m_out = np.zeros(npairs, np.int64)
     maxdiff_out = np.full(npairs, 2, np.int64)
     maxdiff_n_out = np.full(npairs, 2, np.int64)
     merge_out = np.zeros(npairs, np.int64)
     ok_out = np.ones(npairs, np.bool_)
-    if stop_on_excess and threshold < 2:
-        return m_out, maxdiff_out, maxdiff_n_out, merge_out, ok_out
 
     size = flags.size
     # From a value v >= 3 the next composite is v + 1, or v + 2 when v + 1
@@ -90,8 +89,8 @@ def pair_stats_kernel(
         done = None
         if np.count_nonzero(up):
             maxdiff_n_out[live[up]] = n
-            # m is still unset exactly while maxd <= threshold
-            crossed = up & (maxd <= threshold) & (d > threshold)
+            # m is still unset exactly while maxd <= DEFAULT_THRESHOLD
+            crossed = up & (maxd <= DEFAULT_THRESHOLD) & (d > DEFAULT_THRESHOLD)
             m_out[live[crossed]] = n
             np.maximum(maxd, d, out=maxd)
             if stop_on_excess and np.count_nonzero(crossed):

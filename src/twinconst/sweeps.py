@@ -32,7 +32,10 @@ from .hseq import (
 )
 from .kernels import UNMERGED, match_offsets_bulk, pair_stats_kernel, walk_pairs
 
-DEFAULT_CHUNK = 1 << 20  # checkpoint cadence ~1e6 scanned values
+# Values per sweep chunk, read at each scan: the checkpoint cadence, ~1e6
+# scanned values. With the values _scan_chunk sieves past it, a chunk fits one
+# sieve segment.
+CHUNK = 1 << 20
 
 
 def _column(dtype, requested_by: Optional[str] = None):
@@ -48,14 +51,13 @@ class TwinScanResult:
 
     merge_n is 0 when the scan stopped at the first excess (merge not needed),
     UNMERGED when the pair did not merge (nor, in stop-on-excess mode, exceed
-    threshold) within DEFAULT_BOUND indices. near means "merged with max
-    difference <= threshold"; fallback marks the pairs the lockstep kernel
-    handed to the rank-space walker.
+    DEFAULT_THRESHOLD) within DEFAULT_BOUND indices. near means "merged with
+    max difference <= DEFAULT_THRESHOLD"; fallback marks the pairs the
+    lockstep kernel handed to the rank-space walker.
     """
 
     lo: int
     hi: int
-    threshold: int
     ps: np.ndarray = _column(np.int64)
     m: np.ndarray = _column(np.int64)
     max_diff: np.ndarray = _column(np.int64)
@@ -76,10 +78,10 @@ class TwinScanResult:
         return [f for f in fields(cls) if "dtype" in f.metadata]
 
     @classmethod
-    def empty(cls, lo: int, hi: int, threshold: int, **options: bool) -> "TwinScanResult":
+    def empty(cls, lo: int, hi: int, **options: bool) -> "TwinScanResult":
         """No pairs, with the optional columns that options (scan_twin_range's
         predict, corollary_check) request."""
-        return cls(lo, hi, threshold, **{
+        return cls(lo, hi, **{
             f.name: np.zeros(0, f.metadata["dtype"]) for f in cls.columns()
             if f.metadata["requested_by"] is None or options[f.metadata["requested_by"]]})
 
@@ -91,30 +93,22 @@ class TwinScanResult:
         for f in cls.columns():
             arrs = [getattr(p, f.name) for p in parts]
             cols[f.name] = None if any(a is None for a in arrs) else np.concatenate(arrs)
-        return cls(parts[0].lo, parts[-1].hi, parts[0].threshold, **cols)
-
-
-def check_chunk(chunk: int) -> None:
-    """Raise ValueError unless chunk values, with the values _scan_chunk
-    sieves past them, fit one sieve segment."""
-    largest = primes.MAX_SEGMENT_SIZE - max(kernels.WALK_WINDOW, MAX_SPAN)
-    if not 1 <= chunk <= largest:
-        raise ValueError(f"chunk must be >= 1 and <= {largest}, got {chunk}")
+        return cls(parts[0].lo, parts[-1].hi, **cols)
 
 
 def _scan_chunk(args) -> TwinScanResult:
-    lo, hi, threshold, stop_on_excess, predict, corollary_check = args
+    lo, hi, stop_on_excess, predict, corollary_check = args
     # the kernel walks on WALK_WINDOW values past hi; the matchers read MAX_SPAN
     flags = primes.sieve_segment(lo, hi + max(kernels.WALK_WINDOW, MAX_SPAN)).flags
     width = hi - lo + 1
     twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
-    m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_ks, flags, threshold, stop_on_excess)
+    m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_ks, flags, stop_on_excess)
     redo = np.flatnonzero(~ok)
     if redo.size:
         ps = lo + twin_ks[redo]
         m[redo], maxd[redo], maxd_n[redo], merge_n[redo] = walk_pairs(
-            ps + 2, ps, threshold, stop_on_excess, DEFAULT_BOUND)
-    near = (merge_n > 0) & (maxd <= threshold)
+            ps + 2, ps, DEFAULT_THRESHOLD, stop_on_excess, DEFAULT_BOUND)
+    near = (merge_n > 0) & (maxd <= DEFAULT_THRESHOLD)
     predicted = cor17 = cor15 = None
     if predict:
         predicted = predict_near_bulk(twin_ks, lo, flags)
@@ -126,7 +120,6 @@ def _scan_chunk(args) -> TwinScanResult:
     return TwinScanResult(
         lo=lo,
         hi=hi,
-        threshold=threshold,
         ps=(lo + twin_ks),
         m=m,
         max_diff=maxd,
@@ -180,37 +173,34 @@ def scan_twin_range(
     lo: int,
     hi: int,
     *,
-    threshold: int = DEFAULT_THRESHOLD,
     stop_on_excess: bool = True,
     predict: bool = False,
     corollary_check: bool = False,
     workers: int = 1,
-    chunk: int = DEFAULT_CHUNK,
     on_chunk: Optional[Callable[[TwinScanResult], None]] = None,
     executor: Optional[ProcessPoolExecutor] = None,
 ) -> Optional[TwinScanResult]:
-    """Sweep all twin lessers in [lo, hi]; stop_on_excess=False runs each pair
-    to its merge so max_diff is exact even past the threshold.
+    """Sweep all twin lessers in [lo, hi] in CHUNK-value chunks at
+    DEFAULT_THRESHOLD; stop_on_excess=False runs each pair to its merge so
+    max_diff is exact even past the threshold.
 
     Returns the chunks' results concatenated; on_chunk instead takes each
-    chunk's result in order, none is kept, and the call returns None.
-    check_chunk bounds chunk. Pass an executor to reuse a worker pool across
-    many scans.
+    chunk's result in order, none is kept, and the call returns None. Pass an
+    executor to reuse a worker pool across many scans.
     """
-    check_chunk(chunk)
     lo = max(lo, 3)
     if hi < lo and on_chunk is None:
-        return TwinScanResult.empty(lo, hi, threshold, predict=predict,
+        return TwinScanResult.empty(lo, hi, predict=predict,
                                     corollary_check=corollary_check)
     spans = []
     start = lo
     while start <= hi:
-        end = min(start + chunk - 1, hi)
-        spans.append((start, end, threshold, stop_on_excess, predict, corollary_check))
+        end = min(start + CHUNK - 1, hi)
+        spans.append((start, end, stop_on_excess, predict, corollary_check))
         start = end + 1
     pool = None
     if workers > 1 and len(spans) > 1:
-        pool = executor or ProcessPoolExecutor(max_workers=workers)
+        pool = executor or ProcessPoolExecutor(max_workers=min(workers, len(spans)))
     chunks = pool.map(_scan_chunk, spans) if pool else map(_scan_chunk, spans)
     parts: list[TwinScanResult] = []
     take = on_chunk or parts.append

@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .hseq import DEFAULT_BOUND, h_sequence
-from .sweeps import (DEFAULT_CHUNK, TwinScanResult, check_chunk, prime_pair_merges,
-                     scan_twin_range)
+from .sweeps import TwinScanResult, prime_pair_merges, scan_twin_range
 
 ALLOWED_M_VALUES = frozenset({0, 3, 5, 7, 9, 11, 13, 15, 17})
 
@@ -114,16 +113,17 @@ def _load_checkpoint(path: str, params: dict):
     file that is not a JSON checkpoint."""
     if not os.path.exists(path):
         return None
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:  # ValueError: not UTF-8 or not JSON; KeyError, TypeError: not a checkpoint
-        meta = json.loads(raw, object_pairs_hook=_int_keys)
+    # IsADirectoryError: a directory; ValueError: not UTF-8 or not JSON;
+    # KeyError, TypeError: JSON that is not a checkpoint
+    try:
+        with open(path, "rb") as fh:
+            meta = json.loads(fh.read(), object_pairs_hook=_int_keys)
         if meta["version"] != CHECKPOINT_VERSION or meta["params"] != params:
             return None
         if set(meta["state"]) != set(_STATE_FIELDS):
             raise KeyError("state")
         return int(meta["next_lo"]), meta["state"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (IsADirectoryError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a JSON checkpoint ({exc!r})") from None
 
 
@@ -131,7 +131,6 @@ def partitioned_scan(
     limit: int,
     workers: int = 1,
     *,
-    chunk: int = DEFAULT_CHUNK,
     checkpoint: Optional[str] = None,
     campaign: str = "scan",
 ) -> CampaignReport:
@@ -145,10 +144,9 @@ def partitioned_scan(
     Identical output for any worker count; on worker failure returns the
     report of the completed prefix with aborted=True.
     """
-    check_chunk(chunk)  # before the try below turns its error into an abort
     t0 = time.perf_counter()
     details, fold, options = _CAMPAIGNS[campaign]
-    params = {"limit": limit, "chunk": chunk, "campaign": campaign}
+    params = {"limit": limit, "campaign": campaign}
     report = CampaignReport(
         campaign=campaign, lo=3, hi=limit, pairs_examined=0, counterexamples=[],
         m_value_histogram={}, residue_counts={}, wall_time=0.0,
@@ -175,8 +173,7 @@ def partitioned_scan(
 
     if start <= limit:
         try:
-            scan_twin_range(start, limit, workers=workers, chunk=chunk,
-                            on_chunk=fold_chunk, **options)
+            scan_twin_range(start, limit, workers=workers, on_chunk=fold_chunk, **options)
         except Exception as exc:  # worker failure: report the completed prefix
             report.aborted = True
             report.details.update(error=f"{type(exc).__name__}: {exc}",

@@ -6,7 +6,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from twinconst import primes
+from twinconst import primes, sweeps
 from twinconst.bfile import SequenceRecord, parse_bfile
 from twinconst.hseq import h_sequence, h_step
 from twinconst.sweeps import scan_twin_range
@@ -79,9 +79,13 @@ def run_parallel_determinism(n_cases: int, seed: int = 3) -> int:
         for _ in range(n_cases):
             limit = rng.randint(10, 4096)
             chunk = rng.randint(256, 1024)
-            serial = scan_twin_range(3, limit, chunk=chunk, predict=True, workers=1)
-            parallel = scan_twin_range(3, limit, chunk=chunk, predict=True,
-                                       workers=2, executor=pool)
+            default_chunk, sweeps.CHUNK = sweeps.CHUNK, chunk
+            try:
+                serial = scan_twin_range(3, limit, predict=True, workers=1)
+                parallel = scan_twin_range(3, limit, predict=True, workers=2,
+                                           executor=pool)
+            finally:
+                sweeps.CHUNK = default_chunk
             for name in ("ps", "m", "max_diff", "max_diff_n", "merge_n",
                          "near", "predicted"):
                 assert np.array_equal(getattr(serial, name),

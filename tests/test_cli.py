@@ -31,6 +31,10 @@ def test_hseq_nonprime_start(capsys):
     code, _, err = run(capsys, "hseq", "--start", "4", "--n", "5")
     assert code == 2
     assert "not prime" in err
+    # starts outside primality's range [0, 2^63] are argument errors too
+    for start in ("-5", "9223372036854775809"):
+        code, out, err = run(capsys, "hseq", "--start", start, "--n", "3")
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_trace(capsys):
@@ -214,7 +218,7 @@ def test_output_worker_invariance(capsys, monkeypatch):
     assert code1 == code2 == 0
     assert out1 == out2
     # the 10000th twin lesser, 1260989, puts two 2^20-value chunks in the
-    # scan, so two workers start a pool
+    # scan: two workers start a pool of two, and so do four
     pools = []
 
     class RecordingPool(sweeps.ProcessPoolExecutor):
@@ -225,6 +229,7 @@ def test_output_worker_invariance(capsys, monkeypatch):
     monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
     code1, out1, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "1")
     code2, out2, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert pools == [2]
+    code4, out4, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "4")
+    assert code1 == code2 == code4 == 0
+    assert out1 == out2 == out4
+    assert pools == [2, 2]

@@ -8,7 +8,8 @@ import pytest
 import twinconst.kernels as kernels
 import twinconst.sweeps as sweeps
 from twinconst import primes
-from twinconst.hseq import DEFAULT_BOUND, NotMergedWithin, merge_position, pair_trace
+from twinconst.hseq import (DEFAULT_BOUND, DEFAULT_THRESHOLD, NotMergedWithin, merge_position,
+                            pair_trace)
 from twinconst.kernels import UNMERGED, pair_stats_kernel, walk_pairs
 from twinconst.sweeps import TwinScanResult, pair_report, prime_pair_merges, scan_twin_range
 
@@ -19,7 +20,7 @@ def _assert_matches_oracle(result, bound_at_stop):
     for i, p in enumerate(result.ps.tolist()):
         m, merge_n = int(result.m[i]), int(result.merge_n[i])
         bound = (m or merge_n) if bound_at_stop else DEFAULT_BOUND
-        rep = pair_trace(p + 2, p, result.threshold, bound)
+        rep = pair_trace(p + 2, p, DEFAULT_THRESHOLD, bound)
         assert m == rep.first_excess, p
         assert int(result.max_diff[i]) == rep.max_diff, p
         assert int(result.max_diff_n[i]) == rep.max_diff_first_index, p
@@ -68,11 +69,10 @@ def test_run_to_merge_below_1e4_matches_oracle(recorded_fallbacks):
     _assert_matches_oracle(result, bound_at_stop=False)
 
 
-@pytest.mark.parametrize("threshold", [1, 6])
-def test_stop_on_excess_near_1e12_matches_oracle(threshold):
+def test_stop_on_excess_near_1e12_matches_oracle():
     rng = np.random.default_rng(2016)
     lo = 10**12 + int(rng.integers(0, 10**9))
-    result = scan_twin_range(lo, lo + (1 << 16) - 1, threshold=threshold)
+    result = scan_twin_range(lo, lo + (1 << 16) - 1)
     assert result.ps.size > 50
     assert result.fallback_count == 0
     _assert_matches_oracle(result, bound_at_stop=True)
@@ -97,7 +97,8 @@ def test_small_chunks_and_margin_give_the_default_scan(lo, stop_on_excess, monke
     default = scan_twin_range(lo, hi, **columns)
     monkeypatch.setattr(kernels, "IDX_LIMIT", 3)
     monkeypatch.setattr(kernels, "WALK_WINDOW", 16)
-    small = scan_twin_range(lo, hi, chunk=32, **columns)
+    monkeypatch.setattr(sweeps, "CHUNK", 32)
+    small = scan_twin_range(lo, hi, **columns)
     assert small.fallback_count > small.ps.size // 2
     for f in TwinScanResult.columns():
         if f.name != "fallback":
@@ -181,6 +182,6 @@ def test_chunk_without_twin_pairs():
     result = scan_twin_range(20, 28)
     assert result.ps.size == 0 and result.fallback_count == 0
     empty = np.zeros(0, np.int64)
-    out = pair_stats_kernel(empty, np.ones(64, bool), 6, True)
+    out = pair_stats_kernel(empty, np.ones(64, bool), True)
     assert [a.size for a in out] == [0] * 5
     assert [a.size for a in walk_pairs(empty, empty, 6, False, DEFAULT_BOUND)] == [0] * 4

@@ -9,12 +9,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-import twinconst.kernels as kernels
 import twinconst.sweeps as sweeps
 import twinconst.verify as verify_mod
-from twinconst import primes
 from twinconst.sweeps import scan_twin_range
-from twinconst.sweeps import DEFAULT_CHUNK
 from twinconst.verify import (
     ALLOWED_M_VALUES,
     partitioned_scan,
@@ -150,12 +147,14 @@ def _text_and_rows(report):
     return report.to_text(), report.rows()
 
 
-def test_partitioned_scan_worker_invariance():
+def test_partitioned_scan_worker_invariance(monkeypatch):
     # per-pair columns are compared across worker counts by
     # prop_checks.run_parallel_determinism
     for campaign in ("theorem1", "theorem2", "corollaries"):
-        r1 = partitioned_scan(3 * 10**5, 1, chunk=30_000, campaign=campaign)
-        r4 = partitioned_scan(3 * 10**5, 4, chunk=30_000, campaign=campaign)
+        with monkeypatch.context() as m:
+            m.setattr(sweeps, "CHUNK", 30_000)
+            r1 = partitioned_scan(3 * 10**5, 1, campaign=campaign)
+            r4 = partitioned_scan(3 * 10**5, 4, campaign=campaign)
         one_chunk = partitioned_scan(3 * 10**5, 1, campaign=campaign)
         # c_prefix fills up (50 terms) in the seventh chunk
         assert campaign != "theorem1" or r1.details["c_count"] > 50
@@ -186,7 +185,8 @@ def test_partitioned_scan_worker_failure_gives_partial_report(monkeypatch):
         return real(args)
 
     monkeypatch.setattr(sweeps, "_scan_chunk", flaky)
-    report = partitioned_scan(50_000, 1, chunk=10_000)
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    report = partitioned_scan(50_000, 1)
     assert report.aborted
     assert not report.verified
     assert "injected worker failure" in report.details["error"]
@@ -196,7 +196,8 @@ def test_partitioned_scan_worker_failure_gives_partial_report(monkeypatch):
 def test_partitioned_scan_worker_failure_two_workers(monkeypatch, tmp_path):
     monkeypatch.setattr(sys.modules[__name__], "_chunk_log", tmp_path)
     monkeypatch.setattr(sweeps, "_scan_chunk", _fail_third_chunk)
-    report = partitioned_scan(400_000, 2, chunk=10_000)
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    report = partitioned_scan(400_000, 2)
     assert report.aborted
     assert not report.verified
     assert "injected worker failure" in report.details["error"]
@@ -221,7 +222,8 @@ def test_partitioned_scan_checkpoint_failure_two_workers(monkeypatch, tmp_path):
         real_save(path, params, next_lo, state)
 
     monkeypatch.setattr(verify_mod, "_save_checkpoint", failing_save)
-    report = partitioned_scan(400_000, 2, chunk=10_000, checkpoint=ckpt)
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    report = partitioned_scan(400_000, 2, checkpoint=ckpt)
     assert report.aborted
     assert "OSError: injected checkpoint failure" in report.details["error"]
     assert report.details["completed_hi"] == 30_002
@@ -234,6 +236,7 @@ def test_partitioned_scan_checkpoint_failure_two_workers(monkeypatch, tmp_path):
 def test_callback_failure_cancels_queued_chunks_of_callers_pool(monkeypatch, tmp_path):
     monkeypatch.setattr(sys.modules[__name__], "_chunk_log", tmp_path)
     monkeypatch.setattr(sweeps, "_scan_chunk", _logged_chunk)
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
 
     def fail_third(part):
         if part.lo == _FAILING_LO:
@@ -244,8 +247,7 @@ def test_callback_failure_cancels_queued_chunks_of_callers_pool(monkeypatch, tmp
         # alive until the pool shuts down: only an explicit cancel stops the
         # queued chunks
         with pytest.raises(OSError, match="injected callback failure") as excinfo:
-            scan_twin_range(3, 400_000, chunk=10_000, workers=2, executor=pool,
-                            on_chunk=fail_third)
+            scan_twin_range(3, 400_000, workers=2, executor=pool, on_chunk=fail_third)
     started = len(list(tmp_path.iterdir()))
     assert 3 <= started < 20
 
@@ -255,7 +257,8 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
     # every chunk sends its first pair to the fallback, so the fallback
     # count must survive the checkpoint (the real stragglers cost seconds)
     monkeypatch.setattr(sweeps, "_scan_chunk", _first_pair_falls_back)
-    kwargs = dict(chunk=20_000, campaign="corollaries")
+    monkeypatch.setattr(sweeps, "CHUNK", 20_000)
+    kwargs = dict(campaign="corollaries")
     fresh = partitioned_scan(60_000, 1, **kwargs)
     assert fresh.details["fallback_pairs"] == 3
 
@@ -287,49 +290,27 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
     assert not os.path.exists(ckpt)  # removed after a clean finish
 
 
-def test_scan_keeps_no_chunk_it_hands_to_on_chunk():
+def test_scan_keeps_no_chunk_it_hands_to_on_chunk(monkeypatch):
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     refs = []
 
     def on_chunk(part):
         assert all(ref() is None for ref in refs)  # the earlier chunks are gone
         refs.append(weakref.ref(part))
 
-    assert scan_twin_range(3, 30_000, chunk=10_000, on_chunk=on_chunk) is None
+    assert scan_twin_range(3, 30_000, on_chunk=on_chunk) is None
     assert len(refs) == 3
     assert all(ref() is None for ref in refs)
 
 
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_chunk_below_one_is_rejected(chunk):
-    with pytest.raises(ValueError, match="chunk must be >= 1"):
-        scan_twin_range(3, 100, chunk=chunk)
-    with pytest.raises(ValueError, match="chunk must be >= 1"):
-        partitioned_scan(100, 1, chunk=chunk)
-
-
-def test_chunk_past_one_sieve_segment_is_rejected(monkeypatch):
-    # a chunk is sieved with WALK_WINDOW values past its end, in one segment
-    largest = primes.MAX_SEGMENT_SIZE - kernels.WALK_WINDOW
-    assert scan_twin_range(3, 100, chunk=largest).ps.size == 8
-
-    def no_sieve(lo, hi):
-        raise AssertionError("sieved a chunk")
-
-    monkeypatch.setattr(primes, "sieve_segment", no_sieve)
-    with pytest.raises(ValueError, match=f"chunk must be >= 1 and <= {largest}"):
-        scan_twin_range(3, 100, chunk=largest + 1)
-    # raised, not caught as a worker failure into an aborted report
-    with pytest.raises(ValueError, match=f"chunk must be >= 1 and <= {largest}"):
-        partitioned_scan(100, 1, chunk=largest + 1)
-
-
-def test_checkpoint_param_mismatch_is_ignored(tmp_path):
+def test_checkpoint_param_mismatch_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     ckpt = str(tmp_path / "scan.ckpt")
-    partial_params_scan = partitioned_scan(30_000, 1, chunk=10_000, checkpoint=ckpt)
+    partial_params_scan = partitioned_scan(30_000, 1, checkpoint=ckpt)
     # finished cleanly, so no checkpoint left; write one then change params
     from twinconst.verify import _save_checkpoint
     _save_checkpoint(ckpt, {"limit": 999}, 10_000, None)
-    report = partitioned_scan(30_000, 1, chunk=10_000, checkpoint=ckpt)
+    report = partitioned_scan(30_000, 1, checkpoint=ckpt)
     assert report.pairs_examined == partial_params_scan.pairs_examined
 
 
@@ -423,7 +404,7 @@ def test_resumed_campaign_matches_uninterrupted(tmp_path, monkeypatch, campaign,
     assert partial.aborted and os.path.exists(ckpt)
     started.clear()
     resumed = campaign(PLANT_LIMIT, checkpoint=ckpt)
-    assert started == [2 * DEFAULT_CHUNK + 3]  # two chunks came from the checkpoint
+    assert started == [2 * sweeps.CHUNK + 3]  # two chunks came from the checkpoint
     assert _text_and_rows(resumed) == _text_and_rows(fresh)
     assert resumed.counterexamples == fresh.counterexamples
     # JSON keys are strings; the int-keyed maps come back with int keys
@@ -441,67 +422,82 @@ def _v2_npz_checkpoint(path):
         np.savez(fh, meta=np.array(json.dumps(meta)), ps=np.array([3, 5]))
 
 
+def _directory(path):
+    path.mkdir()
+    (path / "kept").write_text("not ours")
+
+
+def _contents(path):
+    if path.is_dir():
+        return {p.name: p.read_bytes() for p in path.iterdir()}
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("write", [
     lambda path: path.write_bytes(b"\x00\xffnot a checkpoint\n"),
     lambda path: path.write_text("[1, 2, 3]"),
     lambda path: path.write_text('{"version": 3}'),
     _v2_npz_checkpoint,
-], ids=["garbage", "json-list", "json-without-params", "v2-npz"])
-def test_checkpoint_that_is_not_one_is_rejected(tmp_path, capsys, write):
+    _directory,
+], ids=["garbage", "json-list", "json-without-params", "v2-npz", "directory"])
+def test_checkpoint_that_is_not_one_is_rejected(tmp_path, capsys, monkeypatch, write):
     from twinconst.cli import main
 
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     ckpt = tmp_path / "scan.ckpt"
     write(ckpt)
-    before = ckpt.read_bytes()
+    before = _contents(ckpt)
     with pytest.raises(ValueError, match="not a JSON checkpoint") as excinfo:
-        partitioned_scan(30_000, 1, chunk=10_000, checkpoint=str(ckpt))
+        partitioned_scan(30_000, 1, checkpoint=str(ckpt))
     assert str(ckpt) in str(excinfo.value)
     report = tmp_path / "t1.report"
     code = main(["verify", "t1", "--limit", "30000", "--checkpoint", str(ckpt),
                  "--report", str(report)])
     err = capsys.readouterr().err
     assert code == 2 and f"error: {ckpt}: not a JSON checkpoint" in err
-    assert ckpt.read_bytes() == before
+    assert _contents(ckpt) == before
     assert not report.exists()
 
 
-_T1_PARAMS = {"limit": 30_000, "chunk": 10_000, "campaign": "theorem1"}
+_T1_PARAMS = {"limit": 30_000, "campaign": "theorem1"}
 _STATE = {"pairs_examined": 10**6, "counterexamples": [], "m_value_histogram": {},
           "residue_counts": {}, "details": {}}
 
 
-def test_checkpoint_of_another_version_is_ignored(tmp_path):
+def test_checkpoint_of_another_version_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     ckpt = tmp_path / "scan.ckpt"
-    fresh = partitioned_scan(30_000, 1, chunk=10_000, campaign="theorem1")
+    fresh = partitioned_scan(30_000, 1, campaign="theorem1")
     ckpt.write_text(json.dumps({"version": 2, "params": _T1_PARAMS, "next_lo": 20_003,
                                 "state": _STATE}))
-    report = partitioned_scan(30_000, 1, chunk=10_000, checkpoint=str(ckpt),
-                              campaign="theorem1")
+    report = partitioned_scan(30_000, 1, checkpoint=str(ckpt), campaign="theorem1")
     assert _text_and_rows(report) == _text_and_rows(fresh)
     assert not ckpt.exists()
 
 
-def test_checkpoint_with_sweep_options_in_params_is_ignored(tmp_path):
-    # params once also held the sweep options, which the campaign now implies
+def test_checkpoint_with_sweep_options_in_params_is_ignored(tmp_path, monkeypatch):
+    # params once also held the sweep options, which the campaign now implies,
+    # and the chunk, which is now the constant sweeps.CHUNK
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     ckpt = tmp_path / "scan.ckpt"
-    fresh = partitioned_scan(30_000, 1, chunk=10_000, campaign="theorem1")
-    params = {**_T1_PARAMS, "predict": True, "corollary_check": False}
-    ckpt.write_text(json.dumps({"version": 3, "params": params, "next_lo": 20_003,
-                                "state": _STATE}))
-    report = partitioned_scan(30_000, 1, chunk=10_000, checkpoint=str(ckpt),
-                              campaign="theorem1")
-    assert _text_and_rows(report) == _text_and_rows(fresh)
-    assert not ckpt.exists()
+    fresh = partitioned_scan(30_000, 1, campaign="theorem1")
+    old = {**_T1_PARAMS, "chunk": 10_000}
+    for params in ({**old, "predict": True, "corollary_check": False}, old):
+        ckpt.write_text(json.dumps({"version": 3, "params": params, "next_lo": 20_003,
+                                    "state": _STATE}))
+        report = partitioned_scan(30_000, 1, checkpoint=str(ckpt), campaign="theorem1")
+        assert _text_and_rows(report) == _text_and_rows(fresh), params
+        assert not ckpt.exists()
 
 
-def test_checkpoint_without_report_state_is_rejected(tmp_path):
+def test_checkpoint_without_report_state_is_rejected(tmp_path, monkeypatch):
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     ckpt = tmp_path / "scan.ckpt"
     state = {k: v for k, v in _STATE.items() if k != "details"}
     ckpt.write_text(json.dumps({"version": 3, "params": _T1_PARAMS, "next_lo": 20_003,
                                 "state": state}))
     with pytest.raises(ValueError, match="not a JSON checkpoint"):
-        partitioned_scan(30_000, 1, chunk=10_000, checkpoint=str(ckpt),
-                         campaign="theorem1")
+        partitioned_scan(30_000, 1, checkpoint=str(ckpt), campaign="theorem1")
 
 
 def test_planted_m_outside_mod30_29_is_counted_not_reported(monkeypatch):
