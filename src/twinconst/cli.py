@@ -13,7 +13,7 @@ import sys
 from . import constellations, primes, verify
 from .bfile import SequenceRecord, get_fixture
 from .hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, h_sequence
-from .sweeps import UNMERGED, pair_report, prime_pair_merges, scan_twin_range
+from .sweeps import UNMERGED, pair_report, prime_pair_merges, scan_twin_range, walk_pairs
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -69,13 +69,18 @@ def _merge_sequence_terms(count: int, bound: int):
     return [pos for _, _, pos in prime_pair_merges(count, bound)]
 
 
-def _maxdiff_terms(count: int, workers: int):
-    """Exact max differences for the first count twin pairs (run-to-merge)."""
+def _maxdiff_terms(count: int, workers: int, bound: int = DEFAULT_BOUND):
+    """Max differences of the first count twin pairs over indices 2..bound
+    (exact for a pair that merges within bound), and whether any did not."""
     hi = primes.nth_twin_lesser(count)
     result = scan_twin_range(3, hi, stop_on_excess=False, workers=workers)
-    terms = tuple(int(d) for d in result.max_diff)
-    unmerged = bool((result.merge_n == UNMERGED).any())
-    return terms, unmerged
+    max_diff, merge_n = result.max_diff, result.merge_n
+    if bound != DEFAULT_BOUND:  # the sweep walks every pair to DEFAULT_BOUND
+        redo = (merge_n == UNMERGED) | (merge_n > bound)
+        ps = result.ps[redo]
+        _, max_diff[redo], _, merge_n[redo] = walk_pairs(
+            ps + 2, ps, DEFAULT_THRESHOLD, False, bound)
+    return tuple(int(d) for d in max_diff), bool((merge_n == UNMERGED).any())
 
 
 def _cmd_scan(args) -> int:
@@ -97,20 +102,19 @@ def _cmd_scan(args) -> int:
         terms = constellations.scan_m_sequence(args.count, workers=args.workers)
         _print_record(SequenceRecord("m-sequence", 1, tuple(terms)), fmt)
         return EXIT_OK
+    if args.bound < 2:  # maxdiff and merge walk to the bound
+        print(f"error: bound must be >= 2, got {args.bound}", file=sys.stderr)
+        return EXIT_ARG
     if args.kind == "maxdiff":
-        terms, unmerged = _maxdiff_terms(args.count, args.workers)
+        terms, unmerged = _maxdiff_terms(args.count, args.workers, args.bound)
         _print_record(SequenceRecord("max-diffs", 1, terms), fmt)
         if unmerged:
-            print("warning: some pairs did not merge within bound; "
+            print(f"warning: some pairs did not merge within bound {args.bound}; "
                   "their terms are lower bounds", file=sys.stderr)
             return EXIT_BOUND
         return EXIT_OK
     # kind == "merge"
-    try:
-        terms = _merge_sequence_terms(args.count, args.bound)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARG
+    terms = _merge_sequence_terms(args.count, args.bound)
     shown = tuple(t for t in terms if t is not None)
     _print_record(SequenceRecord("merge-positions", 1, shown), fmt)
     if len(shown) < len(terms):
@@ -123,6 +127,13 @@ def _cmd_scan(args) -> int:
 def _cmd_verify(args) -> int:
     campaigns = {"t1": verify.verify_theorem1, "t2": verify.verify_theorem2,
                  "cor": verify.verify_corollaries}
+    # refuse a report that cannot be written before the campaign, not after it
+    report_path = args.report or f"twinconst-{args.target}.report"
+    report_dir = os.path.dirname(report_path) or "."
+    if os.path.isdir(report_path) or not (
+            os.path.isdir(report_dir) and os.access(report_dir, os.W_OK)):
+        print(f"error: cannot write the report to {report_path}", file=sys.stderr)
+        return EXIT_ARG
     try:
         if args.target in campaigns:
             report = campaigns[args.target](args.limit, args.workers,
@@ -132,7 +143,6 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:  # e.g. a file at --checkpoint that is no checkpoint
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARG
-    report_path = args.report or f"twinconst-{args.target}.report"
     report.write(report_path)
     print(report.to_text(), end="")
     print(f"report: {report_path}")

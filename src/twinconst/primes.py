@@ -2,10 +2,12 @@
 
 Point queries use deterministic Miller-Rabin base sets: 2, 7, 61 below 2^32,
 and above it twelve bases, exact below 3.3e24, hence for the whole supported
-range. Bulk scans use a numpy segmented sieve of Eratosthenes: small base
-primes are crossed off by strided slices, large ones together in numpy
-batches, and the base primes themselves come from a grow-only per-process
-cache.
+range. Bulk scans use a numpy sieve of Eratosthenes over odd values only:
+each window starts as a tiled copy of one pattern with the multiples of 3, 5,
+7, 11 and 13 already removed (a pre-sieve), base primes from 17 to 2^12 are
+crossed off by strided slices, larger ones together in numpy batches, and
+the odd-value flags are expanded to one flag per value at the end. The base
+primes come from a grow-only per-process cache.
 """
 
 from __future__ import annotations
@@ -38,15 +40,69 @@ _LARGE_PRIME_BATCH = 1 << 16
 _BASE_PRIME_MAX = math.isqrt(RANGE_LIMIT)  # < 2^32, so uint32 holds every base prime
 
 
+# The pre-sieve: _PRESIEVE[j] is True iff the odd value 1 + 2j has no factor
+# among _PRESIEVE_PRIMES; it repeats every _PRESIEVE_PERIOD odd values.
+_PRESIEVE_PRIMES = (3, 5, 7, 11, 13)
+_PRESIEVE_PERIOD = math.prod(_PRESIEVE_PRIMES)
+_PRESIEVE = np.gcd(np.arange(1, 2 * _PRESIEVE_PERIOD, 2), _PRESIEVE_PERIOD) == 1
+_PRESIEVE.setflags(write=False)
+
+
+def _sieve_odd(o0: int, count: int, base: np.ndarray) -> np.ndarray:
+    """Flags odd[i] True iff o0 + 2i is prime, for odd o0 and 0 <= i < count.
+
+    base holds, ascending, every prime up to the square root of the last
+    value; those up to 13 are not read, the pre-sieve has removed their
+    multiples.
+    """
+    odd = np.resize(np.roll(_PRESIEVE, -(o0 // 2 % _PRESIEVE_PERIOD)), count)
+    for v in (1,) + _PRESIEVE_PRIMES:
+        if o0 <= v < o0 + 2 * count:
+            odd[(v - o0) // 2] = v != 1
+    first, split = base.searchsorted([_PRESIEVE_PRIMES[-1] + 1, _LARGE_PRIME_MIN])
+    # an odd multiple k * p steps to the next one 2p on, one odd index p on
+    for p in base[first:split].tolist():
+        k = max(-(-o0 // p), p) | 1
+        odd[(k * p - o0) // 2 :: p] = False
+    # First odd multiples in uint64: k * p is p * p <= 2^63 or below o0 + 2p,
+    # so below 2^64, and every odd index is below 2^62, so the int64 view
+    # reads the same values.
+    for b in range(split, base.size, _LARGE_PRIME_BATCH):
+        p = base[b : b + _LARGE_PRIME_BATCH].astype(np.uint64)
+        k = np.maximum(np.uint64(o0 - 1) // p + 1, p) | 1
+        start = ((k * p - np.uint64(o0)) >> 1).view(np.int64)
+        step = p.view(np.int64)
+        while True:
+            live = start < count
+            start, step = start[live], step[live]
+            if not start.size:
+                break
+            odd[start] = False
+            start += step
+    return odd
+
+
+def _odd_flags_upto(limit: int) -> np.ndarray:
+    """Flags odd[i] True iff 2i + 1 is prime, for 1 <= 2i + 1 <= limit."""
+    root = math.isqrt(limit)
+    base = primes_upto(root) if root > _PRESIEVE_PRIMES[-1] else np.zeros(0, np.int64)
+    return _sieve_odd(1, (limit + 1) // 2, base)
+
+
 def prime_flags_upto(limit: int) -> np.ndarray:
     """Boolean array f with f[i] True iff i is prime, for 0 <= i <= limit."""
     flags = np.zeros(max(limit + 1, 2), dtype=bool)
     if limit >= 2:
-        flags[2:] = True
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
+        flags[1::2] = _odd_flags_upto(limit)
+        flags[2] = True
     return flags
+
+
+def primes_upto(limit: int) -> np.ndarray:
+    """The primes <= limit, ascending."""
+    if limit < 2:
+        return np.zeros(0, np.int64)
+    return np.concatenate(([2], 2 * np.flatnonzero(_odd_flags_upto(limit)) + 1))
 
 
 _SMALL_FLAGS = prime_flags_upto(_SMALL_LIMIT)
@@ -59,10 +115,6 @@ def prime_flags_between(lo: int, hi: int) -> np.ndarray:
     if hi <= _SMALL_LIMIT:
         return _SMALL_FLAGS[lo : hi + 1]
     return sieve_segment(lo, hi).flags
-
-
-def primes_upto(limit: int) -> np.ndarray:
-    return np.flatnonzero(prime_flags_upto(limit))
 
 
 # (limit, primes <= limit as read-only uint32), grown on demand by _base_primes
@@ -184,32 +236,12 @@ def sieve_segment(lo: int, hi: int) -> Segment:
     n = hi - lo + 1
     if n > MAX_SEGMENT_SIZE:
         raise ValueError(f"segment width {n} exceeds max {MAX_SEGMENT_SIZE}")
-    base = _base_primes(math.isqrt(hi))
-    flags = np.ones(n, dtype=bool)
-    for v in (0, 1):
-        if lo <= v <= hi:
-            flags[v - lo] = False
-    split = int(base.searchsorted(_LARGE_PRIME_MIN))
-    for p in base[:split].tolist():
-        start = max(p * p, -(-lo // p) * p)
-        if start <= hi:
-            flags[start - lo :: p] = False
-    # Offsets from lo in uint64: p * p <= hi <= 2^63 and lo plus a residue
-    # below 2^32 both fit, and every offset is below 2^63, so the int64 view
-    # reads the same values.
-    ulo = np.uint64(lo)
-    for b in range(split, base.size, _LARGE_PRIME_BATCH):
-        p = base[b : b + _LARGE_PRIME_BATCH].astype(np.uint64)
-        first = np.maximum(p * p, ulo + (p - ulo % p) % p)
-        start = (first - ulo).view(np.int64)
-        step = p.view(np.int64)
-        while True:
-            live = start < n
-            start, step = start[live], step[live]
-            if not start.size:
-                break
-            flags[start] = False
-            start += step
+    o0 = lo | 1
+    odd = _sieve_odd(o0, (hi - o0) // 2 + 1, _base_primes(math.isqrt(hi)))
+    flags = np.zeros(n, dtype=bool)
+    flags[o0 - lo :: 2] = odd
+    if lo <= 2 <= hi:
+        flags[2 - lo] = True
     return Segment(lo, hi, flags)
 
 

@@ -153,6 +153,10 @@ def partitioned_scan(
         details={"fallback_pairs": 0, **copy.deepcopy(details)})
     start = 3
     if checkpoint is not None:
+        # an unwritable checkpoint is an argument error, found before any sieving
+        checkpoint_dir = os.path.dirname(checkpoint) or "."
+        if not (os.path.isdir(checkpoint_dir) and os.access(checkpoint_dir, os.W_OK)):
+            raise ValueError(f"{checkpoint}: {checkpoint_dir} is not a writable directory")
         loaded = _load_checkpoint(checkpoint, params)
         if loaded is not None:
             start, state = loaded

@@ -1,3 +1,4 @@
+import itertools
 import os
 
 import pytest
@@ -99,6 +100,39 @@ def test_scan_maxdiff(capsys):
                            "84 14 162")
 
 
+@pytest.mark.parametrize("count, bound", [(5, 3), (21, 100)])
+def test_scan_maxdiff_honours_bound(capsys, count, bound):
+    # a pair that merges past bound has its max difference over 2..bound,
+    # as the oracle reports it, and the scan exits 3
+    from twinconst import hseq, primes
+
+    code, out, err = run(capsys, "scan", "maxdiff", "--count", str(count),
+                         "--bound", str(bound))
+    ps = list(itertools.islice(primes.twin_lessers(10**4), count))
+    want = [hseq.pair_trace(p + 2, p, bound=bound).max_diff for p in ps]
+    assert [int(t) for t in out.split()] == want
+    assert code == 3 and f"did not merge within bound {bound}" in err
+
+
+def test_scan_maxdiff_walks_on_past_the_sweep_bound(capsys, monkeypatch):
+    # with the sweep's bound cut to 50, bound 10^4 walks the pairs the sweep
+    # left unmerged on to 10^4; all of the first 21 pairs merge by 5107
+    import twinconst.cli as cli
+
+    monkeypatch.setattr(sweeps, "DEFAULT_BOUND", 50)
+    monkeypatch.setattr(cli, "DEFAULT_BOUND", 50)
+    code, out, _ = run(capsys, "scan", "maxdiff", "--count", "21", "--bound", "10000")
+    assert code == 0
+    assert out.strip() == ("4 14 6 6 6 12 6 8 14 14 18 36 24 65 18 6 10 6 "
+                           "84 14 162")
+
+
+def test_scan_maxdiff_bound_below_two(capsys):
+    code, out, err = run(capsys, "scan", "maxdiff", "--count", "3", "--bound", "1")
+    assert code == 2
+    assert out == "" and "bound must be >= 2, got 1" in err
+
+
 def test_scan_merge(capsys):
     code, out, _ = run(capsys, "scan", "merge", "--count", "15")
     assert code == 0
@@ -173,6 +207,22 @@ def test_verify_conj1(tmp_path, capsys, monkeypatch):
                        "--bound", "10000")
     assert code == 0
     assert "conjecture1" in out
+
+
+@pytest.mark.parametrize("target", ["t1", "conj1"])
+def test_verify_unwritable_report_exits_before_the_scan(capsys, tmp_path, monkeypatch, target):
+    import twinconst.verify as verify
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(verify, "partitioned_scan", no_scan)
+    monkeypatch.setattr(verify, "prime_pair_merges", no_scan)
+    for report in (tmp_path / "missing" / "x.report", tmp_path):
+        code, out, err = run(capsys, "verify", target, "--limit", "1000",
+                             "--report", str(report))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write the report to {report}\n"
 
 
 def test_compare_fixtures(capsys):

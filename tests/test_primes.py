@@ -1,9 +1,12 @@
+import functools
 import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinconst import primes
 
@@ -236,6 +239,88 @@ def test_sieve_segment_matches_per_prime_loop():
     assert np.array_equal(primes.sieve_segment(lo, hi).flags, want)
 
 
+def _plain_prime_flags(n: int) -> np.ndarray:
+    """The textbook sieve over every value 0..n, with no pre-sieve."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
+@functools.cache
+def _reference_base_primes() -> np.ndarray:
+    # every base prime of a window below 10^14 + 2^20
+    return np.flatnonzero(_plain_prime_flags(math.isqrt(10**14 + (1 << 20))))
+
+
+def _per_prime_flags(lo: int, hi: int) -> np.ndarray:
+    """Flags for [lo, hi] from one strided slice per base prime, 2 included."""
+    want = np.ones(hi - lo + 1, dtype=bool)
+    want[: max(0, 2 - lo)] = False  # 0 and 1
+    base = _reference_base_primes()
+    for p in base[: base.searchsorted(math.isqrt(hi), "right")].tolist():
+        want[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return want
+
+
+def _assert_sieve_matches_per_prime_loop(lo: int, hi: int) -> None:
+    got = primes.sieve_segment(lo, hi).flags
+    assert got.dtype == bool and np.array_equal(got, _per_prime_flags(lo, hi)), (lo, hi)
+
+
+def test_sieve_segment_small_windows_match_per_prime_loop():
+    # 0, 1, 2 and the pre-sieved primes 3..13 themselves, at every phase
+    for lo in range(41):
+        for width in range(65):
+            _assert_sieve_matches_per_prime_loop(lo, lo + width)
+
+
+@pytest.mark.parametrize("period", [1, 2, 33, 10**6, 10**12 // 30030])
+def test_sieve_segment_windows_across_a_presieve_period(period):
+    # the pre-sieve pattern repeats every 2 * 15015 values
+    edge = period * 2 * 15015
+    for lo, hi in ((edge - 1, edge), (edge - 2, edge + 1), (edge - 63, edge + 64),
+                   (edge, edge + 3 * 30030 + 5), (edge - 30030 + 1, edge + 30030 - 1)):
+        _assert_sieve_matches_per_prime_loop(lo, hi)
+
+
+@pytest.mark.parametrize("height", [1 << 32, 10**12, 10**14])
+@pytest.mark.parametrize("lo_odd", [False, True])
+@pytest.mark.parametrize("hi_odd", [False, True])
+def test_sieve_segment_odd_and_even_ends_at_height(height, lo_odd, hi_odd):
+    lo = height - 3000 + (height + lo_odd) % 2
+    hi = height + 3000 + (height + hi_odd) % 2
+    assert (lo % 2, hi % 2) == (lo_odd, hi_odd)
+    _assert_sieve_matches_per_prime_loop(lo, hi)
+
+
+@pytest.mark.parametrize("lo", [1000, 4099, 4100])
+def test_sieve_segment_window_holding_batched_base_primes(lo):
+    # the base primes 4099..4177 lie in the window, so each is kept and its
+    # multiples are crossed off from p * p on
+    _assert_sieve_matches_per_prime_loop(lo, 4200**2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**10), st.integers(min_value=0, max_value=5000))
+def test_sieve_segment_random_windows_match_per_prime_loop(lo, width):
+    _assert_sieve_matches_per_prime_loop(lo, lo + width)
+
+
+def test_prime_flags_upto_matches_trial_division_and_plain_sieve():
+    for n in range(201):
+        want = [trial_division(x) for x in range(max(n + 1, 2))]
+        assert primes.prime_flags_upto(n).tolist() == want, n
+        assert primes.primes_upto(n).tolist() == [x for x in range(n + 1) if want[x]], n
+    # 4200^2: base primes from 4099 take the batched path
+    for n in (1 << 20, 4200**2):
+        want = _plain_prime_flags(n)
+        assert np.array_equal(primes.prime_flags_upto(n), want), n
+        assert np.array_equal(primes.primes_upto(n), np.flatnonzero(want)), n
+
+
 def test_sieve_segment_crosses_off_by_every_batched_base_prime():
     # q * r with r the next prime has q as its least factor, so only q can
     # cross it off; q runs over the ends of the first two numpy batches
@@ -269,10 +354,11 @@ def test_sieve_segment_base_prime_cache_grows_and_slices_down(monkeypatch):
 def test_sieve_segment_offsets_exact_near_range_limit(monkeypatch):
     # with a stub base-prime list the sieve crosses off exactly the multiples
     # of the stub primes, so a window at the top of the range checks the
-    # offset arithmetic without sieving by all primes below 3e9
+    # offset arithmetic without sieving by all primes below 3e9; the stub
+    # holds 5..13 because the pre-sieve removes their multiples regardless
     top = primes.RANGE_LIMIT
     big = [q for q in range(math.isqrt(top) - 300, math.isqrt(top) + 1) if primes.is_prime(q)]
-    stub = np.array([2, 3, 4099, 65537] + big, dtype=np.uint32)
+    stub = np.array([2, 3, 5, 7, 11, 13, 4099, 65537] + big, dtype=np.uint32)
     monkeypatch.setattr(primes, "_base_primes", lambda limit: stub[stub <= limit])
     lo = top - 10**5
     seg = primes.sieve_segment(lo, top)

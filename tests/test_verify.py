@@ -459,6 +459,24 @@ def test_checkpoint_that_is_not_one_is_rejected(tmp_path, capsys, monkeypatch, w
     assert not report.exists()
 
 
+def test_unwritable_checkpoint_is_rejected_before_any_sieving(tmp_path, capsys, monkeypatch):
+    from twinconst.cli import main
+
+    def no_chunk(args):
+        raise AssertionError("a chunk was scanned")
+
+    monkeypatch.setattr(sweeps, "_scan_chunk", no_chunk)
+    ckpt = tmp_path / "missing" / "scan.ckpt"
+    with pytest.raises(ValueError, match="not a writable directory") as excinfo:
+        partitioned_scan(30_000, 1, checkpoint=str(ckpt))
+    assert str(ckpt) in str(excinfo.value)
+    report = tmp_path / "t1.report"
+    code = main(["verify", "t1", "--limit", "30000", "--checkpoint", str(ckpt),
+                 "--report", str(report)])
+    assert code == 2 and f"error: {ckpt}: " in capsys.readouterr().err
+    assert not report.exists() and not ckpt.parent.exists()
+
+
 _T1_PARAMS = {"limit": 30_000, "campaign": "theorem1"}
 _STATE = {"pairs_examined": 10**6, "counterexamples": [], "m_value_histogram": {},
           "residue_counts": {}, "details": {}}
