@@ -5,8 +5,10 @@ index at a time: at index n all pairs take the same kind of step (to the
 next prime or the next composite), so each index costs a few array
 operations over the pairs still walking. walk_pairs takes the pairs it gives
 up on, and any other pair, to their merge or a bound in rank space, one prime
-index at a time. match_offsets_bulk tests a gap pattern's prime/composite
-word at many base offsets at once.
+index at a time; it reads the differences at the prime indices and expands a
+composite run to its indices only where the run can raise a pair's max.
+match_offsets_bulk tests a gap pattern's prime/composite word at many base
+offsets at once.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ WALK_WINDOW = 1 << 15
 # run-to-merge walks, are left to walk_pairs.
 IDX_LIMIT = 1 << 12
 WALK_BLOCK = 512  # prime indices per statistics block of the walk
-_BLOCK_CELLS = 1 << 14  # cap on a block's indices x traces, bounding its arrays
+# cap on a block's prime indices x traces, bounding its arrays; a block
+# expands at most a quarter as many composite indices x traces, as each of
+# those takes several arrays' cells
+_BLOCK_CELLS = 1 << 14
 _INDEX_SPAN = 1 << 16  # prime indices are listed this many indices at a time
 
 
@@ -179,9 +184,12 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
     Each trace is held at a prime index as the rank R of its value (see
     _rank_line). The L composite indices up to the next prime index take the
     non-primes of ranks R .. R + L - 1 and that prime index takes the prime
-    of rank F[R + L], so one step per prime index moves every trace, and the
-    values of a block of steps come from one gather. The window is sieved
-    again when a trace nears its end.
+    of rank F[R + L], so one step per prime index moves every trace. A block
+    of steps keeps one row of ranks per prime index; the differences at the
+    prime indices come from one gather, and a composite run is expanded to
+    its indices only for the pairs whose bound on the run's differences
+    exceeds their max so far. The window is sieved again when a trace nears
+    its end.
     """
     a = np.asarray(a, np.int64)
     b = np.asarray(b, np.int64)
@@ -208,55 +216,79 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
             C = F = None  # free the old tables first
             C, F, R, off, last = _rank_line(values, window)
             resieve, fresh = False, True
-        # K steps, from prime index qs[j] to qs[j + K], within the cell cap
-        span = max(_BLOCK_CELLS // R.size, 1)
-        K = int(qs.searchsorted(qs[j] + span, "right")) - 1 - j
-        K = max(1, min(K, WALK_BLOCK, qs.size - 1 - j))
+        # K steps, from prime index qs[j] to qs[j + K]: K + 1 rows of ranks
+        K = max(1, min(_BLOCK_CELLS // R.size, WALK_BLOCK, qs.size - 1 - j))
         q = qs[j : j + K + 1]
-        gaps = np.diff(q)
+        Ls = np.diff(q) - 1  # composite indices after each prime index
+        # the step from index 2 to 3 has no composite index but still moves;
+        # shifted[L][x] is F[x + L], clipped to the sentinel as F.take clips
+        steps = np.maximum(Ls, 1).tolist()
+        shifted = {L: F[min(L, F.size - 1):] for L in set(steps)}
         Rs = np.empty((K + 1,) + R.shape, R.dtype)
         Rs[0] = R
-        # the step from index 2 to 3 has no composite index but still moves
         prev = R
-        for row, L in zip(Rs[1:], np.maximum(gaps - 1, 1).tolist()):
-            F.take(prev + L, out=row, mode="clip")
+        for row, L in zip(Rs[1:], steps):
+            shifted[L].take(prev, None, row, "clip")
             prev = row
         if np.any(Rs[K] > last):
             resieve = True  # a trace left its window: redo the block
             continue
         fresh = False
+        offd = off[0] - off[1]
+        maxd = maxdiff_out[live]
+        # Traces apart at a prime index take the distinct non-primes of ranks
+        # Ra + t and Rb + t through the composite run after it, so they meet
+        # only at prime indices, and as C increases the run's differences are
+        # at most its last a value less its first b value. Only the runs
+        # whose bound exceeds the max at block start can raise the max, or,
+        # while m is unset (max <= threshold), hold the first excess; runs
+        # after a merge (equal ranks) hold 0.
+        Ra, Rb = Rs[:-1, 0], Rs[:-1, 1]
+        cap = C[Ra + np.maximum(Ls - 1, 0)[:, None]] - C[Rb] + offd
+        ri, rt = np.nonzero((cap > maxd) & (Ra != Rb) & (Ls > 0)[:, None])
+        ends = np.cumsum(Ls[ri])
+        if ends.size and ends[-1] > _BLOCK_CELLS // 4:
+            # end the block before the run whose cells would pass the cap
+            K = max(int(ri[ends.searchsorted(_BLOCK_CELLS // 4, "right")]), 1)
+            cut = ri.searchsorted(K)
+            ri, rt, ends, q = ri[:cut], rt[:cut], ends[:cut], q[: K + 1]
         R = Rs[K]
         advance = np.max(R - Rs[0])
-        # one row per index qs[j] + 1 .. min(qs[j + K], bound)
-        rows = min(int(q[-1]), bound) - int(q[0])
-        ns = np.arange(q[0] + 1, q[0] + 1 + rows)
-        step = np.repeat(np.arange(K), gaps)[:rows]
-        t = (ns - q[step] - 1).astype(np.int32)
-        at_prime = ns == q[step + 1]
-        t[at_prime] = 0
-        # C[R] - 1 is the prime of rank R; the -1 cancels in the difference
-        vals = np.take(C, Rs[step + at_prime] + t[:, None, None])
-        d = vals[:, 0] - vals[:, 1] + (off[0] - off[1])
-        # traces a > b never cross, so d >= 0, and d stays 0 after a merge
-        zero = d == 0
-        merged = zero.any(0)
-        z = zero.argmax(0)
-        excess = d > threshold
-        new_m = (m_out[live] == 0) & excess.any(0)
-        e = excess.argmax(0)
-        end = np.where(merged, z, rows - 1)
-        if stop_on_excess:
-            end = np.where(new_m, e, end)  # an excess comes before a merge
-        d = np.where(np.arange(rows)[:, None] <= end, d, -1)
-        top = d.argmax(0)
-        top_d = d[top, np.arange(top.size)]
-        up = top_d > maxdiff_out[live]
-        maxdiff_out[live[up]] = top_d[up]
-        maxdiff_n_out[live[up]] = ns[top[up]]
-        m_out[live[new_m]] = ns[e[new_m]]
+        # C[R] - 1 is the prime of rank R; the -1 cancels in the difference.
+        # Differences at the prime indices q[1:], one row each:
+        dp = C[Rs[1 : K + 1, 0]] - C[Rs[1 : K + 1, 1]] + offd
+        lens = Ls[ri]
+        cell = np.repeat(np.arange(ri.size), lens)
+        u = np.arange(cell.size) - np.repeat(ends - lens, lens)
+        ci, ct = ri[cell], rt[cell]
+        # candidates (index, trace, difference): prime rows, then run cells
+        n = np.concatenate((np.repeat(q[1:], live.size), q[ci] + 1 + u))
+        t = np.concatenate((np.tile(np.arange(live.size), K), ct))
+        d = np.concatenate((dp.ravel(),
+                            C[Ra[ci, ct] + u] - C[Rb[ci, ct] + u] + offd[ct]))
+        inside = n <= bound
+        n, t, d = n[inside], t[inside], d[inside]
+        never = bound + 1
+        z = np.full(live.size, never)
+        np.minimum.at(z, t[d == 0], n[d == 0])
+        e = np.full(live.size, never)
+        np.minimum.at(e, t[d > threshold], n[d > threshold])
+        merged = z < never
+        new_m = (m_out[live] == 0) & (e < never)
+        end = np.where(new_m, e, z) if stop_on_excess else z  # an excess comes first
+        upto = n <= end[t]
+        best = maxd.copy()
+        np.maximum.at(best, t[upto], d[upto])
+        up = best > maxd
+        first = np.full(live.size, never)
+        at = upto & (d == best[t])
+        np.minimum.at(first, t[at], n[at])
+        maxdiff_out[live[up]] = best[up]
+        maxdiff_n_out[live[up]] = first[up]
+        m_out[live[new_m]] = e[new_m]
         done = merged | new_m if stop_on_excess else merged
         met = merged & ~new_m if stop_on_excess else merged
-        merge_out[live[met]] = ns[z[met]]
+        merge_out[live[met]] = z[met]
         j += K
         if done.any():
             keep = ~done

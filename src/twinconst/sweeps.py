@@ -158,15 +158,29 @@ def pair_report(
 def prime_pair_merges(count: int, bound: int = DEFAULT_BOUND) -> list[tuple]:
     """(a, b, merge index or None past bound) for the first count pairs of odd
     primes b < a, in the order (5, 3), (7, 3), (7, 5), (11, 3), ..., so the
-    pairs among the first k odd primes come first. All take one walk_pairs call.
+    pairs among the first k odd primes come first.
+
+    Only the k - 1 adjacent pairs take the walker, in one walk_pairs call.
+    Traces a > b never cross and stay equal once they meet, so for odd
+    primes s_i < s_l < s_j the traces of s_j and s_i meet exactly when both
+    adjacent pairs between them have: the merge index of (s_j, s_i) is the
+    largest adjacent merge index of the pairs from s_i up to s_j.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     count = max(count, 0)
     ps = np.array(primes.consecutive_primes_from(3, math.isqrt(2 * count) + 2))
-    a, b = (ps[i[:count]].tolist() for i in np.tril_indices(ps.size, -1))
-    merge_n = walk_pairs(a, b, DEFAULT_THRESHOLD, False, bound)[3].tolist()
-    return [(x, y, None if n == UNMERGED else n) for x, y, n in zip(a, b, merge_n)]
+    adjacent = walk_pairs(ps[1:], ps[:-1], DEFAULT_THRESHOLD, False, bound)[3]
+    adjacent[adjacent == UNMERGED] = bound + 1
+    starts = ps.tolist()
+    out: list[tuple] = []
+    for i in range(1, len(starts)):
+        if len(out) >= count:
+            break
+        # merge index of (starts[i], starts[l]) for l = 0 .. i - 1
+        row = np.maximum.accumulate(adjacent[i - 1 :: -1])[::-1].tolist()
+        out.extend((starts[i], b, None if n > bound else n) for b, n in zip(starts, row))
+    return out[:count]
 
 
 def scan_twin_range(

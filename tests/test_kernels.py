@@ -4,12 +4,14 @@ sweeps.pair_report, sweeps.prime_pair_merges and kernels.walk_pairs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twinconst.kernels as kernels
 import twinconst.sweeps as sweeps
 from twinconst import primes
-from twinconst.hseq import (DEFAULT_BOUND, DEFAULT_THRESHOLD, NotMergedWithin, merge_position,
-                            pair_trace)
+from twinconst.hseq import (DEFAULT_BOUND, DEFAULT_THRESHOLD, NotMergedWithin, h_sequence,
+                            merge_position, pair_trace)
 from twinconst.kernels import UNMERGED, pair_stats_kernel, walk_pairs
 from twinconst.sweeps import TwinScanResult, pair_report, prime_pair_merges, scan_twin_range
 
@@ -43,6 +45,23 @@ def _assert_walk_matches_oracle(a, b, threshold, stop_on_excess, bound):
     for i, pair in enumerate(zip(a, b)):
         got = tuple(int(col[i]) for col in out)
         assert got == _oracle(*pair, threshold, stop_on_excess, bound), (pair, bound)
+
+
+def _differences(a, b, n_max):
+    """The trace differences at indices 2..n_max, from hseq.h_sequence."""
+    return [x - y for x, y in zip(h_sequence(a, n_max).values, h_sequence(b, n_max).values)]
+
+
+@pytest.fixture(params=["default-blocks", "one-step-blocks", "few-cells"])
+def walk_block(request, monkeypatch):
+    """The walker's default blocks; blocks of one prime index, in which each
+    composite run's bound is compared with the max just before the run; and
+    a cell cap so small that blocks end before the run that would pass it,
+    after one step when the first run alone does."""
+    if request.param == "one-step-blocks":
+        monkeypatch.setattr(kernels, "WALK_BLOCK", 1)
+    elif request.param == "few-cells":
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", 64)
 
 
 @pytest.fixture
@@ -147,6 +166,40 @@ def test_prime_pair_merges_match_oracle(prime_count, bound):
     assert prime_pair_merges(len(want), bound) == want
 
 
+ODD_PRIMES_200 = primes.consecutive_primes_from(3, 200)
+
+
+@given(st.lists(st.sampled_from(ODD_PRIMES_200), min_size=3, max_size=3, unique=True),
+       st.integers(min_value=2, max_value=1500))
+@settings(max_examples=100, deadline=None)
+def test_merge_is_the_later_of_the_adjacent_merges(starts, bound):
+    # the lemma behind prime_pair_merges, on the oracle: for s < t < u the
+    # traces of u and s meet when those of t and s and of u and t both have
+    s, t, u = sorted(starts)
+
+    def merge(a, b):
+        pos = merge_position(a, b, bound)
+        return bound + 1 if isinstance(pos, NotMergedWithin) else pos
+
+    assert merge(u, s) == max(merge(t, s), merge(u, t))
+
+
+def test_prime_pair_merges_match_oracle_on_a_sample_of_80_primes():
+    # 3160 pairs from the 79 adjacent walks; at bound 7000 the pairs that
+    # merge at 6257 are merged and those that merge at 390703 are not
+    bound = 7000
+    ps = primes.consecutive_primes_from(3, 80)
+    got = prime_pair_merges(80 * 79 // 2, bound)
+    assert [(a, b) for a, b, _ in got] == [(a, b) for i, a in enumerate(ps) for b in ps[:i]]
+    positions = {n for _, _, n in got}
+    assert {6257, None} <= positions
+    rng = np.random.default_rng(80)
+    for i in rng.choice(len(got), 60, replace=False).tolist():
+        a, b, n = got[i]
+        pos = merge_position(a, b, bound)
+        assert n == (None if isinstance(pos, NotMergedWithin) else pos), (a, b)
+
+
 def test_prime_pair_merges_edge_arguments():
     assert prime_pair_merges(0) == []
     assert prime_pair_merges(1, 2) == [(5, 3, None)]
@@ -157,7 +210,9 @@ def test_prime_pair_merges_edge_arguments():
 @pytest.mark.parametrize("window", [64, 1024])
 def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
     # near 10^12 one block of steps moves a trace by some 10^4 values, so the
-    # walker must widen these windows as well as sieve them again
+    # walker must widen these windows as well as sieve them again; blocks of
+    # 64 prime indices keep the walk to index 3181 from fitting in one block
+    # once a window has widened
     widths = []
     rank_line = kernels._rank_line
 
@@ -166,6 +221,7 @@ def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
         return rank_line(values, width)
 
     monkeypatch.setattr(kernels, "WALK_WINDOW", window)
+    monkeypatch.setattr(kernels, "WALK_BLOCK", 64)
     monkeypatch.setattr(kernels, "IDX_LIMIT", 3)  # every pair takes the walker
     monkeypatch.setattr(kernels, "_rank_line", counting)
     lo = 10**12 + 5000
@@ -185,3 +241,64 @@ def test_chunk_without_twin_pairs():
     out = pair_stats_kernel(empty, np.ones(64, bool), True)
     assert [a.size for a in out] == [0] * 5
     assert [a.size for a in walk_pairs(empty, empty, 6, False, DEFAULT_BOUND)] == [0] * 4
+
+
+@pytest.mark.parametrize("a, b, first", [
+    # max difference 56 at indices 162 (composite), 167 (prime) and 168
+    (29, 19, 162),
+    # 480 at 23 indices from the prime index 9221 to 11636, in one default
+    # block and across many one-step blocks; the traces merge at 18143
+    (128203, 128201, 9221)])
+def test_first_of_tied_maxima_is_reported(a, b, first, walk_block):
+    rep = pair_trace(a, b, DEFAULT_THRESHOLD, DEFAULT_BOUND)
+    diffs = _differences(a, b, rep.merge_index)
+    assert diffs.count(rep.max_diff) >= 2 and diffs.index(rep.max_diff) + 2 == first
+    assert walk_pairs([a], [b], DEFAULT_THRESHOLD, False, DEFAULT_BOUND)[2].tolist() == [first]
+    _assert_walk_matches_oracle([a], [b], DEFAULT_THRESHOLD, False, DEFAULT_BOUND)
+
+
+@pytest.mark.parametrize("stop_on_excess", [True, False])
+def test_first_excess_inside_a_composite_run(stop_on_excess, walk_block):
+    # at threshold 19 the traces of 17 and 7 differ by 19 at index 52 and by
+    # 18 at index 54, the first of the composite run 54..58, and first exceed
+    # 19 at its last index: a run that starts at or below the max before it
+    diffs = _differences(17, 7, 58)
+    assert not any(primes.is_prime(n) for n in range(54, 59))
+    assert max(diffs[: 54 - 2]) == 19 and diffs[54 - 2] == 18 and diffs[58 - 2] == 20
+    assert walk_pairs([17], [7], 19, stop_on_excess, DEFAULT_BOUND)[0].tolist() == [58]
+    _assert_walk_matches_oracle([17], [7], 19, stop_on_excess, DEFAULT_BOUND)
+
+
+@pytest.mark.parametrize("stop_on_excess", [True, False])
+def test_walk_of_many_pairs(stop_on_excess):
+    # 333 pairs of nearby primes at three heights, so that a block holds
+    # only _BLOCK_CELLS // 666 = 24 prime indices
+    a, b = [], []
+    for base in (10**3, 10**6, 10**9):
+        ps = primes.consecutive_primes_from(primes.next_prime(base), 112)
+        a += ps[1:111] + ps[2:3]
+        b += ps[:110] + ps[:1]
+    assert len(a) >= 300 and kernels._BLOCK_CELLS // (2 * len(a)) < 32
+    _assert_walk_matches_oracle(a, b, DEFAULT_THRESHOLD, stop_on_excess, 3000)
+
+
+@pytest.mark.parametrize("stop_on_excess", [True, False])
+def test_walk_matches_oracle_on_random_pairs(stop_on_excess, walk_block):
+    # pairs of primes a few primes apart near 3, 10^3, 10^6, 10^9 and
+    # 10^12; random thresholds; bounds one below, at and one above a prime
+    # index, so that a walk ends just before, on and just after one
+    rng = np.random.default_rng(1217 + stop_on_excess)
+    index_primes = primes.consecutive_primes_from(3, 300)
+    for _ in range(6):
+        a, b = [], []
+        for base in (3, 10**3, 10**6, 10**9, 10**12):
+            start = primes.next_prime(base - 1 + int(rng.integers(0, min(base, 1000))))
+            ps = primes.consecutive_primes_from(start, 5)
+            lo = int(rng.integers(0, 4))
+            hi = int(rng.integers(lo + 1, 5))
+            a.append(ps[hi])
+            b.append(ps[lo])
+        threshold = int(rng.integers(1, 41))
+        q = index_primes[int(rng.integers(0, len(index_primes)))]
+        for bound in (q - 1, q, q + 1):
+            _assert_walk_matches_oracle(a, b, threshold, stop_on_excess, bound)
