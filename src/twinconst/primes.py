@@ -5,9 +5,13 @@ and above it twelve bases, exact below 3.3e24, hence for the whole supported
 range. Bulk scans use a numpy sieve of Eratosthenes over odd values only:
 each window starts as a tiled copy of one pattern with the multiples of 3, 5,
 7, 11 and 13 already removed (a pre-sieve), base primes from 17 to 2^12 are
-crossed off by strided slices, larger ones together in numpy batches, and
-the odd-value flags are expanded to one flag per value at the end. The base
-primes come from a grow-only per-process cache.
+crossed off by strided slices, and larger ones together in numpy batches.
+In a batch each prime's first odd multiple is one int64 remainder, and pass
+j crosses off the j-th next multiple of every prime below count / j (count
+is the window's odd count) in one scatter, into a bitmap with one spare
+slot for the misses: most of these primes exceed count and take pass 0
+only. The odd-value flags are expanded to one flag per value at the end.
+The base primes come from a grow-only per-process cache.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ _SMALL_LIMIT = 1 << 20
 
 # Base primes below this are crossed off one strided slice each; the rest have
 # at most width / _LARGE_PRIME_MIN multiples in a window and are crossed off
-# together, _LARGE_PRIME_BATCH primes per numpy pass.
+# together, in batches of _LARGE_PRIME_BATCH primes.
 _LARGE_PRIME_MIN = 1 << 12
 _LARGE_PRIME_BATCH = 1 << 16
 _BASE_PRIME_MAX = math.isqrt(RANGE_LIMIT)  # < 2^32, so uint32 holds every base prime
@@ -55,7 +59,8 @@ def _sieve_odd(o0: int, count: int, base: np.ndarray) -> np.ndarray:
     value; those up to 13 are not read, the pre-sieve has removed their
     multiples.
     """
-    odd = np.resize(np.roll(_PRESIEVE, -(o0 // 2 % _PRESIEVE_PERIOD)), count)
+    # one spare slot past the last odd index catches the misses of the scatter
+    odd = np.resize(np.roll(_PRESIEVE, -(o0 // 2 % _PRESIEVE_PERIOD)), count + 1)
     for v in (1,) + _PRESIEVE_PRIMES:
         if o0 <= v < o0 + 2 * count:
             odd[(v - o0) // 2] = v != 1
@@ -64,22 +69,24 @@ def _sieve_odd(o0: int, count: int, base: np.ndarray) -> np.ndarray:
     for p in base[first:split].tolist():
         k = max(-(-o0 // p), p) | 1
         odd[(k * p - o0) // 2 :: p] = False
-    # First odd multiples in uint64: k * p is p * p <= 2^63 or below o0 + 2p,
-    # so below 2^64, and every odd index is below 2^62, so the int64 view
-    # reads the same values.
     for b in range(split, base.size, _LARGE_PRIME_BATCH):
-        p = base[b : b + _LARGE_PRIME_BATCH].astype(np.uint64)
-        k = np.maximum(np.uint64(o0 - 1) // p + 1, p) | 1
-        start = ((k * p - np.uint64(o0)) >> 1).view(np.int64)
-        step = p.view(np.int64)
-        while True:
-            live = start < count
-            start, step = start[live], step[live]
-            if not start.size:
-                break
-            odd[start] = False
-            start += step
-    return odd
+        p = base[b : b + _LARGE_PRIME_BATCH].astype(np.int64)
+        # p itself sits at odd index (p - o0) / 2 and its odd multiples at the
+        # indices congruent to that modulo p; none below p * p is crossed off
+        start = ((p >> 1) - (o0 >> 1)) % p
+        if o0 <= int(p[-1]) ** 2:
+            start = np.maximum(start, (p * p - o0) >> 1)
+        # Pass j crosses off odd index start + j * p for the primes p below
+        # count / j, the only ones it can reach, in one scatter whose misses
+        # land on the spare slot. Only pass 0 takes the primes >= count, which
+        # hit the window at most once.
+        h, j = p.size, 0
+        while h:
+            odd[np.minimum(start[:h], count)] = False
+            j += 1
+            h = p.searchsorted(-(-count // j))
+            start[:h] += p[:h]
+    return odd[:count]
 
 
 def _odd_flags_upto(limit: int) -> np.ndarray:

@@ -14,6 +14,7 @@ prime starts (scan merge, verify conj1).
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Callable, Optional
@@ -36,6 +37,9 @@ from .kernels import UNMERGED, match_offsets_bulk, pair_stats_kernel, walk_pairs
 # scanned values. With the values _scan_chunk sieves past it, a chunk fits one
 # sieve segment.
 CHUNK = 1 << 20
+# A pooled scan keeps at most this many chunks per worker submitted and not
+# yet taken, so a long sweep queues a few futures, not one per chunk.
+_IN_FLIGHT_PER_WORKER = 2
 
 
 def _column(dtype, requested_by: Optional[str] = None):
@@ -183,6 +187,23 @@ def prime_pair_merges(count: int, bound: int = DEFAULT_BOUND) -> list[tuple]:
     return out[:count]
 
 
+def _in_order(pool, items, depth: int):
+    """_scan_chunk(item) for each item, in order, run on pool with at most
+    depth items submitted and not yet yielded. A failed item, or closing the
+    generator, cancels the submitted items that no worker has started."""
+    pending: deque = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(_scan_chunk, item))
+            if len(pending) == depth:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def scan_twin_range(
     lo: int,
     hi: int,
@@ -206,16 +227,14 @@ def scan_twin_range(
     if hi < lo and on_chunk is None:
         return TwinScanResult.empty(lo, hi, predict=predict,
                                     corollary_check=corollary_check)
-    spans = []
-    start = lo
-    while start <= hi:
-        end = min(start + CHUNK - 1, hi)
-        spans.append((start, end, stop_on_excess, predict, corollary_check))
-        start = end + 1
+    starts = range(lo, hi + 1, CHUNK)
+    spans = ((start, min(start + CHUNK - 1, hi), stop_on_excess, predict, corollary_check)
+             for start in starts)
     pool = None
-    if workers > 1 and len(spans) > 1:
-        pool = executor or ProcessPoolExecutor(max_workers=min(workers, len(spans)))
-    chunks = pool.map(_scan_chunk, spans) if pool else map(_scan_chunk, spans)
+    if workers > 1 and len(starts) > 1:
+        pool = executor or ProcessPoolExecutor(max_workers=min(workers, len(starts)))
+    depth = _IN_FLIGHT_PER_WORKER * min(workers, len(starts))
+    chunks = _in_order(pool, spans, depth) if pool else map(_scan_chunk, spans)
     parts: list[TwinScanResult] = []
     take = on_chunk or parts.append
     try:
@@ -223,8 +242,7 @@ def scan_twin_range(
             take(part)
     finally:
         if pool is not None:
-            # after a failure, drop the chunks no worker has started; a
-            # pool's map cancels them only once its iterator is closed
+            # after a failure, cancel the chunks no worker has started
             chunks.close()
             if executor is None:
                 pool.shutdown()

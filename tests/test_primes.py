@@ -334,6 +334,56 @@ def test_sieve_segment_crosses_off_by_every_batched_base_prime():
         assert not seg.is_prime(x), q
 
 
+@pytest.mark.parametrize("height", [10**13, 10**14])
+def test_sieve_segment_sweep_width_windows_match_per_prime_loop(height):
+    # the width a sweep chunk sieves: most large base primes exceed the odd
+    # count and hit the window at most once
+    width = (1 << 20) + (1 << 15)
+    for lo in (height - 12345, height + 2 * width + 1):
+        _assert_sieve_matches_per_prime_loop(lo, lo + width - 1)
+
+
+def _lone_multiple(p: int, height: int = 10**13) -> int:
+    """An odd multiple q * p near height, with q > p prime, so that p is the only
+    base prime dividing it, and q * p - 2 prime."""
+    q = primes.next_prime(height // p)
+    while not primes.is_prime(q * p - 2):
+        q = primes.next_prime(q)
+    return q * p
+
+
+def _large_base_prime(rank: int) -> int:
+    base = primes.primes_upto(10**6)
+    return int(base[base.searchsorted(primes._LARGE_PRIME_MIN) + rank])
+
+
+@pytest.mark.parametrize("rank", [0, 1, primes._LARGE_PRIME_BATCH])
+@pytest.mark.parametrize("passes", [1, 2])
+@pytest.mark.parametrize("excess", [-1, 0, 1])
+def test_sieve_segment_odd_count_next_to_a_large_base_prime(rank, passes, excess):
+    # The odd count is passes * p - 1, passes * p or passes * p + 1. Odd index
+    # 0 holds a multiple of p, and index passes * p one that only p crosses
+    # off, on pass `passes`: the last index of the window when excess is 1.
+    p = _large_base_prime(rank)
+    count = passes * p + excess
+    lo = _lone_multiple(p) - 2 * passes * p
+    _assert_sieve_matches_per_prime_loop(lo, lo + 2 * (count - 1))
+
+
+@pytest.mark.parametrize("past_last", [0, 1])
+@pytest.mark.parametrize("lo_even", [False, True])
+def test_sieve_segment_single_hit_on_the_last_odd_index_or_one_past(past_last, lo_even):
+    # p exceeds the odd count, so it hits the window at most once: on the
+    # last odd value q * p, or one past it, on the spare slot, while the last
+    # odd value q * p - 2 is a prime that must stay flagged
+    p = _large_base_prime(3)
+    count = p - 2
+    hi = _lone_multiple(p) - 2 * past_last
+    lo = hi - 2 * (count - 1) - lo_even
+    _assert_sieve_matches_per_prime_loop(lo, hi)
+    assert primes.sieve_segment(lo, hi).flags[-1] == bool(past_last)
+
+
 def test_sieve_segment_window_below_squares_of_large_base_primes():
     # lo < p < p * p <= hi for the base primes 4099..4177: each must be kept
     # as a prime and crossed off only from p * p on

@@ -252,6 +252,23 @@ def test_callback_failure_cancels_queued_chunks_of_callers_pool(monkeypatch, tmp
     assert 3 <= started < 20
 
 
+def test_pooled_scan_bounds_the_chunks_in_flight(monkeypatch):
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    taken = []
+    outstanding = []  # chunks submitted and not yet taken, at each submit
+
+    class CountingPool(ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            outstanding.append(len(outstanding) + 1 - len(taken))
+            return super().submit(fn, *args)
+
+    with CountingPool(max_workers=2) as pool:
+        scan_twin_range(3, 400_000, workers=2, executor=pool, on_chunk=taken.append)
+    assert len(outstanding) == 40
+    assert max(outstanding) == sweeps._IN_FLIGHT_PER_WORKER * 2
+    assert [part.lo for part in taken] == [3 + 10_000 * i for i in range(40)]
+
+
 def test_checkpoint_resume(tmp_path, monkeypatch):
     ckpt = str(tmp_path / "scan.ckpt")
     # every chunk sends its first pair to the fallback, so the fallback
