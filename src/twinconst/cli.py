@@ -7,13 +7,16 @@ Exit codes: 0 success/verified, 1 mismatch/counterexample, 2 argument error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
 from . import constellations, primes, verify
 from .bfile import SequenceRecord, get_fixture
 from .hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, h_sequence
-from .sweeps import UNMERGED, pair_report, prime_pair_merges, scan_twin_range, walk_pairs
+from .sweeps import UNMERGED, pair_report, prime_pair_merges, walk_pairs
+# unused here; perfbench/child.py traces the name cli.scan_twin_range
+from .sweeps import scan_twin_range  # noqa: F401
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -69,17 +72,13 @@ def _merge_sequence_terms(count: int, bound: int):
     return [pos for _, _, pos in prime_pair_merges(count, bound)]
 
 
-def _maxdiff_terms(count: int, workers: int, bound: int = DEFAULT_BOUND):
+def _maxdiff_terms(count: int, bound: int = DEFAULT_BOUND):
     """Max differences of the first count twin pairs over indices 2..bound
-    (exact for a pair that merges within bound), and whether any did not."""
-    hi = primes.nth_twin_lesser(count)
-    result = scan_twin_range(3, hi, stop_on_excess=False, workers=workers)
-    max_diff, merge_n = result.max_diff, result.merge_n
-    if bound != DEFAULT_BOUND:  # the sweep walks every pair to DEFAULT_BOUND
-        redo = (merge_n == UNMERGED) | (merge_n > bound)
-        ps = result.ps[redo]
-        _, max_diff[redo], _, merge_n[redo] = walk_pairs(
-            ps + 2, ps, DEFAULT_THRESHOLD, False, bound)
+    (exact for a pair that merges within bound), and whether any did not;
+    one walk_pairs call takes every pair to its merge or to bound."""
+    lessers = primes.twin_lessers(primes.STEP_HEADROOM, segment_size=1 << 14)
+    ps = list(itertools.islice(lessers, count))
+    _, max_diff, _, merge_n = walk_pairs([p + 2 for p in ps], ps, DEFAULT_THRESHOLD, False, bound)
     return tuple(int(d) for d in max_diff), bool((merge_n == UNMERGED).any())
 
 
@@ -106,7 +105,7 @@ def _cmd_scan(args) -> int:
         print(f"error: bound must be >= 2, got {args.bound}", file=sys.stderr)
         return EXIT_ARG
     if args.kind == "maxdiff":
-        terms, unmerged = _maxdiff_terms(args.count, args.workers, args.bound)
+        terms, unmerged = _maxdiff_terms(args.count, args.bound)
         _print_record(SequenceRecord("max-diffs", 1, terms), fmt)
         if unmerged:
             print(f"warning: some pairs did not merge within bound {args.bound}; "
@@ -158,7 +157,7 @@ def _recompute_fixture(fixture: SequenceRecord, workers: int) -> tuple[int, ...]
         terms = _merge_sequence_terms(count, DEFAULT_BOUND)
         return tuple(-1 if t is None else t for t in terms)
     if fixture.name == "max-diffs":
-        return _maxdiff_terms(count, workers)[0]
+        return _maxdiff_terms(count)[0]
     if fixture.name == "c-sequence":
         return tuple(constellations.scan_c_sequence(max(fixture.terms), workers=workers))
     # m-sequence
@@ -219,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=("t1", "t2", "cor", "conj1"))
     p.add_argument("--limit", type=int, default=10**6)
     p.add_argument("--primes", type=int, default=10, help="conj1: pair pool size")
-    p.add_argument("--bound", type=int, default=10**5, help="conj1: merge bound")
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="conj1: merge bound")
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--report", type=str, default=None)
     p.add_argument("--checkpoint", type=str, default=None)

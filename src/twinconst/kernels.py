@@ -1,12 +1,14 @@
 """Hot per-pair simulation kernels, vectorized with numpy.
 
 pair_stats_kernel advances every twin pair of a chunk together, one trace
-index at a time: at index n all pairs take the same kind of step (to the
-next prime or the next composite), so each index costs a few array
-operations over the pairs still walking. walk_pairs takes the pairs it gives
-up on, and any other pair, to their merge or a bound in rank space, one prime
-index at a time; it reads the differences at the prime indices and expands a
-composite run to its indices only where the run can raise a pair's max.
+index at a time, and stops each pair at its merge or its first excess: at
+index n all pairs take the same kind of step (to the next prime or the next
+composite), so each index costs a few array operations over the pairs still
+walking. walk_pairs takes the pairs it gives up on, and every run-to-merge
+walk (trace, scan maxdiff, scan merge, verify conj1), to their merge or a
+bound in rank space, one prime index at a time, in one process; it reads the
+differences at the prime indices and expands a composite run to its indices
+only where the run can raise a pair's max.
 match_offsets_bulk tests a gap pattern's prime/composite word at many base
 offsets at once.
 """
@@ -24,9 +26,9 @@ UNMERGED = -1  # merge_n marker: not merged within the walk's bound
 # module's kernel and matcher, and past each trace when the walk sieves, doubled
 # when a window holds only one block; 2^17 added 2 MB to scan maxdiff's peak RSS.
 WALK_WINDOW = 1 << 15
-# Indices pair_stats_kernel steps through. Stop-on-excess pairs resolve by
-# index 17 (Theorem 2's m <= 17); the pairs still walking here, long
-# run-to-merge walks, are left to walk_pairs.
+# Indices pair_stats_kernel steps through. Its pairs stop at the first excess
+# and resolve by index 17 (Theorem 2's m <= 17); a pair still walking here is
+# left to walk_pairs.
 IDX_LIMIT = 1 << 12
 WALK_BLOCK = 512  # prime indices per statistics block of the walk
 # cap on a block's prime indices x traces, bounding its arrays; a block
@@ -39,9 +41,9 @@ _INDEX_SPAN = 1 << 16  # prime indices are listed this many indices at a time
 def pair_stats_kernel(
     twin_ks: np.ndarray,
     flags: np.ndarray,
-    stop_on_excess: bool,
 ):
-    """Simulate the greedy pair recurrence for each twin lesser flags[k], flags[k+2].
+    """Simulate the greedy pair recurrence for each twin lesser flags[k], flags[k+2]
+    to its merge or its first excess, whichever comes first.
 
     twin_ks must be ascending. Per pair i (b at offset twin_ks[i], a = b + 2)
     returns:
@@ -94,11 +96,11 @@ def pair_stats_kernel(
         done = None
         if np.count_nonzero(up):
             maxdiff_n_out[live[up]] = n
-            # m is still unset exactly while maxd <= DEFAULT_THRESHOLD
-            crossed = up & (maxd <= DEFAULT_THRESHOLD) & (d > DEFAULT_THRESHOLD)
-            m_out[live[crossed]] = n
             np.maximum(maxd, d, out=maxd)
-            if stop_on_excess and np.count_nonzero(crossed):
+            # a live pair's max is at most DEFAULT_THRESHOLD: it stops here
+            crossed = d > DEFAULT_THRESHOLD
+            if np.count_nonzero(crossed):
+                m_out[live[crossed]] = n
                 done = crossed
         if np.count_nonzero(d) < d.size:
             merged = d == 0

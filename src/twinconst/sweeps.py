@@ -2,13 +2,14 @@
 
 Each chunk is sieved independently (share-nothing workers) and simulated by
 the lockstep kernel in kernels.py, which advances all of the chunk's pairs
-together; the pairs that outrun the kernel's bitmap or its short index table
-(long run-to-merge walks) are walked again in rank space by
-kernels.walk_pairs, on windows it sieves as the traces advance, up to
+together and stops each at its merge or its first excess; a pair that
+outruns the kernel's bitmap or its index table is walked again in rank space
+by kernels.walk_pairs, on windows it sieves as the traces advance, up to
 DEFAULT_BOUND. Chunk results are merged in ascending range order, so reports
-do not depend on worker count. pair_report puts single pairs (twinconst
-trace) through the same walker, and prime_pair_merges the pairs of small
-prime starts (scan merge, verify conj1).
+do not depend on worker count. Run-to-merge statistics come from the walker
+alone, in one process: pair_report puts single pairs (twinconst trace)
+through it, and prime_pair_merges the pairs of small prime starts (scan
+merge, verify conj1).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, Field, dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,76 +43,59 @@ CHUNK = 1 << 20
 _IN_FLIGHT_PER_WORKER = 2
 
 
-def _column(dtype, requested_by: Optional[str] = None):
-    """A per-pair array field of TwinScanResult. A column with requested_by is
-    None unless the scan_twin_range option of that name was set."""
-    default = MISSING if requested_by is None else None
-    return field(default=default, metadata={"dtype": dtype, "requested_by": requested_by})
-
-
 @dataclass
 class TwinScanResult:
     """Per-twin-pair statistics over [lo, hi], ascending by lesser member p.
 
-    merge_n is 0 when the scan stopped at the first excess (merge not needed),
-    UNMERGED when the pair did not merge (nor, in stop-on-excess mode, exceed
-    DEFAULT_THRESHOLD) within DEFAULT_BOUND indices. near means "merged with
-    max difference <= DEFAULT_THRESHOLD"; fallback marks the pairs the
-    lockstep kernel handed to the rank-space walker.
+    Every sweep stops a pair at its first excess: m is that index and merge_n
+    is 0 then (merge not needed). merge_n is UNMERGED when the pair neither
+    merged nor exceeded DEFAULT_THRESHOLD within DEFAULT_BOUND indices. near
+    means "merged with max difference <= DEFAULT_THRESHOLD"; fallback marks
+    the pairs the lockstep kernel handed to the rank-space walker. predicted
+    is None unless the scan_twin_range option predict was set, and cor17 and
+    cor15 unless corollary_check was.
     """
 
     lo: int
     hi: int
-    ps: np.ndarray = _column(np.int64)
-    m: np.ndarray = _column(np.int64)
-    max_diff: np.ndarray = _column(np.int64)
-    max_diff_n: np.ndarray = _column(np.int64)
-    merge_n: np.ndarray = _column(np.int64)
-    near: np.ndarray = _column(bool)
-    fallback: np.ndarray = _column(bool)
-    predicted: Optional[np.ndarray] = _column(bool, "predict")
-    cor17: Optional[np.ndarray] = _column(bool, "corollary_check")
-    cor15: Optional[np.ndarray] = _column(bool, "corollary_check")
+    ps: np.ndarray
+    m: np.ndarray
+    max_diff: np.ndarray
+    max_diff_n: np.ndarray
+    merge_n: np.ndarray
+    near: np.ndarray
+    fallback: np.ndarray
+    predicted: Optional[np.ndarray] = None
+    cor17: Optional[np.ndarray] = None
+    cor15: Optional[np.ndarray] = None
 
     @property
     def fallback_count(self) -> int:
         return int(np.count_nonzero(self.fallback))
 
     @classmethod
-    def columns(cls) -> list[Field]:
-        return [f for f in fields(cls) if "dtype" in f.metadata]
-
-    @classmethod
-    def empty(cls, lo: int, hi: int, **options: bool) -> "TwinScanResult":
-        """No pairs, with the optional columns that options (scan_twin_range's
-        predict, corollary_check) request."""
-        return cls(lo, hi, **{
-            f.name: np.zeros(0, f.metadata["dtype"]) for f in cls.columns()
-            if f.metadata["requested_by"] is None or options[f.metadata["requested_by"]]})
-
-    @classmethod
     def concat(cls, parts: list["TwinScanResult"]) -> "TwinScanResult":
         if not parts:
             raise ValueError("nothing to concatenate")
         cols = {}
-        for f in cls.columns():
+        for f in fields(cls)[2:]:  # the per-pair columns, after lo and hi
             arrs = [getattr(p, f.name) for p in parts]
             cols[f.name] = None if any(a is None for a in arrs) else np.concatenate(arrs)
         return cls(parts[0].lo, parts[-1].hi, **cols)
 
 
 def _scan_chunk(args) -> TwinScanResult:
-    lo, hi, stop_on_excess, predict, corollary_check = args
+    lo, hi, predict, corollary_check = args
     # the kernel walks on WALK_WINDOW values past hi; the matchers read MAX_SPAN
     flags = primes.sieve_segment(lo, hi + max(kernels.WALK_WINDOW, MAX_SPAN)).flags
     width = hi - lo + 1
     twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
-    m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_ks, flags, stop_on_excess)
+    m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_ks, flags)
     redo = np.flatnonzero(~ok)
     if redo.size:
         ps = lo + twin_ks[redo]
         m[redo], maxd[redo], maxd_n[redo], merge_n[redo] = walk_pairs(
-            ps + 2, ps, DEFAULT_THRESHOLD, stop_on_excess, DEFAULT_BOUND)
+            ps + 2, ps, DEFAULT_THRESHOLD, True, DEFAULT_BOUND)
     near = (merge_n > 0) & (maxd <= DEFAULT_THRESHOLD)
     predicted = cor17 = cor15 = None
     if predict:
@@ -208,7 +192,6 @@ def scan_twin_range(
     lo: int,
     hi: int,
     *,
-    stop_on_excess: bool = True,
     predict: bool = False,
     corollary_check: bool = False,
     workers: int = 1,
@@ -216,8 +199,8 @@ def scan_twin_range(
     executor: Optional[ProcessPoolExecutor] = None,
 ) -> Optional[TwinScanResult]:
     """Sweep all twin lessers in [lo, hi] in CHUNK-value chunks at
-    DEFAULT_THRESHOLD; stop_on_excess=False runs each pair to its merge so
-    max_diff is exact even past the threshold.
+    DEFAULT_THRESHOLD, each pair to its merge or its first excess. Run-to-merge
+    statistics past an excess come from kernels.walk_pairs instead.
 
     Returns the chunks' results concatenated; on_chunk instead takes each
     chunk's result in order, none is kept, and the call returns None. Pass an
@@ -225,10 +208,10 @@ def scan_twin_range(
     """
     lo = max(lo, 3)
     if hi < lo and on_chunk is None:
-        return TwinScanResult.empty(lo, hi, predict=predict,
-                                    corollary_check=corollary_check)
+        # a chunk of no values has the columns that the options ask for
+        return replace(_scan_chunk((lo, lo - 1, predict, corollary_check)), hi=hi)
     starts = range(lo, hi + 1, CHUNK)
-    spans = ((start, min(start + CHUNK - 1, hi), stop_on_excess, predict, corollary_check)
+    spans = ((start, min(start + CHUNK - 1, hi), predict, corollary_check)
              for start in starts)
     pool = None
     if workers > 1 and len(starts) > 1:

@@ -45,7 +45,7 @@ def test_criterion_1_merge_positions():
 
 def test_criterion_2_max_differences():
     t0 = time.perf_counter()
-    terms, unmerged = _maxdiff_terms(21, workers=1)
+    terms, unmerged = _maxdiff_terms(21)
     elapsed = time.perf_counter() - t0
     assert not unmerged
     assert terms == MAXDIFF_PREFIX

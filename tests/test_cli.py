@@ -100,31 +100,31 @@ def test_scan_maxdiff(capsys):
                            "84 14 162")
 
 
-@pytest.mark.parametrize("count, bound", [(5, 3), (21, 100)])
+@pytest.mark.parametrize("count, bound", [(5, 3), (21, 100), (21, 10000)])
 def test_scan_maxdiff_honours_bound(capsys, count, bound):
     # a pair that merges past bound has its max difference over 2..bound,
-    # as the oracle reports it, and the scan exits 3
+    # as the oracle reports it, and the scan exits 3; all of the first 21
+    # pairs merge by index 5107, so bound 10^4 exits 0
     from twinconst import hseq, primes
 
     code, out, err = run(capsys, "scan", "maxdiff", "--count", str(count),
                          "--bound", str(bound))
     ps = list(itertools.islice(primes.twin_lessers(10**4), count))
-    want = [hseq.pair_trace(p + 2, p, bound=bound).max_diff for p in ps]
-    assert [int(t) for t in out.split()] == want
-    assert code == 3 and f"did not merge within bound {bound}" in err
+    reps = [hseq.pair_trace(p + 2, p, bound=bound) for p in ps]
+    assert [int(t) for t in out.split()] == [rep.max_diff for rep in reps]
+    if bound == 10000:
+        assert all(rep.merged for rep in reps) and (code, err) == (0, "")
+    else:
+        assert code == 3 and f"did not merge within bound {bound}" in err
 
 
-def test_scan_maxdiff_walks_on_past_the_sweep_bound(capsys, monkeypatch):
-    # with the sweep's bound cut to 50, bound 10^4 walks the pairs the sweep
-    # left unmerged on to 10^4; all of the first 21 pairs merge by 5107
-    import twinconst.cli as cli
+@pytest.mark.parametrize("argv", [
+    ["trace", "5", "3"], ["scan", "maxdiff"], ["scan", "merge"], ["verify", "conj1"]])
+def test_every_bound_defaults_to_the_default_bound(argv):
+    from twinconst.cli import build_parser
+    from twinconst.hseq import DEFAULT_BOUND
 
-    monkeypatch.setattr(sweeps, "DEFAULT_BOUND", 50)
-    monkeypatch.setattr(cli, "DEFAULT_BOUND", 50)
-    code, out, _ = run(capsys, "scan", "maxdiff", "--count", "21", "--bound", "10000")
-    assert code == 0
-    assert out.strip() == ("4 14 6 6 6 12 6 8 14 14 18 36 24 65 18 6 10 6 "
-                           "84 14 162")
+    assert build_parser().parse_args(argv).bound == DEFAULT_BOUND
 
 
 def test_scan_maxdiff_bound_below_two(capsys):

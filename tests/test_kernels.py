@@ -1,6 +1,9 @@
 """The lockstep pair kernel and the rank-space walker against the point-query
 oracles hseq.pair_trace and hseq.merge_position, through scan_twin_range,
-sweeps.pair_report, sweeps.prime_pair_merges and kernels.walk_pairs."""
+cli._maxdiff_terms, sweeps.pair_report, sweeps.prime_pair_merges and
+kernels.walk_pairs."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,19 +13,19 @@ from hypothesis import strategies as st
 import twinconst.kernels as kernels
 import twinconst.sweeps as sweeps
 from twinconst import primes
+from twinconst.cli import _maxdiff_terms
 from twinconst.hseq import (DEFAULT_BOUND, DEFAULT_THRESHOLD, NotMergedWithin, h_sequence,
                             merge_position, pair_trace)
 from twinconst.kernels import UNMERGED, pair_stats_kernel, walk_pairs
 from twinconst.sweeps import TwinScanResult, pair_report, prime_pair_merges, scan_twin_range
 
 
-def _assert_matches_oracle(result, bound_at_stop):
-    """Every pair's statistics equal pair_trace's; in stop-on-excess mode the
-    oracle is bounded at the index where the kernel stopped."""
+def _assert_matches_oracle(result):
+    """Every pair's statistics equal pair_trace's, bounded at the index where
+    the sweep stopped the pair: its first excess or its merge."""
     for i, p in enumerate(result.ps.tolist()):
         m, merge_n = int(result.m[i]), int(result.merge_n[i])
-        bound = (m or merge_n) if bound_at_stop else DEFAULT_BOUND
-        rep = pair_trace(p + 2, p, DEFAULT_THRESHOLD, bound)
+        rep = pair_trace(p + 2, p, DEFAULT_THRESHOLD, m or merge_n)
         assert m == rep.first_excess, p
         assert int(result.max_diff[i]) == rep.max_diff, p
         assert int(result.max_diff_n[i]) == rep.max_diff_first_index, p
@@ -64,28 +67,18 @@ def walk_block(request, monkeypatch):
         monkeypatch.setattr(kernels, "_BLOCK_CELLS", 64)
 
 
-@pytest.fixture
-def recorded_fallbacks(monkeypatch):
-    """Lessers of the pairs the sweep hands to the walker, in order."""
-    lessers = []
-
-    def recording(a, b, *args):
-        lessers.extend(np.asarray(b).tolist())
-        return walk_pairs(a, b, *args)
-
-    monkeypatch.setattr(sweeps, "walk_pairs", recording)
-    return lessers
-
-
-def test_run_to_merge_below_1e4_matches_oracle(recorded_fallbacks):
-    result = scan_twin_range(3, 9931, stop_on_excess=False)
-    assert result.ps.size == 205
-    # the pairs still walking when the kernel's index table ends take the
-    # walker, the stragglers 3467 and 6701 (merges at 841793 and 503819)
+def test_run_to_merge_below_1e4_matches_oracle():
+    # scan maxdiff walks the 205 twin pairs below 10^4 to their merges with
+    # the walker, the stragglers 3467 and 6701 (merges at 841793 and 503819)
     # among them; the oracle checks them like every other pair
-    assert result.ps[result.fallback].tolist() == recorded_fallbacks
-    assert {3467, 6701} < set(recorded_fallbacks)
-    _assert_matches_oracle(result, bound_at_stop=False)
+    ps = list(primes.twin_lessers(10**4))
+    assert len(ps) == 205 and {3467, 6701} < set(ps)
+    terms, unmerged = _maxdiff_terms(205)
+    assert not unmerged and len(terms) == 205
+    reps = {p: pair_trace(p + 2, p, DEFAULT_THRESHOLD, DEFAULT_BOUND) for p in ps}
+    for p, term in zip(ps, terms):
+        assert reps[p].merged and term == reps[p].max_diff, p
+    assert [reps[p].merge_index for p in (3467, 6701)] == [841793, 503819]
 
 
 def test_stop_on_excess_near_1e12_matches_oracle():
@@ -94,32 +87,34 @@ def test_stop_on_excess_near_1e12_matches_oracle():
     result = scan_twin_range(lo, lo + (1 << 16) - 1)
     assert result.ps.size > 50
     assert result.fallback_count == 0
-    _assert_matches_oracle(result, bound_at_stop=True)
+    _assert_matches_oracle(result)
 
 
 def test_pairs_off_the_bitmap_reach_the_fallback(monkeypatch):
-    # a bitmap 64 values past the chunk is far too short for run-to-merge walks
-    monkeypatch.setattr(kernels, "WALK_WINDOW", 64)
-    result = scan_twin_range(3, 2000, stop_on_excess=False)
-    assert result.fallback_count > 0
-    _assert_matches_oracle(result, bound_at_stop=False)
+    # near 10^12 a trace passes some 30 values per prime index, so the pairs
+    # near the end of a 64-value chunk leave its bitmap (16 values past it,
+    # widened to the matchers' MAX_SPAN) before index 17
+    monkeypatch.setattr(kernels, "WALK_WINDOW", 16)
+    monkeypatch.setattr(sweeps, "CHUNK", 64)
+    result = scan_twin_range(10**12, 10**12 + (1 << 14) - 1)
+    assert result.fallback_count >= 3
+    _assert_matches_oracle(result)
 
 
 @pytest.mark.parametrize("lo", [10**6, 10**12])
-@pytest.mark.parametrize("stop_on_excess", [True, False])
-def test_small_chunks_and_margin_give_the_default_scan(lo, stop_on_excess, monkeypatch):
+def test_small_chunks_and_margin_give_the_default_scan(lo, monkeypatch):
     # a kernel that steps no index hands every pair to the walker, which must
-    # then report what the kernel reports, in both modes; with a 16-value
-    # window the matchers still read the MAX_SPAN values past each chunk
+    # then report what the kernel reports; with a 16-value window the
+    # matchers still read the MAX_SPAN values past each chunk
     hi = lo + (1 << 14) - 1
-    columns = dict(stop_on_excess=stop_on_excess, predict=True, corollary_check=True)
+    columns = dict(predict=True, corollary_check=True)
     default = scan_twin_range(lo, hi, **columns)
     monkeypatch.setattr(kernels, "IDX_LIMIT", 3)
     monkeypatch.setattr(kernels, "WALK_WINDOW", 16)
     monkeypatch.setattr(sweeps, "CHUNK", 32)
     small = scan_twin_range(lo, hi, **columns)
     assert small.fallback_count > small.ps.size // 2
-    for f in TwinScanResult.columns():
+    for f in fields(TwinScanResult):
         if f.name != "fallback":
             assert np.array_equal(getattr(small, f.name), getattr(default, f.name)), f.name
 
@@ -222,25 +217,44 @@ def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
 
     monkeypatch.setattr(kernels, "WALK_WINDOW", window)
     monkeypatch.setattr(kernels, "WALK_BLOCK", 64)
-    monkeypatch.setattr(kernels, "IDX_LIMIT", 3)  # every pair takes the walker
     monkeypatch.setattr(kernels, "_rank_line", counting)
     lo = 10**12 + 5000
-    result = scan_twin_range(lo, lo + 1500, stop_on_excess=False)
-    longest = int(np.argmax(result.merge_n))
-    assert result.ps[longest] == 10**12 + 5647 and result.merge_n[longest] == 3181
-    assert result.fallback[longest] and result.fallback_count >= 3
+    ps = [p for p in range(lo | 1, lo + 1501, 2) if primes.is_prime(p) and primes.is_prime(p + 2)]
+    assert len(ps) >= 3
+    a = [p + 2 for p in ps]
+    merge_n = walk_pairs(a, ps, DEFAULT_THRESHOLD, False, DEFAULT_BOUND)[3]
+    longest = int(np.argmax(merge_n))
+    assert ps[longest] == 10**12 + 5647 and merge_n[longest] == 3181
     assert len(widths) >= 3 and max(widths) > window
     assert len(widths) - len(set(widths)) >= 1  # sieved again at one width
-    _assert_matches_oracle(result, bound_at_stop=False)
+    _assert_walk_matches_oracle(a, ps, DEFAULT_THRESHOLD, False, DEFAULT_BOUND)
 
 
 def test_chunk_without_twin_pairs():
     result = scan_twin_range(20, 28)
     assert result.ps.size == 0 and result.fallback_count == 0
     empty = np.zeros(0, np.int64)
-    out = pair_stats_kernel(empty, np.ones(64, bool), True)
+    out = pair_stats_kernel(empty, np.ones(64, bool))
     assert [a.size for a in out] == [0] * 5
     assert [a.size for a in walk_pairs(empty, empty, 6, False, DEFAULT_BOUND)] == [0] * 4
+
+
+@pytest.mark.parametrize("predict", [False, True])
+@pytest.mark.parametrize("corollary_check", [False, True])
+def test_empty_range_gives_the_requested_columns(predict, corollary_check):
+    # hi < lo: no pairs, the optional columns exactly when their option is
+    # set, and no chunk for on_chunk
+    options = dict(predict=predict, corollary_check=corollary_check)
+    result = scan_twin_range(10, 5, **options)
+    assert result.ps.size == 0 and result.fallback_count == 0
+    assert (result.predicted is not None) == predict
+    assert (result.cor17 is not None) == (result.cor15 is not None) == corollary_check
+    for f in fields(result):
+        column = getattr(result, f.name)
+        assert f.name in ("lo", "hi") or column is None or column.size == 0, f.name
+    chunks = []
+    assert scan_twin_range(10, 5, on_chunk=chunks.append, **options) is None
+    assert chunks == []
 
 
 @pytest.mark.parametrize("a, b, first", [
