@@ -17,13 +17,12 @@ from .hseq import (
     PairReport,
     h_sequence,
     h_step,
-    max_difference,
-    merge_position,
     pair_trace,
 )
 from .primes import (
     Segment,
     consecutive_primes_from,
+    first_twin_lessers,
     is_prime,
     next_composite,
     next_prime,
@@ -52,12 +51,11 @@ __all__ = [
     "classify_twin",
     "consecutive_primes_from",
     "corollary_patterns",
+    "first_twin_lessers",
     "h_sequence",
     "h_step",
     "is_prime",
     "matches_pattern",
-    "max_difference",
-    "merge_position",
     "next_composite",
     "next_prime",
     "pair_trace",

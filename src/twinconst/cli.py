@@ -7,7 +7,6 @@ Exit codes: 0 success/verified, 1 mismatch/counterexample, 2 argument error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
@@ -76,8 +75,7 @@ def _maxdiff_terms(count: int, bound: int = DEFAULT_BOUND):
     """Max differences of the first count twin pairs over indices 2..bound
     (exact for a pair that merges within bound), and whether any did not;
     one walk_pairs call takes every pair to its merge or to bound."""
-    lessers = primes.twin_lessers(primes.STEP_HEADROOM, segment_size=1 << 14)
-    ps = list(itertools.islice(lessers, count))
+    ps = primes.first_twin_lessers(count)
     _, max_diff, _, merge_n = walk_pairs([p + 2 for p in ps], ps, DEFAULT_THRESHOLD, False, bound)
     return tuple(int(d) for d in max_diff), bool((merge_n == UNMERGED).any())
 
@@ -151,7 +149,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not report.aborted else EXIT_MISMATCH
 
 
-def _recompute_fixture(fixture: SequenceRecord, workers: int) -> tuple[int, ...]:
+def _recompute_fixture(fixture: SequenceRecord) -> tuple[int, ...]:
     count = len(fixture.terms)
     if fixture.name == "merge-positions":
         terms = _merge_sequence_terms(count, DEFAULT_BOUND)
@@ -159,9 +157,9 @@ def _recompute_fixture(fixture: SequenceRecord, workers: int) -> tuple[int, ...]
     if fixture.name == "max-diffs":
         return _maxdiff_terms(count)[0]
     if fixture.name == "c-sequence":
-        return tuple(constellations.scan_c_sequence(max(fixture.terms), workers=workers))
+        return tuple(constellations.scan_c_sequence(max(fixture.terms)))
     # m-sequence
-    return tuple(constellations.scan_m_sequence(count, workers=workers))
+    return tuple(constellations.scan_m_sequence(count))
 
 
 def _cmd_compare(args) -> int:
@@ -170,7 +168,7 @@ def _cmd_compare(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_ARG
-    computed = _recompute_fixture(fixture, args.workers)
+    computed = _recompute_fixture(fixture)
     if computed == fixture.terms:
         print(f"{fixture.name}: {len(fixture.terms)} terms match")
         return EXIT_OK
@@ -226,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="recompute and diff an embedded fixture")
     p.add_argument("fixture")
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.set_defaults(func=_cmd_compare)
 
     return parser

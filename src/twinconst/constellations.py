@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from . import primes
-from .hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, pair_trace
 
 
 class TwinClass(Enum):
@@ -143,21 +142,17 @@ def scan_c_sequence(limit: int, workers: int = 1) -> list[int]:
     """Twin lessers p <= limit with simulated max difference <= 6, ascending."""
     from .sweeps import scan_twin_range
 
-    if limit < 3:
-        return []
-    result = scan_twin_range(3, limit, workers=workers)
-    return [int(p) for p in result.ps[result.near]]
+    terms: list[int] = []
+    scan_twin_range(3, limit, workers=workers,
+                    on_chunk=lambda part: terms.extend(part.ps[part.near].tolist()))
+    return terms
 
 
 def scan_m_sequence(count: int, workers: int = 1) -> list[int]:
     """First-excess indices for the first count twin pairs (0 = never exceeds)."""
     from .sweeps import scan_twin_range
 
-    result = scan_twin_range(3, primes.nth_twin_lesser(count), workers=workers)
-    return [int(m) for m in result.m]
-
-
-def simulated_near(p: int, bound: int = DEFAULT_BOUND) -> bool:
-    """Ground-truth nearness by direct simulation."""
-    report = pair_trace(p + 2, p, DEFAULT_THRESHOLD, bound)
-    return report.merged and report.max_diff <= DEFAULT_THRESHOLD
+    terms: list[int] = []
+    scan_twin_range(3, primes.first_twin_lessers(count)[-1], workers=workers,
+                    on_chunk=lambda part: terms.extend(part.m.tolist()))
+    return terms

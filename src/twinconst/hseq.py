@@ -97,20 +97,6 @@ def _stream_pair(a: int, b: int, bound: int):
         yield n, va, vb
 
 
-def merge_position(a: int, b: int, bound: int = DEFAULT_BOUND) -> int | NotMergedWithin:
-    """Least index n <= bound with equal trace values; permanent once reached."""
-    _require_prime_start(a)
-    _require_prime_start(b)
-    if a < b:
-        raise ValueError(f"require a >= b, got a={a} b={b}")
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
-    for n, va, vb in _stream_pair(a, b, bound):
-        if va == vb:
-            return n
-    return NotMergedWithin(bound)
-
-
 def check_pair(a: int, b: int, threshold: int, bound: int) -> None:
     """Raise ValueError unless a > b are odd primes, threshold >= 1 and bound >= 2."""
     _require_prime_start(a)
@@ -162,9 +148,3 @@ def pair_trace(
         max_diff_first_index=max_diff_n,
         first_excess=first_excess,
     )
-
-
-def max_difference(a: int, b: int, bound: int = DEFAULT_BOUND) -> tuple[int, int]:
-    """Max trace difference and the first index attaining it."""
-    report = pair_trace(a, b, bound=bound)
-    return report.max_diff, report.max_diff_first_index

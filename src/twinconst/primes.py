@@ -252,24 +252,26 @@ def sieve_segment(lo: int, hi: int) -> Segment:
     return Segment(lo, hi, flags)
 
 
-def twin_lessers(limit: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[int]:
-    """All p <= limit with p and p+2 both prime, ascending."""
+def twin_lessers(limit: int) -> Iterator[int]:
+    """All p <= limit with p and p+2 both prime, ascending.
+
+    The first window is 2^14 values, which hold 342 twin pairs, and each next
+    one doubles up to DEFAULT_SEGMENT_SIZE: a short prefix sieves little and a
+    long run few windows.
+    """
     if limit > RANGE_LIMIT:
         raise ValueError(f"limit above 2^63: {limit}")
-    start = 3
+    start, width = 3, 1 << 14
     while start <= limit:
-        window_hi = min(start + segment_size - 1, limit)
-        seg = sieve_segment(start, window_hi + 2)
-        f = seg.flags
-        for k in np.flatnonzero(f[:-2] & f[2:]):
-            yield start + int(k)
+        window_hi = min(start + width - 1, limit)
+        f = sieve_segment(start, window_hi + 2).flags
+        yield from (np.flatnonzero(f[:-2] & f[2:]) + start).tolist()
         start = window_hi + 1
+        width = min(2 * width, DEFAULT_SEGMENT_SIZE)
 
 
-def nth_twin_lesser(count: int) -> int:
-    """The count-th twin lesser in ascending order (count >= 1)."""
+def first_twin_lessers(count: int) -> list[int]:
+    """The first count twin lessers, ascending (count >= 1)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    # small segments: the first 2^14 values already hold 342 twin pairs
-    lessers = twin_lessers(STEP_HEADROOM, segment_size=1 << 14)
-    return next(itertools.islice(lessers, count - 1, None))
+    return list(itertools.islice(twin_lessers(STEP_HEADROOM), count))

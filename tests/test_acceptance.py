@@ -12,7 +12,7 @@ import prop_checks
 from twinconst import verify_corollaries, verify_theorem1
 from twinconst.cli import _maxdiff_terms, _merge_sequence_terms
 from twinconst.constellations import scan_c_sequence, scan_m_sequence
-from twinconst.hseq import h_sequence, merge_position, pair_trace
+from twinconst.hseq import h_sequence, pair_trace
 from twinconst.verify import ALLOWED_M_VALUES
 
 MERGE_PREFIX = [11, 47, 47, 47, 47, 11, 47, 47, 17, 17, 683, 683, 683, 683, 683]
@@ -135,7 +135,6 @@ def test_criterion_9_sufficiency_instances():
         assert rep.max_diff_first_index == min(attain)
         for n in attain:
             assert rows_a[n - 2] - rows_b[n - 2] == 6
-        assert merge_position(a, b) == merge_at
         assert rep.merge_index == merge_at
     _report(9, "t=0 sufficiency tables match row-for-row")
 

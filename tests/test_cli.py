@@ -242,8 +242,7 @@ def test_compare_unknown(capsys):
 @pytest.mark.parametrize("argv", [
     ["scan", "c", "--limit", "100"],
     ["verify", "t1", "--limit", "100"],
-    ["compare", "a276826"],
-], ids=["scan", "verify", "compare"])
+], ids=["scan", "verify"])
 def test_workers_below_one(capsys, tmp_path, monkeypatch, argv, workers):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv, "--workers", workers)

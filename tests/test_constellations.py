@@ -14,8 +14,8 @@ from twinconst.constellations import (
     predicts_near,
     scan_c_sequence,
     scan_m_sequence,
-    simulated_near,
 )
+from twinconst.hseq import pair_trace
 from twinconst.kernels import match_offsets_bulk
 
 PRODUCTION_PATTERNS = [*NEAR_PATTERNS.values(), *corollary_patterns(17),
@@ -95,8 +95,10 @@ def test_predicts_near_examples():
 
 
 def test_predicts_near_matches_simulation_small():
+    # simulated nearness: the traces merge with max difference <= 6
     for p in primes.twin_lessers(20_000):
-        assert predicts_near(p) == simulated_near(p), p
+        rep = pair_trace(p + 2, p)
+        assert predicts_near(p) == (rep.merged and rep.max_diff <= 6), p
 
 
 def test_predict_near_bulk_matches_scalar():
@@ -195,3 +197,18 @@ def test_scan_m_sequence():
     assert scan_m_sequence(23)[-3:] == [7, 3, 11]
     with pytest.raises(ValueError):
         scan_m_sequence(0)
+
+
+def test_scans_keep_only_their_terms(monkeypatch):
+    # the c- and m-scans take each chunk's terms as it comes and never
+    # concatenate the columns of the whole range
+    from twinconst.bfile import get_fixture
+    from twinconst.sweeps import TwinScanResult
+
+    def refuse(parts):
+        raise AssertionError("a scan concatenated its chunks")
+
+    monkeypatch.setattr(TwinScanResult, "concat", refuse)
+    c_seq, m_seq = get_fixture("c-sequence").terms, get_fixture("m-sequence").terms
+    assert tuple(scan_c_sequence(max(c_seq))) == c_seq
+    assert tuple(scan_m_sequence(len(m_seq))) == m_seq

@@ -1,12 +1,9 @@
 import pytest
 
-from twinconst import hseq
 from twinconst.hseq import (
     NotMergedWithin,
     h_sequence,
     h_step,
-    max_difference,
-    merge_position,
     pair_trace,
 )
 
@@ -51,35 +48,25 @@ def test_h_sequence_prefix_determinism():
 
 
 def test_merge_position_published_values():
-    assert merge_position(5, 3) == 11
-    assert merge_position(7, 3) == 47
-    assert merge_position(7, 5) == 47
-    assert merge_position(11, 3) == 47
-    assert merge_position(11, 5) == 47
-    assert merge_position(11, 7) == 11
-    assert merge_position(13, 7) == 17
-    assert merge_position(13, 11) == 17
-    for b in (3, 5, 7, 11, 13):
-        assert merge_position(17, b) == 683
-
-
-def test_merge_position_identical_starts():
-    assert merge_position(7, 7) == 2
+    pairs = {(5, 3): 11, (7, 3): 47, (7, 5): 47, (11, 3): 47, (11, 5): 47,
+             (11, 7): 11, (13, 7): 17, (13, 11): 17}
+    pairs.update(((17, b), 683) for b in (3, 5, 7, 11, 13))
+    for (a, b), want in pairs.items():
+        assert pair_trace(a, b).merge_index == want, (a, b)
 
 
 def test_merge_position_bound():
-    result = merge_position(17, 3, bound=100)
-    assert result == NotMergedWithin(100)
-    assert merge_position(17, 3, bound=683) == 683
+    assert pair_trace(17, 3, bound=100).merge_index == NotMergedWithin(100)
+    assert pair_trace(17, 3, bound=683).merge_index == 683
 
 
 def test_merge_position_validation():
     with pytest.raises(ValueError):
-        merge_position(4, 3)
+        pair_trace(4, 3)
     with pytest.raises(ValueError):
-        merge_position(3, 5)
+        pair_trace(3, 5)
     with pytest.raises(ValueError):
-        merge_position(5, 3, bound=1)
+        pair_trace(5, 3, bound=1)
 
 
 def test_pair_trace_published_values():
@@ -94,9 +81,14 @@ def test_pair_trace_published_values():
 
 
 def test_pair_trace_merge_consistency():
+    # the merge index is the first index where the materialized traces agree,
+    # and they stay equal after it
     rep = pair_trace(19, 17)
-    assert rep.merge_index == merge_position(19, 17)
-    assert rep.merged
+    assert rep.merged and rep.merge_index == 11
+    ta, tb = h_sequence(19, 20), h_sequence(17, 20)
+    diffs = [va - vb for va, vb in zip(ta.values, tb.values)]
+    assert diffs.index(0) + 2 == rep.merge_index
+    assert not any(diffs[rep.merge_index - 2 :])
 
 
 def test_pair_trace_unmerged_is_reported():
@@ -113,9 +105,9 @@ def test_pair_trace_validation():
 
 
 def test_max_difference_known_pairs():
-    assert max_difference(19, 17) == (6, 5)
-    assert max_difference(31, 29) == (6, 3)
-    assert max_difference(13, 11) == (6, 11)
+    for a, b, at in ((19, 17, 5), (31, 29, 3), (13, 11, 11)):
+        rep = pair_trace(a, b)
+        assert (rep.max_diff, rep.max_diff_first_index) == (6, at), (a, b)
 
 
 def test_streaming_matches_materialized():

@@ -1,7 +1,6 @@
 """The lockstep pair kernel and the rank-space walker against the point-query
-oracles hseq.pair_trace and hseq.merge_position, through scan_twin_range,
-cli._maxdiff_terms, sweeps.pair_report, sweeps.prime_pair_merges and
-kernels.walk_pairs."""
+oracle hseq.pair_trace, through scan_twin_range, cli._maxdiff_terms,
+sweeps.pair_report, sweeps.prime_pair_merges and kernels.walk_pairs."""
 
 from dataclasses import fields
 
@@ -15,7 +14,7 @@ import twinconst.sweeps as sweeps
 from twinconst import primes
 from twinconst.cli import _maxdiff_terms
 from twinconst.hseq import (DEFAULT_BOUND, DEFAULT_THRESHOLD, NotMergedWithin, h_sequence,
-                            merge_position, pair_trace)
+                            pair_trace)
 from twinconst.kernels import UNMERGED, pair_stats_kernel, walk_pairs
 from twinconst.sweeps import TwinScanResult, pair_report, prime_pair_merges, scan_twin_range
 
@@ -156,7 +155,7 @@ def test_prime_pair_merges_match_oracle(prime_count, bound):
     want = []
     for i, a in enumerate(ps):
         for b in ps[:i]:
-            pos = merge_position(a, b, bound)
+            pos = pair_trace(a, b, bound=bound).merge_index
             want.append((a, b, None if isinstance(pos, NotMergedWithin) else pos))
     assert prime_pair_merges(len(want), bound) == want
 
@@ -173,7 +172,7 @@ def test_merge_is_the_later_of_the_adjacent_merges(starts, bound):
     s, t, u = sorted(starts)
 
     def merge(a, b):
-        pos = merge_position(a, b, bound)
+        pos = pair_trace(a, b, bound=bound).merge_index
         return bound + 1 if isinstance(pos, NotMergedWithin) else pos
 
     assert merge(u, s) == max(merge(t, s), merge(u, t))
@@ -191,7 +190,7 @@ def test_prime_pair_merges_match_oracle_on_a_sample_of_80_primes():
     rng = np.random.default_rng(80)
     for i in rng.choice(len(got), 60, replace=False).tolist():
         a, b, n = got[i]
-        pos = merge_position(a, b, bound)
+        pos = pair_trace(a, b, bound=bound).merge_index
         assert n == (None if isinstance(pos, NotMergedWithin) else pos), (a, b)
 
 

@@ -146,10 +146,33 @@ def test_twin_lessers():
 
 
 def test_twin_lessers_segment_boundaries():
-    # identical output regardless of segment size
-    want = list(primes.twin_lessers(5_000))
-    for size in (7, 64, 1000, 4999, 5001):
-        assert list(primes.twin_lessers(5_000, segment_size=size)) == want
+    # the windows grow from 2^14 to 2^20 values within the first 3 * 10^6;
+    # across every width and every join the lessers are those of one sieve
+    limit = 3 * 10**6
+    f = primes.sieve_segment(0, limit + 2).flags
+    assert list(primes.twin_lessers(limit)) == np.flatnonzero(f[:-2] & f[2:]).tolist()
+
+
+def test_first_twin_lessers_sieve_few_windows(monkeypatch):
+    # the first 10^5 lessers run to about 1.9 * 10^7: doubling windows take
+    # them in a few dozen sieves, where 2^14-value windows took over a
+    # thousand; each window reads the 2 values past its end for the pair of
+    # its last lesser, the next one starts right after that end, and none
+    # grows past DEFAULT_SEGMENT_SIZE
+    calls = []
+    sieve = primes.sieve_segment
+
+    def counting_sieve(lo, hi):
+        calls.append((lo, hi))
+        return sieve(lo, hi)
+
+    monkeypatch.setattr(primes, "sieve_segment", counting_sieve)
+    lessers = primes.first_twin_lessers(10**5)
+    assert len(lessers) == 10**5 and lessers[:3] == [3, 5, 11]
+    assert len(calls) <= 30
+    assert calls[0] == (3, 3 + (1 << 14) + 1)
+    assert all(lo == prev_hi - 1 for (_, prev_hi), (lo, _) in zip(calls, calls[1:]))
+    assert max(hi - lo - 1 for lo, hi in calls) == primes.DEFAULT_SEGMENT_SIZE
 
 
 def test_sieve_segment_examples():
@@ -423,7 +446,9 @@ def test_twin_prime_counts_match_published_values():
         assert sum(1 for _ in primes.twin_lessers(10**k)) == want
 
 
-def test_nth_twin_lesser():
-    assert [primes.nth_twin_lesser(n) for n in (1, 2, 3, 35, 205)] == [3, 5, 11, 881, 9929]
+def test_first_twin_lessers():
+    # the count-th twin lesser ends the list
+    assert [primes.first_twin_lessers(n)[-1] for n in (1, 2, 3, 35, 205)] == [3, 5, 11, 881, 9929]
+    assert primes.first_twin_lessers(5) == [3, 5, 11, 17, 29]
     with pytest.raises(ValueError):
-        primes.nth_twin_lesser(0)
+        primes.first_twin_lessers(0)

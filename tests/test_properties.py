@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinconst import primes
-from twinconst.hseq import NotMergedWithin, h_step, merge_position, pair_trace
+from twinconst.hseq import h_step, pair_trace
 from twinconst.sweeps import scan_twin_range
 
 TWINS_50K = list(primes.twin_lessers(50_000))
@@ -40,17 +40,6 @@ def test_kernel_scan_agrees_with_streaming_trace(p):
         # merge; nearness is already decided negative for them
         assert rep.first_excess > 0
         assert not result.near[0]
-
-
-@given(st.sampled_from(TWINS_50K[:60]))
-@settings(max_examples=60, deadline=None)
-def test_merge_position_matches_pair_trace(p):
-    rep = pair_trace(p + 2, p, bound=200_000)
-    pos = merge_position(p + 2, p, bound=200_000)
-    if rep.merged:
-        assert pos == rep.merge_index
-    else:
-        assert pos == NotMergedWithin(200_000)
 
 
 @given(st.integers(min_value=0, max_value=10**7), st.integers(min_value=0, max_value=2000))
