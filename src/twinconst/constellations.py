@@ -11,6 +11,7 @@ kernels.match_offsets_bulk from a sieved bitmap.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
@@ -152,7 +153,11 @@ def scan_m_sequence(count: int, workers: int = 1) -> list[int]:
     """First-excess indices for the first count twin pairs (0 = never exceeds)."""
     from .sweeps import scan_twin_range
 
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    # the count-th twin lesser ends the sweep; no list of the lessers is kept
+    last = next(itertools.islice(primes.twin_lessers(primes.STEP_HEADROOM), count - 1, None))
     terms: list[int] = []
-    scan_twin_range(3, primes.first_twin_lessers(count)[-1], workers=workers,
+    scan_twin_range(3, last, workers=workers,
                     on_chunk=lambda part: terms.extend(part.m.tolist()))
     return terms

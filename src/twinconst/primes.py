@@ -11,7 +11,8 @@ j crosses off the j-th next multiple of every prime below count / j (count
 is the window's odd count) in one scatter, into a bitmap with one spare
 slot for the misses: most of these primes exceed count and take pass 0
 only. The odd-value flags are expanded to one flag per value at the end.
-The base primes come from a grow-only per-process cache.
+The base primes come from a grow-only per-process cache, which the same
+odd-only core builds DEFAULT_SEGMENT_SIZE odd values at a time.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ def _sieve_odd(o0: int, count: int, base: np.ndarray) -> np.ndarray:
     for v in (1,) + _PRESIEVE_PRIMES:
         if o0 <= v < o0 + 2 * count:
             odd[(v - o0) // 2] = v != 1
-    first, split = base.searchsorted([_PRESIEVE_PRIMES[-1] + 1, _LARGE_PRIME_MIN])
+    # keys of base's dtype, so that a uint32 base is not cast to int64 whole
+    first, split = base.searchsorted(
+        np.array([_PRESIEVE_PRIMES[-1] + 1, _LARGE_PRIME_MIN], base.dtype))
     # an odd multiple k * p steps to the next one 2p on, one odd index p on
     for p in base[first:split].tolist():
         k = max(-(-o0 // p), p) | 1
@@ -138,10 +141,29 @@ def _base_primes(limit: int) -> np.ndarray:
     top, cached = _base_cache
     if limit > top:
         top = min(max(limit + limit // 8, 1 << 16), _BASE_PRIME_MAX)
-        cached = primes_upto(top).astype(np.uint32)
+        cached = _segmented_primes_upto(top)
         cached.setflags(write=False)
         _base_cache = (top, cached)
-    return cached[: cached.searchsorted(limit, "right")]
+    return cached[: cached.searchsorted(np.uint32(limit), "right")]
+
+
+def _segmented_primes_upto(limit: int) -> np.ndarray:
+    """primes_upto(limit) as uint32 (2 <= limit < 2^32), sieved
+    DEFAULT_SEGMENT_SIZE odd values at a time, each segment's primes written
+    straight into a uint32 array sized by pi(x) < 1.25506 x / ln x (Rosser and
+    Schoenfeld 1962), whose unused tail is never touched."""
+    root = primes_upto(math.isqrt(limit))
+    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, np.uint32)
+    out[0], n = 2, 1
+    for o0 in range(1, limit + 1, 2 * DEFAULT_SEGMENT_SIZE):
+        count = min(DEFAULT_SEGMENT_SIZE, (limit - o0) // 2 + 1)
+        base = root[: root.searchsorted(math.isqrt(o0 + 2 * count - 2), "right")]
+        odd = np.flatnonzero(_sieve_odd(o0, count, base))
+        seg = out[n : n + odd.size]
+        np.multiply(odd, 2, out=seg, casting="unsafe")
+        seg += np.uint32(o0)
+        n += odd.size
+    return out[:n]
 
 
 def _miller_rabin(n: int) -> bool:

@@ -1,6 +1,9 @@
 """Bulk twin-pair sweeps over value ranges: chunked, parallel, deterministic.
 
-Each chunk is sieved independently (share-nothing workers) and simulated by
+A sweep takes one chunk width, chunk_width(hi): CHUNK, doubled while a chunk
+has fewer odd values than there are base primes up to sqrt(hi), so that its
+sieve pays per value rather than per base prime (from about 6e13 up). Each
+chunk is sieved independently (share-nothing workers) and simulated by
 the lockstep kernel in kernels.py, which advances all of the chunk's pairs
 together and stops each at its merge or its first excess; a pair that
 outruns the kernel's bitmap or its index table is walked again in rank space
@@ -16,9 +19,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -34,9 +36,13 @@ from .hseq import (
 )
 from .kernels import UNMERGED, match_offsets_bulk, pair_stats_kernel, walk_pairs
 
-# Values per sweep chunk, read at each scan: the checkpoint cadence, ~1e6
-# scanned values. With the values _scan_chunk sieves past it, a chunk fits one
-# sieve segment.
+if TYPE_CHECKING:  # the pool's modules are imported only when a pool starts
+    from concurrent.futures import ProcessPoolExecutor
+
+# Values per sweep chunk below about 6e13, read at each scan: the checkpoint
+# cadence, ~1e6 scanned values. Higher up, chunk_width doubles it until a chunk
+# holds an odd value per base prime; with the values _scan_chunk sieves past
+# it, a chunk of any width fits one sieve segment.
 CHUNK = 1 << 20
 # A pooled scan keeps at most this many chunks per worker submitted and not
 # yet taken, so a long sweep queues a few futures, not one per chunk.
@@ -84,10 +90,27 @@ class TwinScanResult:
         return cls(parts[0].lo, parts[-1].hi, **cols)
 
 
+def _margin() -> int:
+    # the kernel walks on WALK_WINDOW values past a chunk; the matchers read MAX_SPAN
+    return max(kernels.WALK_WINDOW, MAX_SPAN)
+
+
+def chunk_width(hi: int) -> int:
+    """Values per chunk of a sweep up to hi: the least power-of-two multiple of
+    CHUNK with at least as many odd values (width / 2) as there are base primes
+    up to isqrt(hi), capped so that a chunk and its margin fit one sieve
+    segment. The count comes from the base-prime cache, which the sweep's
+    first window reads anyway and forked pool workers inherit."""
+    count = primes._base_primes(math.isqrt(hi)).size
+    width = CHUNK
+    while width // 2 < count and 2 * width + _margin() <= primes.MAX_SEGMENT_SIZE:
+        width *= 2
+    return width
+
+
 def _scan_chunk(args) -> TwinScanResult:
     lo, hi, predict, corollary_check = args
-    # the kernel walks on WALK_WINDOW values past hi; the matchers read MAX_SPAN
-    flags = primes.sieve_segment(lo, hi + max(kernels.WALK_WINDOW, MAX_SPAN)).flags
+    flags = primes.sieve_segment(lo, hi + _margin()).flags
     width = hi - lo + 1
     twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
     m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_ks, flags)
@@ -198,7 +221,7 @@ def scan_twin_range(
     on_chunk: Optional[Callable[[TwinScanResult], None]] = None,
     executor: Optional[ProcessPoolExecutor] = None,
 ) -> Optional[TwinScanResult]:
-    """Sweep all twin lessers in [lo, hi] in CHUNK-value chunks at
+    """Sweep all twin lessers in [lo, hi] in chunk_width(hi)-value chunks at
     DEFAULT_THRESHOLD, each pair to its merge or its first excess. Run-to-merge
     statistics past an excess come from kernels.walk_pairs instead.
 
@@ -207,15 +230,22 @@ def scan_twin_range(
     executor to reuse a worker pool across many scans.
     """
     lo = max(lo, 3)
-    if hi < lo and on_chunk is None:
+    if hi < lo:
+        if on_chunk is not None:
+            return None
         # a chunk of no values has the columns that the options ask for
         return replace(_scan_chunk((lo, lo - 1, predict, corollary_check)), hi=hi)
-    starts = range(lo, hi + 1, CHUNK)
-    spans = ((start, min(start + CHUNK - 1, hi), predict, corollary_check)
+    width = chunk_width(hi)
+    starts = range(lo, hi + 1, width)
+    spans = ((start, min(start + width - 1, hi), predict, corollary_check)
              for start in starts)
     pool = None
     if workers > 1 and len(starts) > 1:
-        pool = executor or ProcessPoolExecutor(max_workers=min(workers, len(starts)))
+        pool = executor
+        if pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(starts)))
     depth = _IN_FLIGHT_PER_WORKER * min(workers, len(starts))
     chunks = _in_order(pool, spans, depth) if pool else map(_scan_chunk, spans)
     parts: list[TwinScanResult] = []

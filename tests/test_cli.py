@@ -1,9 +1,9 @@
+import concurrent.futures
 import itertools
 import os
 
 import pytest
 
-import twinconst.sweeps as sweeps
 from twinconst.cli import main
 
 
@@ -270,12 +270,13 @@ def test_output_worker_invariance(capsys, monkeypatch):
     # scan: two workers start a pool of two, and so do four
     pools = []
 
-    class RecordingPool(sweeps.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    # the sweep imports the pool class from concurrent.futures as it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     code1, out1, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "1")
     code2, out2, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "2")
     code4, out4, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "4")

@@ -2,6 +2,7 @@
 oracle hseq.pair_trace, through scan_twin_range, cli._maxdiff_terms,
 sweeps.pair_report, sweeps.prime_pair_merges and kernels.walk_pairs."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -13,6 +14,7 @@ import twinconst.kernels as kernels
 import twinconst.sweeps as sweeps
 from twinconst import primes
 from twinconst.cli import _maxdiff_terms
+from twinconst.constellations import MAX_SPAN
 from twinconst.hseq import (DEFAULT_BOUND, DEFAULT_THRESHOLD, NotMergedWithin, h_sequence,
                             pair_trace)
 from twinconst.kernels import UNMERGED, pair_stats_kernel, walk_pairs
@@ -94,10 +96,54 @@ def test_pairs_off_the_bitmap_reach_the_fallback(monkeypatch):
     # near the end of a 64-value chunk leave its bitmap (16 values past it,
     # widened to the matchers' MAX_SPAN) before index 17
     monkeypatch.setattr(kernels, "WALK_WINDOW", 16)
-    monkeypatch.setattr(sweeps, "CHUNK", 64)
+    # the width the sweep reads, pinned: near 10^12 chunk_width would widen
+    # a 64-value chunk to hold an odd value per base prime
+    monkeypatch.setattr(sweeps, "chunk_width", lambda hi: 64)
     result = scan_twin_range(10**12, 10**12 + (1 << 14) - 1)
     assert result.fallback_count >= 3
     _assert_matches_oracle(result)
+
+
+def _pi_upper(x: int) -> int:
+    # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld 1962)
+    return int(1.25506 * x / np.log(x)) + 1
+
+
+def test_chunk_width_rule():
+    # CHUNK holds an odd value per base prime up to 10^13 (pi(3.2e6) = 227 647
+    # < 2^19); pi(10^7) = 664 579 needs 2^21 values, pi(3.2e7) = 1 951 957 2^22
+    widths = [sweeps.chunk_width(h) for h in (10**7, 10**12, 10**13, 10**14, 10**15)]
+    assert widths == [sweeps.CHUNK] * 3 + [1 << 21, 1 << 22]
+
+
+def test_chunk_width_is_capped_near_the_range_limit(monkeypatch):
+    # a base-prime list as long as pi(isqrt(2^63)) may be, read-only and
+    # zero-strided, stands in for the cache, so nothing is sieved; the rule
+    # asks for 2^29 values and stops at the widest chunk whose margin still
+    # fits one sieve segment
+    hi = primes.RANGE_LIMIT - 1
+    stub = np.broadcast_to(np.uint32(0), (_pi_upper(math.isqrt(hi)),))
+    monkeypatch.setattr(primes, "_base_primes", lambda limit: stub)
+    width = sweeps.chunk_width(hi)
+    assert width == primes.MAX_SEGMENT_SIZE // 2
+    assert width + max(kernels.WALK_WINDOW, MAX_SPAN) <= primes.MAX_SEGMENT_SIZE
+
+
+@pytest.mark.parametrize("lo, span", [(10**14 + 2 ** 20 + 12345, 5 << 20),
+                                      (10**15 + 2 ** 21 + 54321, 10 << 20)])
+def test_widened_chunks_give_the_chunk_width_scan(lo, span, monkeypatch):
+    # two and a half widened chunks equal the same range in CHUNK-value
+    # chunks, in every column but which pairs took the fallback
+    hi = lo + span - 1
+    columns = dict(predict=True, corollary_check=True)
+    assert sweeps.chunk_width(hi) == span * 2 // 5
+    wide = scan_twin_range(lo, hi, **columns)
+    monkeypatch.setattr(sweeps, "chunk_width", lambda hi: sweeps.CHUNK)
+    narrow = scan_twin_range(lo, hi, **columns)
+    assert wide.ps.size > 1000
+    for f in fields(TwinScanResult):
+        if f.name != "fallback":
+            assert np.array_equal(getattr(wide, f.name), getattr(narrow, f.name)), f.name
 
 
 @pytest.mark.parametrize("lo", [10**6, 10**12])
@@ -110,7 +156,7 @@ def test_small_chunks_and_margin_give_the_default_scan(lo, monkeypatch):
     default = scan_twin_range(lo, hi, **columns)
     monkeypatch.setattr(kernels, "IDX_LIMIT", 3)
     monkeypatch.setattr(kernels, "WALK_WINDOW", 16)
-    monkeypatch.setattr(sweeps, "CHUNK", 32)
+    monkeypatch.setattr(sweeps, "chunk_width", lambda hi: 32)
     small = scan_twin_range(lo, hi, **columns)
     assert small.fallback_count > small.ps.size // 2
     for f in fields(TwinScanResult):

@@ -424,6 +424,18 @@ def test_sieve_segment_base_prime_cache_grows_and_slices_down(monkeypatch):
     assert cached.dtype == np.uint32 and not cached.flags.writeable
 
 
+def test_segmented_base_prime_cache_matches_primes_upto():
+    # just below, at and just above the segment boundaries 2 k S +- 1 (the
+    # last odd value of segment k - 1 and the first of segment k), and at the
+    # cache limit of a window near 10^14
+    s = primes.DEFAULT_SEGMENT_SIZE
+    limits = [2 * k * s + d for k in (1, 2) for d in (-2, -1, 0, 1, 2)] + [11_250_000]
+    for limit in limits:
+        got = primes._segmented_primes_upto(limit)
+        assert got.dtype == np.uint32, limit
+        assert np.array_equal(got, primes.primes_upto(limit).astype(np.uint32)), limit
+
+
 def test_sieve_segment_offsets_exact_near_range_limit(monkeypatch):
     # with a stub base-prime list the sieve crosses off exactly the multiples
     # of the stub primes, so a window at the top of the range checks the
