@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_ARG = 2
 EXIT_BOUND = 3
+_PRINT_SLICE = 4096  # terms formatted per write of a printed sequence
 
 
 def _default_workers() -> int:
@@ -31,10 +32,17 @@ def _default_workers() -> int:
 
 
 def _print_record(record: SequenceRecord, fmt: str) -> None:
-    if fmt == "bfile":
-        sys.stdout.write(record.emit())
-    else:
-        print(" ".join(str(t) for t in record.terms))
+    """Write the terms space-separated on one line, or as a b-file, a slice
+    of _PRINT_SLICE terms at a time, so that only one slice's text is held."""
+    terms = record.terms
+    for i in range(0, len(terms), _PRINT_SLICE):
+        part = terms[i : i + _PRINT_SLICE]
+        if fmt == "bfile":
+            sys.stdout.write(SequenceRecord(record.name, record.offset + i, part).emit())
+        else:
+            sys.stdout.write((" " if i else "") + " ".join(map(str, part)))
+    if fmt != "bfile":
+        sys.stdout.write("\n")
 
 
 def _cmd_hseq(args) -> int:

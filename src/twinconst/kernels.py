@@ -8,7 +8,10 @@ walking. walk_pairs takes the pairs it gives up on, and every run-to-merge
 walk (trace, scan maxdiff, scan merge, verify conj1), to their merge or a
 bound in rank space, one prime index at a time, in one process; it reads the
 differences at the prime indices and expands a composite run to its indices
-only where the run can raise a pair's max.
+only where the run can raise a pair's max. A block of its steps with at most
+_FEW_TRACES traces (the few stragglers a long walk ends with) steps each trace
+alone with scalar reads; a larger block steps all traces with one gather per
+prime index.
 match_offsets_bulk tests a gap pattern's prime/composite word at many base
 offsets at once.
 """
@@ -31,6 +34,13 @@ WALK_WINDOW = 1 << 15
 # left to walk_pairs.
 IDX_LIMIT = 1 << 12
 WALK_BLOCK = 512  # prime indices per statistics block of the walk
+# A block with at most this many traces steps them one at a time with scalar
+# reads of F; a larger one steps all of them with one ndarray.take per prime
+# index. Over one 512-step block near 10^6 the scalar loop cost 0.13-0.14 /
+# 0.23-0.27 / 0.43-0.52 / 0.65-0.78 / 0.84-1.03 / 1.6-1.9 times the take
+# loop (0.85-2.0 us per prime index, whatever the count) for 1 / 2 / 4 / 6 /
+# 8 / 16 traces.
+_FEW_TRACES = 6
 # cap on a block's prime indices x traces, bounding its arrays; a block
 # expands at most a quarter as many composite indices x traces, as each of
 # those takes several arrays' cells
@@ -187,11 +197,14 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
     _rank_line). The L composite indices up to the next prime index take the
     non-primes of ranks R .. R + L - 1 and that prime index takes the prime
     of rank F[R + L], so one step per prime index moves every trace. A block
-    of steps keeps one row of ranks per prime index; the differences at the
-    prime indices come from one gather, and a composite run is expanded to
-    its indices only for the pairs whose bound on the run's differences
-    exceeds their max so far. The window is sieved again when a trace nears
-    its end.
+    of steps keeps one row of ranks per prime index. Its rows are filled
+    trace by trace, with one scalar read of F per step, when the block has
+    at most _FEW_TRACES traces, and otherwise row by row, with one
+    ndarray.take over all traces per step; both clip to the sentinel alike.
+    The differences at the prime indices come from one gather, and a
+    composite run is expanded to its indices only for the pairs whose bound
+    on the run's differences exceeds their max so far. The window is sieved
+    again when a trace nears its end.
     """
     a = np.asarray(a, np.int64)
     b = np.asarray(b, np.int64)
@@ -223,15 +236,29 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
         q = qs[j : j + K + 1]
         Ls = np.diff(q) - 1  # composite indices after each prime index
         # the step from index 2 to 3 has no composite index but still moves;
-        # shifted[L][x] is F[x + L], clipped to the sentinel as F.take clips
+        # a trace at rank r steps to F[r + L], r + L clipped to the sentinel
         steps = np.maximum(Ls, 1).tolist()
-        shifted = {L: F[min(L, F.size - 1):] for L in set(steps)}
         Rs = np.empty((K + 1,) + R.shape, R.dtype)
         Rs[0] = R
-        prev = R
-        for row, L in zip(Rs[1:], steps):
-            shifted[L].take(prev, None, row, "clip")
-            prev = row
+        if R.size <= _FEW_TRACES:
+            # trace by trace, one scalar read of F per step; columns to rows
+            Fm, top = memoryview(F), F.size - 1
+            cols = []
+            for r in R.ravel().tolist():
+                col = []
+                for L in steps:
+                    x = r + L
+                    r = Fm[x if x < top else top]
+                    col.append(r)
+                cols.append(col)
+            Rs[1:] = np.array(cols, R.dtype).T.reshape((K,) + R.shape)
+        else:
+            # all traces per step: shifted[L].take(x, clip) is F[min(x + L, top)]
+            shifted = {L: F[min(L, F.size - 1):] for L in set(steps)}
+            prev = R
+            for row, L in zip(Rs[1:], steps):
+                shifted[L].take(prev, None, row, "clip")
+                prev = row
         if np.any(Rs[K] > last):
             resieve = True  # a trace left its window: redo the block
             continue

@@ -68,14 +68,17 @@ def _sieve_odd(o0: int, count: int, base: np.ndarray) -> np.ndarray:
     # keys of base's dtype, so that a uint32 base is not cast to int64 whole
     first, split = base.searchsorted(
         np.array([_PRESIEVE_PRIMES[-1] + 1, _LARGE_PRIME_MIN], base.dtype))
+    # p itself sits at odd index (p - o0) / 2 and its odd multiples at the
+    # indices congruent to that modulo p; none below p * p is crossed off
+    p = base[first:split].astype(np.int64)
+    start = ((p >> 1) - (o0 >> 1)) % p
+    if o0 < _LARGE_PRIME_MIN**2:  # else o0 passes every p * p here
+        start = np.maximum(start, (p * p - o0) >> 1)
     # an odd multiple k * p steps to the next one 2p on, one odd index p on
-    for p in base[first:split].tolist():
-        k = max(-(-o0 // p), p) | 1
-        odd[(k * p - o0) // 2 :: p] = False
+    for q, s in zip(p.tolist(), start.tolist()):
+        odd[s::q] = False
     for b in range(split, base.size, _LARGE_PRIME_BATCH):
         p = base[b : b + _LARGE_PRIME_BATCH].astype(np.int64)
-        # p itself sits at odd index (p - o0) / 2 and its odd multiples at the
-        # indices congruent to that modulo p; none below p * p is crossed off
         start = ((p >> 1) - (o0 >> 1)) % p
         if o0 <= int(p[-1]) ** 2:
             start = np.maximum(start, (p * p - o0) >> 1)

@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from twinconst import cli
+from twinconst.bfile import SequenceRecord
 from twinconst.cli import main
 
 
@@ -283,3 +285,22 @@ def test_output_worker_invariance(capsys, monkeypatch):
     assert code1 == code2 == code4 == 0
     assert out1 == out2 == out4
     assert pools == [2, 2]
+
+
+SLICE = cli._PRINT_SLICE
+
+
+@pytest.mark.parametrize("fmt", ["terms", "bfile"])
+@pytest.mark.parametrize("size", [0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1])
+def test_printed_record_is_written_slice_by_slice(capsys, fmt, size):
+    # the same text as the whole record joined at once: no terms, one term,
+    # and around the ends of the slices _print_record writes one at a time
+    record = SequenceRecord("demo", 2, tuple(range(10**6, 10**6 + 7 * size, 7)))
+    assert len(record.terms) == size
+    cli._print_record(record, fmt)
+    if fmt == "bfile":
+        want = record.emit()
+    else:
+        want = " ".join(str(t) for t in record.terms) + "\n"
+    # compared line by line: pytest reports the first differing line at once
+    assert capsys.readouterr().out.split("\n") == want.split("\n")

@@ -44,11 +44,27 @@ def _oracle(a, b, threshold, stop_on_excess, bound):
     return rep.first_excess, rep.max_diff, rep.max_diff_first_index, merge
 
 
+STEP_LOOPS = {"vectorized": 0, "trace-major": 1 << 30}  # loop: _FEW_TRACES
+
+
+def _walk_each_loop(*args):
+    """walk_pairs(*args) under each of the walker's step loops, by loop: all
+    traces per prime index with one gather (no block is few-trace), and
+    trace by trace with scalar reads (every block is)."""
+    outs = {}
+    for loop, few_traces in STEP_LOOPS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_FEW_TRACES", few_traces)
+            outs[loop] = walk_pairs(*args)
+    return outs
+
+
 def _assert_walk_matches_oracle(a, b, threshold, stop_on_excess, bound):
-    out = walk_pairs(a, b, threshold, stop_on_excess, bound)
-    for i, pair in enumerate(zip(a, b)):
-        got = tuple(int(col[i]) for col in out)
-        assert got == _oracle(*pair, threshold, stop_on_excess, bound), (pair, bound)
+    want = [_oracle(*pair, threshold, stop_on_excess, bound) for pair in zip(a, b)]
+    for loop, out in _walk_each_loop(a, b, threshold, stop_on_excess, bound).items():
+        for i, pair in enumerate(zip(a, b)):
+            got = tuple(int(col[i]) for col in out)
+            assert got == want[i], (pair, bound, loop)
 
 
 def _differences(a, b, n_max):
@@ -253,11 +269,11 @@ def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
     # walker must widen these windows as well as sieve them again; blocks of
     # 64 prime indices keep the walk to index 3181 from fitting in one block
     # once a window has widened
-    widths = []
+    widths = {}  # _FEW_TRACES: window widths
     rank_line = kernels._rank_line
 
     def counting(values, width):
-        widths.append(width)
+        widths.setdefault(kernels._FEW_TRACES, []).append(width)
         return rank_line(values, width)
 
     monkeypatch.setattr(kernels, "WALK_WINDOW", window)
@@ -267,11 +283,14 @@ def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
     ps = [p for p in range(lo | 1, lo + 1501, 2) if primes.is_prime(p) and primes.is_prime(p + 2)]
     assert len(ps) >= 3
     a = [p + 2 for p in ps]
-    merge_n = walk_pairs(a, ps, DEFAULT_THRESHOLD, False, DEFAULT_BOUND)[3]
-    longest = int(np.argmax(merge_n))
-    assert ps[longest] == 10**12 + 5647 and merge_n[longest] == 3181
-    assert len(widths) >= 3 and max(widths) > window
-    assert len(widths) - len(set(widths)) >= 1  # sieved again at one width
+    # under both step loops; a block that leaves a window, redone after, has
+    # traces clipped to the sentinel
+    for loop, out in _walk_each_loop(a, ps, DEFAULT_THRESHOLD, False, DEFAULT_BOUND).items():
+        merge_n, w = out[3], widths[STEP_LOOPS[loop]]
+        longest = int(np.argmax(merge_n))
+        assert ps[longest] == 10**12 + 5647 and merge_n[longest] == 3181, loop
+        assert len(w) >= 3 and max(w) > window, loop
+        assert len(w) - len(set(w)) >= 1, loop  # sieved again at one width
     _assert_walk_matches_oracle(a, ps, DEFAULT_THRESHOLD, False, DEFAULT_BOUND)
 
 
