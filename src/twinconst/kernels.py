@@ -253,7 +253,7 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
                 cols.append(col)
             Rs[1:] = np.array(cols, R.dtype).T.reshape((K,) + R.shape)
         else:
-            # all traces per step: shifted[L].take(x, clip) is F[min(x + L, top)]
+            # all traces per step: shifted[L].take(x, clip) is F[min(x + L, F.size - 1)]
             shifted = {L: F[min(L, F.size - 1):] for L in set(steps)}
             prev = R
             for row, L in zip(Rs[1:], steps):
