@@ -94,7 +94,11 @@ def _cmd_scan(args) -> int:
         if args.limit is None:
             print("error: scan c requires --limit", file=sys.stderr)
             return EXIT_ARG
-        terms = constellations.scan_c_sequence(args.limit, workers=args.workers)
+        try:
+            terms = constellations.scan_c_sequence(args.limit, workers=args.workers)
+        except ValueError as exc:  # a limit past the sweep's range
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ARG
         _print_record(SequenceRecord("c-sequence", 1, tuple(terms)), fmt)
         return EXIT_OK
     if args.count is None:

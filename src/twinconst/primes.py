@@ -12,7 +12,9 @@ is the window's odd count) in one scatter, into a bitmap with one spare
 slot for the misses: most of these primes exceed count and take pass 0
 only. The odd-value flags are expanded to one flag per value at the end.
 The base primes come from a grow-only per-process cache, which the same
-odd-only core builds DEFAULT_SEGMENT_SIZE odd values at a time.
+odd-only core builds DEFAULT_SEGMENT_SIZE odd values at a time, taking its
+root primes from itself. This core is the only way primes are built: the
+import-time table of flags up to 2^20 is one sieve_segment window.
 """
 
 from __future__ import annotations
@@ -95,33 +97,6 @@ def _sieve_odd(o0: int, count: int, base: np.ndarray) -> np.ndarray:
     return odd[:count]
 
 
-def _odd_flags_upto(limit: int) -> np.ndarray:
-    """Flags odd[i] True iff 2i + 1 is prime, for 1 <= 2i + 1 <= limit."""
-    root = math.isqrt(limit)
-    base = primes_upto(root) if root > _PRESIEVE_PRIMES[-1] else np.zeros(0, np.int64)
-    return _sieve_odd(1, (limit + 1) // 2, base)
-
-
-def prime_flags_upto(limit: int) -> np.ndarray:
-    """Boolean array f with f[i] True iff i is prime, for 0 <= i <= limit."""
-    flags = np.zeros(max(limit + 1, 2), dtype=bool)
-    if limit >= 2:
-        flags[1::2] = _odd_flags_upto(limit)
-        flags[2] = True
-    return flags
-
-
-def primes_upto(limit: int) -> np.ndarray:
-    """The primes <= limit, ascending."""
-    if limit < 2:
-        return np.zeros(0, np.int64)
-    return np.concatenate(([2], 2 * np.flatnonzero(_odd_flags_upto(limit)) + 1))
-
-
-_SMALL_FLAGS = prime_flags_upto(_SMALL_LIMIT)
-_SMALL_FLAGS.setflags(write=False)
-
-
 def prime_flags_between(lo: int, hi: int) -> np.ndarray:
     """Flags f[k] True iff lo + k is prime, for 0 <= lo <= lo + k <= hi: a
     read-only view of the import-time table when it covers hi, else a sieve."""
@@ -151,11 +126,14 @@ def _base_primes(limit: int) -> np.ndarray:
 
 
 def _segmented_primes_upto(limit: int) -> np.ndarray:
-    """primes_upto(limit) as uint32 (2 <= limit < 2^32), sieved
+    """The primes <= limit, ascending, as uint32 (2 <= limit < 2^32), sieved
     DEFAULT_SEGMENT_SIZE odd values at a time, each segment's primes written
     straight into a uint32 array sized by pi(x) < 1.25506 x / ln x (Rosser and
-    Schoenfeld 1962), whose unused tail is never touched."""
-    root = primes_upto(math.isqrt(limit))
+    Schoenfeld 1962), whose unused tail is never touched. The root primes come
+    from this function itself, at most 4 calls deep (2^32, 2^16, 2^8, 2^4):
+    below 17^2 the pre-sieve alone leaves only primes, so none are needed."""
+    root = (_segmented_primes_upto(math.isqrt(limit)) if limit >= 17**2
+            else np.zeros(0, np.uint32))
     out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, np.uint32)
     out[0], n = 2, 1
     for o0 in range(1, limit + 1, 2 * DEFAULT_SEGMENT_SIZE):
@@ -250,14 +228,6 @@ class Segment:
     hi: int
     flags: np.ndarray  # flags[k] <=> (lo + k) is prime
 
-    def is_prime(self, x: int) -> bool:
-        if not self.lo <= x <= self.hi:
-            raise ValueError(f"{x} outside segment [{self.lo}, {self.hi}]")
-        return bool(self.flags[x - self.lo])
-
-    def primes(self) -> np.ndarray:
-        return self.lo + np.flatnonzero(self.flags).astype(np.int64)
-
 
 def sieve_segment(lo: int, hi: int) -> Segment:
     """Sieve the window [lo, hi] using base primes up to sqrt(hi)."""
@@ -275,6 +245,10 @@ def sieve_segment(lo: int, hi: int) -> Segment:
     if lo <= 2 <= hi:
         flags[2 - lo] = True
     return Segment(lo, hi, flags)
+
+
+_SMALL_FLAGS = sieve_segment(0, _SMALL_LIMIT).flags
+_SMALL_FLAGS.setflags(write=False)
 
 
 def twin_lessers(limit: int) -> Iterator[int]:

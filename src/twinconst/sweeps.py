@@ -95,6 +95,15 @@ def _margin() -> int:
     return max(kernels.WALK_WINDOW, MAX_SPAN)
 
 
+def _check_limit(hi: int) -> None:
+    """Refuse a sweep up to hi whose chunks would sieve past RANGE_LIMIT, as an
+    argument error raised before chunk_width builds the base-prime cache."""
+    top = primes.RANGE_LIMIT - _margin()
+    if hi > top:
+        raise ValueError(f"limit {hi} above {top}: a sweep sieves {_margin()} "
+                         "values past its limit, which must stay within 2^63")
+
+
 def chunk_width(hi: int) -> int:
     """Values per chunk of a sweep up to hi: the least power-of-two multiple of
     CHUNK with at least as many odd values (width / 2) as there are base primes
@@ -229,6 +238,7 @@ def scan_twin_range(
     chunk's result in order, none is kept, and the call returns None. Pass an
     executor to reuse a worker pool across many scans.
     """
+    _check_limit(hi)
     lo = max(lo, 3)
     if hi < lo:
         if on_chunk is not None:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .hseq import DEFAULT_BOUND, h_sequence
-from .sweeps import TwinScanResult, prime_pair_merges, scan_twin_range
+from .sweeps import TwinScanResult, _check_limit, prime_pair_merges, scan_twin_range
 
 ALLOWED_M_VALUES = frozenset({0, 3, 5, 7, 9, 11, 13, 15, 17})
 
@@ -152,8 +152,10 @@ def partitioned_scan(
         m_value_histogram={}, residue_counts={}, wall_time=0.0,
         details={"fallback_pairs": 0, **copy.deepcopy(details)})
     start = 3
+    # a limit past the sweep's range and an unwritable checkpoint are
+    # argument errors, found before any sieving
+    _check_limit(limit)
     if checkpoint is not None:
-        # an unwritable checkpoint is an argument error, found before any sieving
         checkpoint_dir = os.path.dirname(checkpoint) or "."
         if not (os.path.isdir(checkpoint_dir) and os.access(checkpoint_dir, os.W_OK)):
             raise ValueError(f"{checkpoint}: {checkpoint_dir} is not a writable directory")
@@ -269,7 +271,9 @@ def verify_corollaries(limit: int, workers: int = 1,
     report = partitioned_scan(limit, workers, checkpoint=checkpoint,
                               campaign="corollaries")
     at4 = report.details.pop("max_diff_4_at")
-    if limit >= 3 and at4 != [3]:
+    # an aborted scan checked p = 3 only if its completed prefix reached it
+    scanned_to = report.details["completed_hi"] if report.aborted else limit
+    if scanned_to >= 3 and at4 != [3]:
         report.counterexamples.insert(
             0, {"expected": "max_diff 4 exactly at p=3", "observed": at4})
     return report

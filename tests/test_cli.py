@@ -2,6 +2,7 @@ import concurrent.futures
 import itertools
 import os
 
+import numpy as np
 import pytest
 
 from twinconst import cli
@@ -225,6 +226,22 @@ def test_verify_unwritable_report_exits_before_the_scan(capsys, tmp_path, monkey
                              "--report", str(report))
         assert (code, out) == (2, "")
         assert err == f"error: cannot write the report to {report}\n"
+
+
+@pytest.mark.parametrize("argv", [["scan", "c"], ["verify", "t1"]])
+def test_sweep_limit_past_the_range_is_an_argument_error(capsys, tmp_path, monkeypatch, argv):
+    # refused before any sieving: the base-prime cache is left as it was
+    from twinconst import primes
+
+    cache = (0, np.zeros(0, np.uint32))
+    monkeypatch.setattr(primes, "_base_cache", cache)
+    report = tmp_path / "x.report"
+    extra = ["--report", str(report)] if argv[0] == "verify" else []
+    code, out, err = run(capsys, *argv, "--limit", str(10**20), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: limit {10**20} above ")
+    assert primes._base_cache is cache
+    assert not report.exists()
 
 
 def test_compare_fixtures(capsys):

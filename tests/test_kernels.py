@@ -145,6 +145,26 @@ def test_chunk_width_is_capped_near_the_range_limit(monkeypatch):
     assert width + max(kernels.WALK_WINDOW, MAX_SPAN) <= primes.MAX_SEGMENT_SIZE
 
 
+def test_sweep_limit_is_checked_before_chunk_width(monkeypatch):
+    # a zero bitmap stands in for the sieve, so nothing is sieved: the last
+    # accepted limit has its chunk's margin end at 2^63 exactly, and one past
+    # it is an argument error before chunk_width reads the base-prime cache
+    top = primes.RANGE_LIMIT - max(kernels.WALK_WINDOW, MAX_SPAN)
+    widths, sieved = [], []
+
+    def no_primes(lo, hi):
+        sieved.append(hi)
+        return primes.Segment(lo, hi, np.zeros(hi - lo + 1, dtype=bool))
+
+    monkeypatch.setattr(sweeps, "chunk_width", lambda hi: widths.append(hi) or 64)
+    monkeypatch.setattr(primes, "sieve_segment", no_primes)
+    assert scan_twin_range(top - 63, top).ps.size == 0
+    assert (widths, sieved) == ([top], [primes.RANGE_LIMIT])
+    with pytest.raises(ValueError, match=f"limit {top + 1} above {top}"):
+        scan_twin_range(top - 63, top + 1)
+    assert (widths, sieved) == ([top], [primes.RANGE_LIMIT])
+
+
 @pytest.mark.parametrize("lo, span", [(10**14 + 2 ** 20 + 12345, 5 << 20),
                                       (10**15 + 2 ** 21 + 54321, 10 << 20)])
 def test_widened_chunks_give_the_chunk_width_scan(lo, span, monkeypatch):

@@ -177,11 +177,10 @@ def test_first_twin_lessers_sieve_few_windows(monkeypatch):
 
 def test_sieve_segment_examples():
     seg = primes.sieve_segment(2, 10)
-    assert list(seg.primes()) == [2, 3, 5, 7]
-    seg = primes.sieve_segment(165690, 165710)
-    assert 165701 in set(seg.primes())
-    seg = primes.sieve_segment(90, 96)
-    assert seg.primes().size == 0
+    assert (seg.lo, seg.hi) == (2, 10)
+    assert (seg.lo + np.flatnonzero(seg.flags)).tolist() == [2, 3, 5, 7]
+    assert primes.sieve_segment(165690, 165710).flags[165701 - 165690]
+    assert not primes.sieve_segment(90, 96).flags.any()
 
 
 def test_sieve_segment_agrees_with_point_queries():
@@ -211,25 +210,13 @@ def test_oversized_segment_is_rejected_before_allocation():
     assert peak < 1 << 20
 
 
-def test_segment_is_prime_accessor():
-    seg = primes.sieve_segment(100, 200)
-    assert seg.is_prime(101)
-    assert not seg.is_prime(100)
-    with pytest.raises(ValueError):
-        seg.is_prime(99)
-
-
-def test_prime_flags_upto_matches_flatnonzero():
-    flags = primes.prime_flags_upto(1000)
-    listed = np.flatnonzero(flags)
-    assert listed[0] == 2 and listed[-1] == 997
-    assert len(listed) == 168
-
-
-@pytest.mark.parametrize("lo, hi", [(0, 4095), (1000, 1 << 20), ((1 << 20) - 50, (1 << 20) + 50)])
+@pytest.mark.parametrize("lo, hi", [
+    (0, 4095), (1000, 1 << 20), ((1 << 20) - 50, (1 << 20) + 50),
+    (0, 1 << 20),  # the whole import-time table
+])
 def test_prime_flags_between(lo, hi):
     flags = primes.prime_flags_between(lo, hi)
-    assert np.array_equal(flags, primes.prime_flags_upto(hi)[lo:])
+    assert np.array_equal(flags, _plain_prime_flags(hi)[lo:])
     if hi <= 1 << 20:  # a view of the import-time table, which nothing may write
         assert not flags.flags.writeable
 
@@ -257,7 +244,7 @@ def test_sieve_segment_matches_per_prime_loop():
     # reference: one strided slice per base prime, whatever its size
     lo, hi = 10**12 + 12345, 10**12 + 12345 + (1 << 16)
     want = np.ones(hi - lo + 1, dtype=bool)
-    for p in np.flatnonzero(primes.prime_flags_upto(math.isqrt(hi))).tolist():
+    for p in np.flatnonzero(_plain_prime_flags(math.isqrt(hi))).tolist():
         want[max(p * p, -(-lo // p) * p) - lo :: p] = False
     assert np.array_equal(primes.sieve_segment(lo, hi).flags, want)
 
@@ -332,29 +319,32 @@ def test_sieve_segment_random_windows_match_per_prime_loop(lo, width):
     _assert_sieve_matches_per_prime_loop(lo, lo + width)
 
 
-def test_prime_flags_upto_matches_trial_division_and_plain_sieve():
-    for n in range(201):
-        want = [trial_division(x) for x in range(max(n + 1, 2))]
-        assert primes.prime_flags_upto(n).tolist() == want, n
-        assert primes.primes_upto(n).tolist() == [x for x in range(n + 1) if want[x]], n
+def test_segmented_primes_upto_matches_trial_division_and_plain_sieve():
+    # every limit across the recursion floor: from 17^2 = 289 on the root
+    # primes come from a nested call, below it the pre-sieve alone leaves
+    # only primes
+    small = [x for x in range(1001) if trial_division(x)]
+    for n in [*range(2, 301), 1000]:
+        got = primes._segmented_primes_upto(n)
+        assert got.dtype == np.uint32, n
+        assert got.tolist() == [x for x in small if x <= n], n
+    assert (got.size, got[-1]) == (168, 997)  # n = 1000
     # 4200^2: base primes from 4099 take the batched path
     for n in (1 << 20, 4200**2):
-        want = _plain_prime_flags(n)
-        assert np.array_equal(primes.prime_flags_upto(n), want), n
-        assert np.array_equal(primes.primes_upto(n), np.flatnonzero(want)), n
+        want = np.flatnonzero(_plain_prime_flags(n))
+        assert np.array_equal(primes._segmented_primes_upto(n), want), n
 
 
 def test_sieve_segment_crosses_off_by_every_batched_base_prime():
     # q * r with r the next prime has q as its least factor, so only q can
     # cross it off; q runs over the ends of the first two numpy batches
-    base = primes.primes_upto(10**6)
+    base = _reference_base_primes()
     first = int(np.searchsorted(base, primes._LARGE_PRIME_MIN))
     edges = (first, first + primes._LARGE_PRIME_BATCH)
     for i in sorted({j for e in edges for j in (e - 1, e, e + 1)}):
         q = int(base[i])
         x = q * primes.next_prime(q)
-        seg = primes.sieve_segment(x - 2, x + 2)
-        assert not seg.is_prime(x), q
+        assert not primes.sieve_segment(x - 2, x + 2).flags[2], q
 
 
 @pytest.mark.parametrize("height", [10**13, 10**14])
@@ -376,7 +366,7 @@ def _lone_multiple(p: int, height: int = 10**13) -> int:
 
 
 def _large_base_prime(rank: int) -> int:
-    base = primes.primes_upto(10**6)
+    base = _reference_base_primes()
     return int(base[base.searchsorted(primes._LARGE_PRIME_MIN) + rank])
 
 
@@ -412,7 +402,7 @@ def test_sieve_segment_window_below_squares_of_large_base_primes():
     # as a prime and crossed off only from p * p on
     lo, hi = 1000, 4200**2
     seg = primes.sieve_segment(lo, hi)
-    assert np.array_equal(seg.flags, primes.prime_flags_upto(hi)[lo:])
+    assert np.array_equal(seg.flags, _plain_prime_flags(hi)[lo:])
 
 
 def test_sieve_segment_base_prime_cache_grows_and_slices_down(monkeypatch):
@@ -424,16 +414,17 @@ def test_sieve_segment_base_prime_cache_grows_and_slices_down(monkeypatch):
     assert cached.dtype == np.uint32 and not cached.flags.writeable
 
 
-def test_segmented_base_prime_cache_matches_primes_upto():
+def test_segmented_base_prime_cache_matches_plain_sieve():
     # just below, at and just above the segment boundaries 2 k S +- 1 (the
     # last odd value of segment k - 1 and the first of segment k), and at the
     # cache limit of a window near 10^14
     s = primes.DEFAULT_SEGMENT_SIZE
     limits = [2 * k * s + d for k in (1, 2) for d in (-2, -1, 0, 1, 2)] + [11_250_000]
+    want = np.flatnonzero(_plain_prime_flags(max(limits)))
     for limit in limits:
         got = primes._segmented_primes_upto(limit)
         assert got.dtype == np.uint32, limit
-        assert np.array_equal(got, primes.primes_upto(limit).astype(np.uint32)), limit
+        assert np.array_equal(got, want[: want.searchsorted(limit, "right")]), limit
 
 
 def test_sieve_segment_offsets_exact_near_range_limit(monkeypatch):

@@ -120,6 +120,17 @@ def test_corollaries_p3_check_needs_p3_in_range(limit):
     assert report.pairs_examined == (limit >= 3)
 
 
+def test_corollaries_aborted_before_p3_has_no_p3_counterexample(monkeypatch):
+    # the completed prefix stops at 2, so p = 3 was never scanned
+    def failing(args):
+        raise RuntimeError("injected worker failure")
+
+    monkeypatch.setattr(sweeps, "_scan_chunk", failing)
+    report = verify_corollaries(10_000)
+    assert report.aborted and report.details["completed_hi"] == 2
+    assert report.counterexamples == []
+
+
 def test_corollaries_pattern_equivalence_range():
     report = verify_corollaries(200_000)
     assert report.verified
