@@ -33,9 +33,6 @@ from .verify import (
     CampaignReport,
     partitioned_scan,
     probe_conjecture1,
-    verify_corollaries,
-    verify_theorem1,
-    verify_theorem2,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +63,4 @@ __all__ = [
     "scan_m_sequence",
     "sieve_segment",
     "twin_lessers",
-    "verify_corollaries",
-    "verify_theorem1",
-    "verify_theorem2",
 ]

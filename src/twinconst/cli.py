@@ -134,8 +134,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    campaigns = {"t1": verify.verify_theorem1, "t2": verify.verify_theorem2,
-                 "cor": verify.verify_corollaries}
+    campaigns = {"t1": "theorem1", "t2": "theorem2", "cor": "corollaries"}
     # refuse a report that cannot be written before the campaign, not after it
     report_path = args.report or f"twinconst-{args.target}.report"
     report_dir = os.path.dirname(report_path) or "."
@@ -145,8 +144,9 @@ def _cmd_verify(args) -> int:
         return EXIT_ARG
     try:
         if args.target in campaigns:
-            report = campaigns[args.target](args.limit, args.workers,
-                                            checkpoint=args.checkpoint)
+            report = verify.partitioned_scan(args.limit, args.workers,
+                                             checkpoint=args.checkpoint,
+                                             campaign=campaigns[args.target])
         else:  # conj1
             report = verify.probe_conjecture1(args.primes, args.bound)
     except ValueError as exc:  # e.g. a file at --checkpoint that is no checkpoint
@@ -158,6 +158,10 @@ def _cmd_verify(args) -> int:
     if report.counterexamples:
         print(f"counterexample replay data in {report_path}", file=sys.stderr)
         return EXIT_MISMATCH
+    if report.details.get("unmerged"):  # conj1: an adjacent pair is still open
+        print(f"warning: some adjacent pairs did not merge within bound {args.bound}",
+              file=sys.stderr)
+        return EXIT_BOUND
     return EXIT_OK if not report.aborted else EXIT_MISMATCH
 
 

@@ -11,8 +11,9 @@ by kernels.walk_pairs, on windows it sieves as the traces advance, up to
 DEFAULT_BOUND. Chunk results are merged in ascending range order, so reports
 do not depend on worker count. Run-to-merge statistics come from the walker
 alone, in one process: pair_report puts single pairs (twinconst trace)
-through it, and prime_pair_merges the pairs of small prime starts (scan
-merge, verify conj1).
+through it, and _adjacent_merges the pairs of consecutive odd primes (verify
+conj1), whose merges decide those of all pairs of small prime starts
+(prime_pair_merges, behind scan merge).
 """
 
 from __future__ import annotations
@@ -175,6 +176,19 @@ def pair_report(
     )
 
 
+def _adjacent_merges(k: int, bound: int) -> list[tuple]:
+    """(a, b, merge index or None past bound) for the k - 1 pairs of
+    consecutive primes b < a among the first k odd primes, in one walk_pairs
+    call."""
+    if bound < 2:
+        raise ValueError(f"bound must be >= 2, got {bound}")
+    if k < 2:
+        return []
+    ps = primes.consecutive_primes_from(3, k)
+    merges = walk_pairs(ps[1:], ps[:-1], DEFAULT_THRESHOLD, False, bound)[3].tolist()
+    return [(a, b, None if n == UNMERGED else n) for a, b, n in zip(ps[1:], ps, merges)]
+
+
 def prime_pair_merges(count: int, bound: int = DEFAULT_BOUND) -> list[tuple]:
     """(a, b, merge index or None past bound) for the first count pairs of odd
     primes b < a, in the order (5, 3), (7, 3), (7, 5), (11, 3), ..., so the
@@ -186,19 +200,16 @@ def prime_pair_merges(count: int, bound: int = DEFAULT_BOUND) -> list[tuple]:
     adjacent pairs between them have: the merge index of (s_j, s_i) is the
     largest adjacent merge index of the pairs from s_i up to s_j.
     """
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
     count = max(count, 0)
-    ps = np.array(primes.consecutive_primes_from(3, math.isqrt(2 * count) + 2))
-    adjacent = walk_pairs(ps[1:], ps[:-1], DEFAULT_THRESHOLD, False, bound)[3]
-    adjacent[adjacent == UNMERGED] = bound + 1
-    starts = ps.tolist()
+    adjacent = _adjacent_merges(math.isqrt(2 * count) + 2, bound)
+    starts = [3] + [a for a, _, _ in adjacent]
+    merges = np.array([bound + 1 if n is None else n for _, _, n in adjacent])
     out: list[tuple] = []
     for i in range(1, len(starts)):
         if len(out) >= count:
             break
         # merge index of (starts[i], starts[l]) for l = 0 .. i - 1
-        row = np.maximum.accumulate(adjacent[i - 1 :: -1])[::-1].tolist()
+        row = np.maximum.accumulate(merges[i - 1 :: -1])[::-1].tolist()
         out.extend((starts[i], b, None if n > bound else n) for b, n in zip(starts, row))
     return out[:count]
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .hseq import DEFAULT_BOUND, h_sequence
-from .sweeps import TwinScanResult, _check_limit, prime_pair_merges, scan_twin_range
+from .sweeps import TwinScanResult, _adjacent_merges, _check_limit, scan_twin_range
 
 ALLOWED_M_VALUES = frozenset({0, 3, 5, 7, 9, 11, 13, 15, 17})
 
@@ -68,23 +68,12 @@ class CampaignReport:
             lines.append(f"{key}: {val}")
         return "\n".join(lines) + "\n"
 
-    def rows(self) -> list[str]:
-        """Machine-readable TSV rows: kind, key, value."""
-        out = [f"meta\tpairs_examined\t{self.pairs_examined}",
-               f"meta\twall_time_s\t{self.wall_time:.3f}"]
-        for k, v in sorted(self.m_value_histogram.items()):
-            out.append(f"m_histogram\t{k}\t{v}")
-        for k, v in sorted(self.residue_counts.items()):
-            out.append(f"residue_counts\t{k}\t{v}")
-        for ce in self.counterexamples:
-            out.append("counterexample\t" + json.dumps(ce, default=str))
-        return out
-
     def write(self, path: str) -> None:
+        """The text, then one line per counterexample: its replay data as JSON."""
         with open(path, "w") as fh:
             fh.write(self.to_text())
-            fh.write("\n".join(self.rows()))
-            fh.write("\n")
+            for ce in self.counterexamples:
+                fh.write("counterexample\t" + json.dumps(ce, default=str) + "\n")
 
 
 def _int_keys(pairs: list) -> dict:
@@ -137,15 +126,16 @@ def partitioned_scan(
     """Deterministic chunked sweep of all twin lessers <= limit, folded into
     one report chunk by chunk: pair, m value, near residue and fallback
     counts, plus the details and counterexamples of campaign "theorem1",
-    "theorem2" or "corollaries" ("scan" adds none). The campaign also names
-    the columns the sweep computes for its fold: theorem1 the classifier's
+    "theorem2" or "corollaries" ("scan" adds none), finished by the
+    campaign's last step once the sweep ends. The campaign also names the
+    columns the sweep computes for its fold: theorem1 the classifier's
     prediction, corollaries the m=15/17 pattern matches.
 
     Identical output for any worker count; on worker failure returns the
     report of the completed prefix with aborted=True.
     """
     t0 = time.perf_counter()
-    details, fold, options = _CAMPAIGNS[campaign]
+    details, fold, options, finish = _CAMPAIGNS[campaign]
     params = {"limit": limit, "campaign": campaign}
     report = CampaignReport(
         campaign=campaign, lo=3, hi=limit, pairs_examined=0, counterexamples=[],
@@ -186,6 +176,7 @@ def partitioned_scan(
                                   completed_hi=completed_hi)
     if checkpoint is not None and not report.aborted and os.path.exists(checkpoint):
         os.unlink(checkpoint)
+    finish(report)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -213,12 +204,6 @@ def _fold_theorem1(report: CampaignReport, part: TwinScanResult) -> None:
     d["c_mod10_eq_1"] += near[near % 10 == 1].tolist()
 
 
-def verify_theorem1(limit: int, workers: int = 1,
-                    checkpoint: Optional[str] = None) -> CampaignReport:
-    """Classifier vs simulation equivalence for nearness over twin lessers <= limit."""
-    return partitioned_scan(limit, workers, checkpoint=checkpoint, campaign="theorem1")
-
-
 def _fold_theorem2(report: CampaignReport, part: TwinScanResult) -> None:
     for i in np.flatnonzero(~np.isin(part.m, sorted(ALLOWED_M_VALUES))):
         report.counterexamples.append(_counterexample(
@@ -228,14 +213,10 @@ def _fold_theorem2(report: CampaignReport, part: TwinScanResult) -> None:
         first_occurrence.setdefault(int(m), int(part.ps[i]))
 
 
-def verify_theorem2(limit: int, workers: int = 1,
-                    checkpoint: Optional[str] = None) -> CampaignReport:
-    """First-excess values over twin lessers <= limit stay in the nine-value set."""
-    report = partitioned_scan(limit, workers, checkpoint=checkpoint, campaign="theorem2")
+def _finish_theorem2(report: CampaignReport) -> None:
     first_occurrence = dict(sorted(report.details["first_occurrence"].items()))
     report.details["first_occurrence"] = first_occurrence
     report.details["observed_m_values"] = sorted(first_occurrence)
-    return report
 
 
 def _fold_corollaries(report: CampaignReport, part: TwinScanResult) -> None:
@@ -260,58 +241,57 @@ def _fold_corollaries(report: CampaignReport, part: TwinScanResult) -> None:
         d[f"count_m{m_val}_outside_mod30_29"] += int(np.count_nonzero(is_m & ~cls29))
 
 
-def verify_corollaries(limit: int, workers: int = 1,
-                       checkpoint: Optional[str] = None) -> CampaignReport:
-    """Unique max-diff 4 at p=3; m=17/m=15 constellation equivalences; counts.
-
-    Runs in stop-on-excess mode: pairs whose difference exceeds the threshold
-    carry a prefix max_diff > 6, which decides the 4-versus->=6 dichotomy
-    without simulating to the (possibly very distant) merge.
-    """
-    report = partitioned_scan(limit, workers, checkpoint=checkpoint,
-                              campaign="corollaries")
+def _finish_corollaries(report: CampaignReport) -> None:
+    """Unique max-diff 4 at p=3. A stop-mode pair that exceeds the threshold
+    carries a prefix max_diff > 6, which decides the 4-versus->=6 dichotomy
+    without simulating to the (possibly very distant) merge."""
     at4 = report.details.pop("max_diff_4_at")
     # an aborted scan checked p = 3 only if its completed prefix reached it
-    scanned_to = report.details["completed_hi"] if report.aborted else limit
+    scanned_to = report.details["completed_hi"] if report.aborted else report.hi
     if scanned_to >= 3 and at4 != [3]:
         report.counterexamples.insert(
             0, {"expected": "max_diff 4 exactly at p=3", "observed": at4})
-    return report
 
 
-# per campaign: its own details before any chunk, in report order, its fold,
-# and the scan_twin_range options for the columns that fold reads;
-# verify_corollaries turns max_diff_4_at into its p = 3 check
+def _no_step(*args) -> None:
+    pass
+
+
+# per campaign: its own details before any chunk, in report order; its fold;
+# the scan_twin_range options for the columns that fold reads; and its finish,
+# which partitioned_scan runs on the report once the sweep ends
 _CAMPAIGNS = {
-    "scan": ({}, lambda report, part: None, {}),
+    "scan": ({}, _no_step, {}, _no_step),
     "theorem1": ({"c_count": 0, "c_prefix": [], "c_mod10_eq_1": []}, _fold_theorem1,
-                 {"predict": True}),
-    "theorem2": ({"first_occurrence": {}}, _fold_theorem2, {}),
+                 {"predict": True}, _no_step),
+    "theorem2": ({"first_occurrence": {}}, _fold_theorem2, {}, _finish_theorem2),
     "corollaries": ({"count_m17": 0, "count_m17_outside_mod30_29": 0,
                      "count_m15": 0, "count_m15_outside_mod30_29": 0,
                      "min_max_diff_excluding_p3": None, "max_diff_4_at": []},
-                    _fold_corollaries, {"corollary_check": True}),
+                    _fold_corollaries, {"corollary_check": True}, _finish_corollaries),
 }
 
 
 def probe_conjecture1(prime_count: int, bound: int = DEFAULT_BOUND) -> CampaignReport:
-    """Merge positions for all pairs among the first prime_count odd primes.
+    """Conjecture 1 over the first prime_count odd primes: the merge index of
+    each adjacent pair (a, b, merge or None past bound), which decide every
+    pair between them (sweeps.prime_pair_merges), and the open adjacent pairs.
 
     Non-merging within bound is recorded as a finding, not a counterexample.
     """
     t0 = time.perf_counter()
     k = max(prime_count, 0)
-    positions = prime_pair_merges(k * (k - 1) // 2, bound)
-    unmerged = [(a, b) for a, b, pos in positions if pos is None]
-    report = CampaignReport(
+    adjacent = _adjacent_merges(k, bound)
+    return CampaignReport(
         campaign="conjecture1",
         lo=3,
-        hi=positions[-1][0] if positions else 3,
-        pairs_examined=len(positions),
+        hi=adjacent[-1][0] if adjacent else 3,
+        pairs_examined=k * (k - 1) // 2,
         counterexamples=[],
         m_value_histogram={},
         residue_counts={},
         wall_time=time.perf_counter() - t0,
-        details={"positions": positions, "unmerged": unmerged, "bound": bound},
+        details={"adjacent_merges": adjacent,
+                 "unmerged": [(a, b) for a, b, n in adjacent if n is None],
+                 "bound": bound},
     )
-    return report

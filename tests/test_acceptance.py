@@ -9,7 +9,7 @@ import time
 import pytest
 
 import prop_checks
-from twinconst import verify_corollaries, verify_theorem1
+from twinconst import partitioned_scan
 from twinconst.cli import _maxdiff_terms, _merge_sequence_terms
 from twinconst.constellations import scan_c_sequence, scan_m_sequence
 from twinconst.hseq import h_sequence, pair_trace
@@ -30,7 +30,7 @@ def _report(n, label, elapsed=None):
 @pytest.fixture(scope="module")
 def sweep_1e7():
     t0 = time.perf_counter()
-    report = verify_theorem1(10**7)
+    report = partitioned_scan(10**7, campaign="theorem1")
     return report, time.perf_counter() - t0
 
 
@@ -100,7 +100,7 @@ def test_criterion_7_rare_residue():
 
 def test_criterion_8_corollary_1():
     t0 = time.perf_counter()
-    report = verify_corollaries(10**6)
+    report = partitioned_scan(10**6, campaign="corollaries")
     elapsed = time.perf_counter() - t0
     # verified includes "max_diff 4 exactly at p=3" and "max_diff >= 6" for
     # every other p

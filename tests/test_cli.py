@@ -212,6 +212,17 @@ def test_verify_conj1(tmp_path, capsys, monkeypatch):
     assert "conjecture1" in out
 
 
+def test_verify_conj1_bound_exhausted(tmp_path, capsys):
+    # 3 odd primes, bound 5: (5, 3) merges at 11 and (7, 5) at 47
+    report = tmp_path / "conj1.report"
+    code, out, err = run(capsys, "verify", "conj1", "--primes", "3", "--bound", "5",
+                         "--report", str(report))
+    assert code == 3
+    assert "did not merge within bound 5" in err
+    assert "unmerged: [(5, 3), (7, 5)]\n" in out
+    assert report.read_text() == out[: out.index("report: ")]
+
+
 @pytest.mark.parametrize("target", ["t1", "conj1"])
 def test_verify_unwritable_report_exits_before_the_scan(capsys, tmp_path, monkeypatch, target):
     import twinconst.verify as verify
@@ -220,7 +231,7 @@ def test_verify_unwritable_report_exits_before_the_scan(capsys, tmp_path, monkey
         raise AssertionError("the campaign ran")
 
     monkeypatch.setattr(verify, "partitioned_scan", no_scan)
-    monkeypatch.setattr(verify, "prime_pair_merges", no_scan)
+    monkeypatch.setattr(verify, "_adjacent_merges", no_scan)
     for report in (tmp_path / "missing" / "x.report", tmp_path):
         code, out, err = run(capsys, "verify", target, "--limit", "1000",
                              "--report", str(report))

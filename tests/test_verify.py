@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -11,15 +12,10 @@ import pytest
 
 import twinconst.sweeps as sweeps
 import twinconst.verify as verify_mod
+from twinconst import primes
+from twinconst.hseq import NotMergedWithin, pair_trace
 from twinconst.sweeps import scan_twin_range
-from twinconst.verify import (
-    ALLOWED_M_VALUES,
-    partitioned_scan,
-    probe_conjecture1,
-    verify_corollaries,
-    verify_theorem1,
-    verify_theorem2,
-)
+from twinconst.verify import ALLOWED_M_VALUES, partitioned_scan, probe_conjecture1
 
 C_PREFIX = [3, 11, 17, 29, 59, 227, 269, 1277, 1289, 1607, 2129, 2789, 3527, 3917]
 
@@ -64,26 +60,26 @@ def _first_pair_falls_back(args):
 
 
 def test_theorem1_small_range():
-    report = verify_theorem1(4000)
+    report = partitioned_scan(4000, campaign="theorem1")
     assert report.verified
     assert not report.counterexamples
     assert report.details["c_prefix"] == C_PREFIX
 
 
 def test_theorem1_trivial_range():
-    report = verify_theorem1(10)
+    report = partitioned_scan(10, campaign="theorem1")
     assert report.verified
     assert report.pairs_examined == 2  # twins 3 and 5
 
 
 def test_theorem1_rare_residue():
-    report = verify_theorem1(200_000)
+    report = partitioned_scan(200_000, campaign="theorem1")
     assert report.verified
     assert report.details["c_mod10_eq_1"] == [11, 165701]
 
 
 def test_theorem2_value_set():
-    report = verify_theorem2(500)
+    report = partitioned_scan(500, campaign="theorem2")
     assert report.verified
     observed = set(report.details["observed_m_values"])
     assert observed <= ALLOWED_M_VALUES
@@ -91,12 +87,12 @@ def test_theorem2_value_set():
 
 
 def test_theorem2_tiny_range():
-    report = verify_theorem2(10)
+    report = partitioned_scan(10, campaign="theorem2")
     assert set(report.details["observed_m_values"]) == {0, 13}
 
 
 def test_theorem2_first_occurrences_reported():
-    report = verify_theorem2(2_000)
+    report = partitioned_scan(2_000, campaign="theorem2")
     first = report.details["first_occurrence"]
     assert first[0] == 3
     assert first[13] == 5
@@ -104,7 +100,7 @@ def test_theorem2_first_occurrences_reported():
 
 
 def test_corollaries():
-    report = verify_corollaries(10_000)
+    report = partitioned_scan(10_000, campaign="corollaries")
     assert report.verified
     assert report.details["min_max_diff_excluding_p3"] == 6
     # 12th twin pair (p=149) is the first with m=15
@@ -115,7 +111,7 @@ def test_corollaries():
 @pytest.mark.parametrize("limit", [-5, 2, 3])
 def test_corollaries_p3_check_needs_p3_in_range(limit):
     # below 3 no pair is scanned, so there is no max_diff 4 at p = 3 to miss
-    report = verify_corollaries(limit)
+    report = partitioned_scan(limit, campaign="corollaries")
     assert report.verified, report.counterexamples
     assert report.pairs_examined == (limit >= 3)
 
@@ -126,36 +122,76 @@ def test_corollaries_aborted_before_p3_has_no_p3_counterexample(monkeypatch):
         raise RuntimeError("injected worker failure")
 
     monkeypatch.setattr(sweeps, "_scan_chunk", failing)
-    report = verify_corollaries(10_000)
+    report = partitioned_scan(10_000, campaign="corollaries")
     assert report.aborted and report.details["completed_hi"] == 2
     assert report.counterexamples == []
 
 
 def test_corollaries_pattern_equivalence_range():
-    report = verify_corollaries(200_000)
+    report = partitioned_scan(200_000, campaign="corollaries")
     assert report.verified
     assert report.details["count_m17_outside_mod30_29"] == 0
     assert report.details["count_m15_outside_mod30_29"] == 0
 
 
+def test_partitioned_scan_finishes_every_campaign(monkeypatch):
+    # p = 3 planted with max_diff 6: the corollaries' finish reports that no
+    # pair has max_diff 4, and keeps no list of the pairs that do
+    monkeypatch.setattr(sys.modules[__name__], "_plants", [("max_diff", 3, 6)])
+    monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
+    report = partitioned_scan(10_000, campaign="corollaries")
+    assert "max_diff_4_at" not in report.details
+    assert report.counterexamples == [
+        {"expected": "max_diff 4 exactly at p=3", "observed": []}]
+    # 100-value chunks fold m values out of order: 0 and 13 come first
+    monkeypatch.setattr(sweeps, "CHUNK", 100)
+    report = partitioned_scan(2_000, campaign="theorem2")
+    first = report.details["first_occurrence"]
+    assert list(first) == report.details["observed_m_values"] == sorted(first)
+    assert len(first) > 3
+
+
 def test_probe_conjecture1_published_positions():
     report = probe_conjecture1(5, 10_000)
-    flat = [pos for _, _, pos in report.details["positions"]]
-    assert flat == [11, 47, 47, 47, 47, 11, 47, 47, 17, 17]
+    assert report.details["adjacent_merges"] == [
+        (5, 3, 11), (7, 5, 47), (11, 7, 11), (13, 11, 17)]
     assert report.details["unmerged"] == []
+    assert report.pairs_examined == 10 and report.hi == 13
     assert report.verified
 
 
 def test_probe_conjecture1_683_family():
     report = probe_conjecture1(6, 10_000)
-    tail = [pos for a, _, pos in report.details["positions"] if a == 17]
-    assert tail == [683] * 5
+    assert report.details["adjacent_merges"][-1] == (17, 13, 683)
 
 
-def _text_and_rows(report):
-    """The report's output, less this run's wall time."""
-    report = dataclasses.replace(report, wall_time=0.0)
-    return report.to_text(), report.rows()
+def test_probe_conjecture1_adjacent_merges_match_oracle():
+    # among the first 40 odd primes, (163, 157) merges at 390703: past 7000
+    k, bound = 40, 7000
+    report = probe_conjecture1(k, bound)
+    adjacent = report.details["adjacent_merges"]
+    ps = primes.consecutive_primes_from(3, k)
+    assert [(a, b) for a, b, _ in adjacent] == list(zip(ps[1:], ps))
+    for a, b, n in adjacent:
+        pos = pair_trace(a, b, bound=bound).merge_index
+        assert n == (None if isinstance(pos, NotMergedWithin) else pos), (a, b)
+    assert report.details["unmerged"] == [(163, 157)]
+    assert report.pairs_examined == k * (k - 1) // 2 and report.hi == ps[-1]
+    # every pair's merge is the largest adjacent merge between its starts
+    merges = [bound + 1 if n is None else n for _, _, n in adjacent]
+    want = [(a, b, None if n > bound else n)
+            for i, a in enumerate(ps) for j, b in enumerate(ps[:i])
+            for n in [max(merges[j:i])]]
+    assert sweeps.prime_pair_merges(len(want), bound) == want
+
+
+def _report_lines(report):
+    """The lines of the report's file, less this run's wall time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report")
+        dataclasses.replace(report, wall_time=0.0).write(path)
+        with open(path) as fh:
+            return fh.read().splitlines()
 
 
 def test_partitioned_scan_worker_invariance(monkeypatch):
@@ -169,7 +205,7 @@ def test_partitioned_scan_worker_invariance(monkeypatch):
         one_chunk = partitioned_scan(3 * 10**5, 1, campaign=campaign)
         # c_prefix fills up (50 terms) in the seventh chunk
         assert campaign != "theorem1" or r1.details["c_count"] > 50
-        assert _text_and_rows(r1) == _text_and_rows(r4) == _text_and_rows(one_chunk)
+        assert _report_lines(r1) == _report_lines(r4) == _report_lines(one_chunk)
         assert r1.details == r4.details == one_chunk.details
 
 
@@ -314,7 +350,7 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
     assert started == [20_003, 40_003]  # the first chunk came from the checkpoint
     assert not resumed.aborted
     assert resumed.details == fresh.details
-    assert _text_and_rows(resumed) == _text_and_rows(fresh)
+    assert _report_lines(resumed) == _report_lines(fresh)
     assert not os.path.exists(ckpt)  # removed after a clean finish
 
 
@@ -343,32 +379,30 @@ def test_checkpoint_param_mismatch_is_ignored(tmp_path, monkeypatch):
 
 
 def test_report_serialization(tmp_path):
-    report = verify_theorem1(2_000)
+    report = partitioned_scan(2_000, campaign="theorem1")
     text = report.to_text()
     assert "campaign: theorem1" in text
     assert "counterexamples: 0" in text
-    rows = report.rows()
-    assert any(row.startswith("m_histogram\t") for row in rows)
+    assert "m_histogram: 0:" in text
     path = tmp_path / "report.txt"
     report.write(str(path))
-    content = path.read_text()
-    assert "pairs_examined" in content
+    assert path.read_text() == text  # no counterexample lines
 
 
 PLANT_LIMIT = 2_200_000  # three default-size chunks; plants sit in the first and third
 
 
 PLANTED = pytest.mark.parametrize("campaign, plants, expected", [
-    (verify_theorem1,
+    ("theorem1",
      [("predicted", 500_111, None), ("predicted", 514_637, None),
       ("predicted", 2_097_257, None)],
      "classifier"),
-    (verify_theorem2, [("m", 500_177, 4), ("m", 2_097_287, 4)],
+    ("theorem2", [("m", 500_177, 4), ("m", 2_097_287, 4)],
      "m in {0,3,5,7,9,11,13,15,17}"),
     # both lessers are 30t+29 with m = 3
-    (verify_corollaries, [("cor17", 500_909, None), ("cor15", 2_097_449, None)],
+    ("corollaries", [("cor17", 500_909, None), ("cor15", 2_097_449, None)],
      "pattern"),
-    (verify_corollaries, [("max_diff", 500_231, 4), ("max_diff", 2_097_479, 4)],
+    ("corollaries", [("max_diff", 500_231, 4), ("max_diff", 2_097_479, 4)],
      "max_diff >= 6"),
 ], ids=["t1-predicted", "t2-m", "cor-pattern", "cor-max-diff"])
 
@@ -379,7 +413,8 @@ def test_planted_counterexamples(monkeypatch, campaign, plants, expected):
 
     monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
     monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
-    reports = [campaign(PLANT_LIMIT, workers) for workers in (1, 2)]
+    reports = [partitioned_scan(PLANT_LIMIT, workers, campaign=campaign)
+               for workers in (1, 2)]
     planted = sorted(p for _, p, _ in plants)
     for report in reports:
         assert not report.verified
@@ -405,11 +440,16 @@ def test_planted_counterexamples(monkeypatch, campaign, plants, expected):
             assert report.details["min_max_diff_excluding_p3"] == 4
         else:
             assert len(with_p) == len(report.counterexamples)
-        if campaign is verify_theorem2:
+        if campaign == "theorem2":
             assert report.details["first_occurrence"][4] == planted[0]
+        # the report file: the text, then one line per counterexample
+        lines = _report_lines(report)
+        text = dataclasses.replace(report, wall_time=0.0).to_text().splitlines()
+        assert lines[: len(text)] == text
+        assert [line.partition("\t") for line in lines[len(text):]] == [
+            ("counterexample", "\t", json.dumps(ce)) for ce in report.counterexamples]
     # fold order may interleave the kinds of counterexample across chunks
-    rows = [sorted(r for r in report.rows() if "wall_time_s" not in r) for report in reports]
-    assert rows[0] == rows[1]
+    assert sorted(_report_lines(reports[0])) == sorted(_report_lines(reports[1]))
 
 
 @PLANTED
@@ -418,7 +458,7 @@ def test_resumed_campaign_matches_uninterrupted(tmp_path, monkeypatch, campaign,
     ckpt = str(tmp_path / "campaign.ckpt")
     monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
     monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
-    fresh = campaign(PLANT_LIMIT)
+    fresh = partitioned_scan(PLANT_LIMIT, campaign=campaign)
     started = []
 
     def abort_third(args):
@@ -428,16 +468,16 @@ def test_resumed_campaign_matches_uninterrupted(tmp_path, monkeypatch, campaign,
         return _planted_chunk(args)
 
     monkeypatch.setattr(sweeps, "_scan_chunk", abort_third)
-    partial = campaign(PLANT_LIMIT, checkpoint=ckpt)
+    partial = partitioned_scan(PLANT_LIMIT, checkpoint=ckpt, campaign=campaign)
     assert partial.aborted and os.path.exists(ckpt)
     started.clear()
-    resumed = campaign(PLANT_LIMIT, checkpoint=ckpt)
+    resumed = partitioned_scan(PLANT_LIMIT, checkpoint=ckpt, campaign=campaign)
     assert started == [2 * sweeps.CHUNK + 3]  # two chunks came from the checkpoint
-    assert _text_and_rows(resumed) == _text_and_rows(fresh)
+    assert _report_lines(resumed) == _report_lines(fresh)
     assert resumed.counterexamples == fresh.counterexamples
     # JSON keys are strings; the int-keyed maps come back with int keys
     maps = [resumed.m_value_histogram, resumed.residue_counts]
-    if campaign is verify_theorem2:
+    if campaign == "theorem2":
         maps.append(resumed.details["first_occurrence"])
     for counts in maps:
         assert counts and all(type(k) is int for k in counts)
@@ -517,7 +557,7 @@ def test_checkpoint_of_another_version_is_ignored(tmp_path, monkeypatch):
     ckpt.write_text(json.dumps({"version": 2, "params": _T1_PARAMS, "next_lo": 20_003,
                                 "state": _STATE}))
     report = partitioned_scan(30_000, 1, checkpoint=str(ckpt), campaign="theorem1")
-    assert _text_and_rows(report) == _text_and_rows(fresh)
+    assert _report_lines(report) == _report_lines(fresh)
     assert not ckpt.exists()
 
 
@@ -532,7 +572,7 @@ def test_checkpoint_with_sweep_options_in_params_is_ignored(tmp_path, monkeypatc
         ckpt.write_text(json.dumps({"version": 3, "params": params, "next_lo": 20_003,
                                     "state": _STATE}))
         report = partitioned_scan(30_000, 1, checkpoint=str(ckpt), campaign="theorem1")
-        assert _text_and_rows(report) == _text_and_rows(fresh), params
+        assert _report_lines(report) == _report_lines(fresh), params
         assert not ckpt.exists()
 
 
@@ -550,10 +590,10 @@ def test_planted_m_outside_mod30_29_is_counted_not_reported(monkeypatch):
     # the corollaries' equivalences are stated for 30t+29 lessers only
     plants = [("m", 500_111, 17), ("m", 2_097_257, 15)]  # lessers 30t+11 and 30t+17
     assert [p % 30 for _, p, _ in plants] == [11, 17]
-    fresh = verify_corollaries(PLANT_LIMIT)
+    fresh = partitioned_scan(PLANT_LIMIT, campaign="corollaries")
     monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
     monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
-    report = verify_corollaries(PLANT_LIMIT)
+    report = partitioned_scan(PLANT_LIMIT, campaign="corollaries")
     assert report.verified
     for m_val in (17, 15):
         assert report.details[f"count_m{m_val}"] == fresh.details[f"count_m{m_val}"] + 1
