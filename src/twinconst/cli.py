@@ -134,7 +134,6 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    campaigns = {"t1": "theorem1", "t2": "theorem2", "cor": "corollaries"}
     # refuse a report that cannot be written before the campaign, not after it
     report_path = args.report or f"twinconst-{args.target}.report"
     report_dir = os.path.dirname(report_path) or "."
@@ -143,12 +142,11 @@ def _cmd_verify(args) -> int:
         print(f"error: cannot write the report to {report_path}", file=sys.stderr)
         return EXIT_ARG
     try:
-        if args.target in campaigns:
-            report = verify.partitioned_scan(args.limit, args.workers,
-                                             checkpoint=args.checkpoint,
-                                             campaign=campaigns[args.target])
-        else:  # conj1
+        if args.target == "conj1":
             report = verify.probe_conjecture1(args.primes, args.bound)
+        else:  # t1, t2 and cor: one sweep checks every claim
+            report = verify.partitioned_scan(args.limit, args.workers,
+                                             checkpoint=args.checkpoint)
     except ValueError as exc:  # e.g. a file at --checkpoint that is no checkpoint
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARG

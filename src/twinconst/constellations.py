@@ -3,10 +3,11 @@
 A twin lesser p is "near" when the traces started at p and p+2 never drift
 more than 6 apart. Simulation (hseq.pair_trace) is the ground truth; the
 pattern classifier here predicts the same answer from a constellation test
-and is verified against simulation by the sweep campaigns. A constellation
-is a GapPattern: a prime/composite word over the even offsets 0..span from
-its base, read by matches_pattern one value at a time and by
-kernels.match_offsets_bulk from a sieved bitmap.
+and is verified against simulation by the sweep. A constellation is a
+GapPattern: a prime/composite word over the even offsets 0..span from its
+base, read by matches_pattern one value at a time and by
+kernels.match_offsets_bulk from the gap words (kernels.gap_words) of a
+sweep's twin pairs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ from typing import Optional
 import numpy as np
 
 from . import primes
+
+
+# The furthest offset a pattern may read: a gap word holds the primality of
+# p + 2i for i = 0..MAX_SPAN // 2, 17 bits of a uint32. The classifier and
+# corollary patterns read up to it.
+MAX_SPAN = 32
 
 
 class TwinClass(Enum):
@@ -36,8 +43,8 @@ class GapPattern:
     """A prime constellation as a prime/composite word from a base prime p.
 
     p + o is prime for each o in offsets and composite for every other even
-    o <= span; span defaults to offsets[-1]. Odd offsets need no entry: p is
-    odd, so p + o is even and composite.
+    o <= span; span defaults to offsets[-1] and may not pass MAX_SPAN. Odd
+    offsets need no entry: p is odd, so p + o is even and composite.
     """
 
     offsets: tuple[int, ...]
@@ -54,11 +61,14 @@ class GapPattern:
             object.__setattr__(self, "span", self.offsets[-1])
         if self.span < self.offsets[-1] or self.span % 2:
             raise ValueError("span must be even and at least offsets[-1]")
+        if self.span > MAX_SPAN:
+            raise ValueError(f"span {self.span} past MAX_SPAN = {MAX_SPAN}")
 
     @cached_property
-    def word(self) -> tuple[tuple[int, bool], ...]:
-        """(o, whether p + o is prime) for the even offsets o = 0, 2, ..., span."""
-        return tuple((o, o in self.offsets) for o in range(0, self.span + 1, 2))
+    def word(self) -> tuple[int, int]:
+        """(mask, bits): bit i of mask is set for each even offset 2i <= span,
+        and bit i of bits when p + 2i is prime."""
+        return (1 << (self.span // 2 + 1)) - 1, sum(1 << (o // 2) for o in self.offsets)
 
 
 # Five- and seven-prime constellations characterizing nearness per residue class.
@@ -92,7 +102,9 @@ def matches_pattern(p: int, pattern: GapPattern) -> bool:
     """True iff the constellation described by pattern sits at the odd prime p."""
     if p % 2 == 0 or not primes.is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    return all(primes.is_prime(p + o) == prime for o, prime in pattern.word)
+    mask, bits = pattern.word
+    return all(primes.is_prime(p + 2 * i) == bool((bits >> i) & 1)
+               for i in range(mask.bit_length()))
 
 
 def predicts_near(p: int) -> bool:
@@ -116,24 +128,15 @@ def corollary_patterns(m: int) -> list[GapPattern]:
     raise ValueError(f"patterns defined for m in {{15, 17}} only, got {m}")
 
 
-# the furthest offset any classifier or corollary pattern reads
-MAX_SPAN = max(pattern.span for pattern in (
-    *NEAR_PATTERNS.values(), *corollary_patterns(17), *corollary_patterns(15)))
-
-
-def predict_near_bulk(twin_ks: np.ndarray, lo: int, flags: np.ndarray) -> np.ndarray:
-    """Vectorized predicts_near over twin lessers at lo + twin_ks.
-
-    flags must extend at least MAX_SPAN values past the largest twin lesser.
-    """
+def predict_near_bulk(words: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Vectorized predicts_near over the twin lessers ps, from their gap
+    words (kernels.gap_words)."""
     from .kernels import match_offsets_bulk
 
-    ps = lo + twin_ks
+    residues = ps % 30
     out = np.zeros(ps.size, dtype=bool)
     for cls, pattern in NEAR_PATTERNS.items():
-        sel = ps % 30 == cls.value
-        if sel.any():
-            out[sel] = match_offsets_bulk(twin_ks[sel], flags, pattern)
+        out |= (residues == cls.value) & match_offsets_bulk(words, pattern)
     out[ps == 3] = True
     out[ps == 5] = False
     return out

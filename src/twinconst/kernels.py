@@ -12,8 +12,9 @@ only where the run can raise a pair's max. A block of its steps with at most
 _FEW_TRACES traces (the few stragglers a long walk ends with) steps each trace
 alone with scalar reads; a larger block steps all traces with one gather per
 prime index.
-match_offsets_bulk tests a gap pattern's prime/composite word at many base
-offsets at once.
+gap_words packs the primality of the even offsets 0..MAX_SPAN past each twin
+lesser into one word, and match_offsets_bulk tests a gap pattern against many
+words with one masked compare.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import primes
+from .constellations import MAX_SPAN
 from .hseq import DEFAULT_THRESHOLD
 
 UNMERGED = -1  # merge_n marker: not merged within the walk's bound
@@ -328,13 +330,20 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
     return m_out, maxdiff_out, maxdiff_n_out, merge_out
 
 
-def match_offsets_bulk(ks: np.ndarray, flags: np.ndarray, pattern) -> np.ndarray:
-    """Vectorized constellations.matches_pattern: does the GapPattern pattern's
-    prime/composite word sit at each base offset ks into a primality bitmap?
+def gap_words(ks: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """One uint32 per base offset k into a primality bitmap: bit i is
+    flags[k + 2i], for i = 0..MAX_SPAN // 2.
 
-    Callers guarantee ks + pattern.span stays inside flags.
+    Callers guarantee ks + MAX_SPAN stays inside flags.
     """
-    out = np.ones(ks.size, dtype=bool)
-    for o, prime in pattern.word:
-        out &= flags[ks + o] == prime
-    return out
+    words = np.zeros(ks.size, np.uint32)
+    for i in range(MAX_SPAN // 2 + 1):
+        words |= flags[ks + 2 * i].astype(np.uint32) << i
+    return words
+
+
+def match_offsets_bulk(words: np.ndarray, pattern) -> np.ndarray:
+    """Vectorized constellations.matches_pattern: does the GapPattern pattern's
+    prime/composite word sit at each base whose gap word is in words?"""
+    mask, bits = pattern.word
+    return words & mask == bits

@@ -35,7 +35,7 @@ from .hseq import (
     check_pair,
     pair_trace,  # noqa: F401  (unused here; perfbench/child.py wraps sweeps.pair_trace)
 )
-from .kernels import UNMERGED, match_offsets_bulk, pair_stats_kernel, walk_pairs
+from .kernels import UNMERGED, gap_words, match_offsets_bulk, pair_stats_kernel, walk_pairs
 
 if TYPE_CHECKING:  # the pool's modules are imported only when a pool starts
     from concurrent.futures import ProcessPoolExecutor
@@ -131,11 +131,13 @@ def _scan_chunk(args) -> TwinScanResult:
             ps + 2, ps, DEFAULT_THRESHOLD, True, DEFAULT_BOUND)
     near = (merge_n > 0) & (maxd <= DEFAULT_THRESHOLD)
     predicted = cor17 = cor15 = None
+    if predict or corollary_check:
+        words = gap_words(twin_ks, flags)
     if predict:
-        predicted = predict_near_bulk(twin_ks, lo, flags)
+        predicted = predict_near_bulk(words, lo + twin_ks)
     if corollary_check:
         cor17, cor15 = (
-            np.any([match_offsets_bulk(twin_ks, flags, pattern)
+            np.any([match_offsets_bulk(words, pattern)
                     for pattern in corollary_patterns(m_val)], axis=0)
             for m_val in (17, 15))
     return TwinScanResult(

@@ -1,16 +1,15 @@
 """Range-scale verification campaigns with parallel partitioning.
 
-Every campaign compares a fast claim (pattern classifier, value-set bound,
-corollary equivalence) against direct simulation over a value range and
+One sweep compares every fast claim (pattern classifier, value-set bound,
+corollary equivalences) against direct simulation over a value range and
 reports counterexamples with replay data. partitioned_scan folds each
-chunk of the sweep into the campaign's report as the chunk arrives; long
-scans checkpoint that report to a resumable JSON file (format documented in
-the README).
+chunk of the sweep into one report as the chunk arrives; long scans
+checkpoint that report to a resumable JSON file (format documented in the
+README).
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import tempfile
@@ -25,7 +24,10 @@ from .sweeps import TwinScanResult, _adjacent_merges, _check_limit, scan_twin_ra
 
 ALLOWED_M_VALUES = frozenset({0, 3, 5, 7, 9, 11, 13, 15, 17})
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+# A checkpoint is written after a chunk that ends at least this many values
+# past the last one written: about 1 ms a write, at most one per 8 default chunks.
+CHECKPOINT_SPAN = 1 << 23
 # what a checkpoint keeps of a CampaignReport: no wall time, so its bytes repeat
 _STATE_FIELDS = ("pairs_examined", "counterexamples", "m_value_histogram",
                  "residue_counts", "details")
@@ -46,7 +48,7 @@ class CampaignReport:
 
     @property
     def verified(self) -> bool:
-        return not self.aborted and not self.counterexamples
+        return not (self.aborted or self.counterexamples or self.details.get("unmerged"))
 
     def to_text(self) -> str:
         lines = [
@@ -121,26 +123,27 @@ def partitioned_scan(
     workers: int = 1,
     *,
     checkpoint: Optional[str] = None,
-    campaign: str = "scan",
 ) -> CampaignReport:
-    """Deterministic chunked sweep of all twin lessers <= limit, folded into
-    one report chunk by chunk: pair, m value, near residue and fallback
-    counts, plus the details and counterexamples of campaign "theorem1",
-    "theorem2" or "corollaries" ("scan" adds none), finished by the
-    campaign's last step once the sweep ends. The campaign also names the
-    columns the sweep computes for its fold: theorem1 the classifier's
-    prediction, corollaries the m=15/17 pattern matches.
+    """Deterministic chunked sweep of all twin lessers <= limit that checks
+    every sweep claim of the paper, folded into one report chunk by chunk:
+    pair, m value, near residue and fallback counts, Theorem 1's classifier
+    against simulated nearness, Theorem 2's m set, and the corollaries' m=15/17
+    pattern equivalences and max-diff bound, finished once the sweep ends.
 
     Identical output for any worker count; on worker failure returns the
-    report of the completed prefix with aborted=True.
+    report of the completed prefix with aborted=True. With checkpoint, the
+    report is saved there after each chunk that ends CHECKPOINT_SPAN or more
+    values past the last save, and a saved report resumes the sweep.
     """
     t0 = time.perf_counter()
-    details, fold, options, finish = _CAMPAIGNS[campaign]
-    params = {"limit": limit, "campaign": campaign}
+    params = {"limit": limit}
     report = CampaignReport(
-        campaign=campaign, lo=3, hi=limit, pairs_examined=0, counterexamples=[],
+        campaign="claims", lo=3, hi=limit, pairs_examined=0, counterexamples=[],
         m_value_histogram={}, residue_counts={}, wall_time=0.0,
-        details={"fallback_pairs": 0, **copy.deepcopy(details)})
+        details={"fallback_pairs": 0, "c_count": 0, "c_prefix": [], "c_mod10_eq_1": [],
+                 "first_occurrence": {}, "count_m17": 0, "count_m17_outside_mod30_29": 0,
+                 "count_m15": 0, "count_m15_outside_mod30_29": 0,
+                 "min_max_diff_excluding_p3": None, "max_diff_4_at": []})
     start = 3
     # a limit past the sweep's range and an unwritable checkpoint are
     # argument errors, found before any sieving
@@ -153,30 +156,28 @@ def partitioned_scan(
         if loaded is not None:
             start, state = loaded
             report = replace(report, **state)
-    completed_hi = start - 1
+    completed_hi = saved_hi = start - 1
 
     def fold_chunk(part: TwinScanResult) -> None:
-        nonlocal completed_hi
-        report.pairs_examined += int(part.ps.size)
-        _count_into(report.m_value_histogram, part.m)
-        _count_into(report.residue_counts, part.ps[part.near] % 10)
-        report.details["fallback_pairs"] += part.fallback_count
-        fold(report, part)
+        nonlocal completed_hi, saved_hi
+        _fold_claims(report, part)
         completed_hi = part.hi
-        if checkpoint is not None:
+        if checkpoint is not None and part.hi - saved_hi >= CHECKPOINT_SPAN:
             _save_checkpoint(checkpoint, params, part.hi + 1,
                              {name: getattr(report, name) for name in _STATE_FIELDS})
+            saved_hi = part.hi
 
     if start <= limit:
         try:
-            scan_twin_range(start, limit, workers=workers, on_chunk=fold_chunk, **options)
+            scan_twin_range(start, limit, workers=workers, on_chunk=fold_chunk,
+                            predict=True, corollary_check=True)
         except Exception as exc:  # worker failure: report the completed prefix
             report.aborted = True
             report.details.update(error=f"{type(exc).__name__}: {exc}",
                                   completed_hi=completed_hi)
     if checkpoint is not None and not report.aborted and os.path.exists(checkpoint):
         os.unlink(checkpoint)
-    finish(report)
+    _finish_claims(report)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -188,88 +189,69 @@ def _counterexample(p: int, expected, observed, depth: int = 40) -> dict:
             "lower_trace": list(h_sequence(p, depth).values)}
 
 
-def _count_into(counts: dict, values: np.ndarray) -> None:
-    for k, v in zip(*np.unique(values, return_counts=True)):
-        counts[int(k)] = counts.get(int(k), 0) + int(v)
+def _count_into(counts: dict, values: np.ndarray) -> list:
+    """Add how often each value occurs to counts; return the distinct values."""
+    keys, freq = np.unique(values, return_counts=True)
+    for k, v in zip(keys.tolist(), freq.tolist()):
+        counts[k] = counts.get(k, 0) + v
+    return keys.tolist()
 
 
-def _fold_theorem1(report: CampaignReport, part: TwinScanResult) -> None:
+def _fold_claims(report: CampaignReport, part: TwinScanResult) -> None:
+    """Add one chunk's counts, and every claim's details and counterexamples, to report."""
+    ps, m, max_diff, d = part.ps, part.m, part.max_diff, report.details
+    found = report.counterexamples
+    report.pairs_examined += int(ps.size)
+    m_values = _count_into(report.m_value_histogram, m)
+    _count_into(report.residue_counts, ps[part.near] % 10)
+    d["fallback_pairs"] += part.fallback_count
+    # Theorem 1: the classifier predicts simulated nearness
     for i in np.flatnonzero(part.predicted != part.near):
-        report.counterexamples.append(_counterexample(
-            int(part.ps[i]), bool(part.predicted[i]), bool(part.near[i])))
-    near = part.ps[part.near]
-    d = report.details
+        found.append(_counterexample(int(ps[i]), bool(part.predicted[i]), bool(part.near[i])))
+    near = ps[part.near]
     d["c_count"] += int(near.size)
     d["c_prefix"] += near[:50 - len(d["c_prefix"])].tolist()
     d["c_mod10_eq_1"] += near[near % 10 == 1].tolist()
-
-
-def _fold_theorem2(report: CampaignReport, part: TwinScanResult) -> None:
-    for i in np.flatnonzero(~np.isin(part.m, sorted(ALLOWED_M_VALUES))):
-        report.counterexamples.append(_counterexample(
-            int(part.ps[i]), "m in {0,3,5,7,9,11,13,15,17}", int(part.m[i])))
-    first_occurrence = report.details["first_occurrence"]
-    for m, i in zip(*np.unique(part.m, return_index=True)):
-        first_occurrence.setdefault(int(m), int(part.ps[i]))
-
-
-def _finish_theorem2(report: CampaignReport) -> None:
-    first_occurrence = dict(sorted(report.details["first_occurrence"].items()))
-    report.details["first_occurrence"] = first_occurrence
-    report.details["observed_m_values"] = sorted(first_occurrence)
-
-
-def _fold_corollaries(report: CampaignReport, part: TwinScanResult) -> None:
-    d = report.details
-    d["max_diff_4_at"] += part.ps[part.max_diff == 4].tolist()
-    others = part.ps != 3
-    for i in np.flatnonzero(others & (part.max_diff < 6)):
-        report.counterexamples.append(_counterexample(
-            int(part.ps[i]), "max_diff >= 6", int(part.max_diff[i])))
+    # Theorem 2: every m lies in ALLOWED_M_VALUES
+    outside = [v for v in m_values if v not in ALLOWED_M_VALUES]
+    for i in np.flatnonzero(np.isin(m, outside)):
+        found.append(_counterexample(int(ps[i]), "m in {0,3,5,7,9,11,13,15,17}", int(m[i])))
+    for v in m_values:
+        if v not in d["first_occurrence"]:
+            d["first_occurrence"][v] = int(ps[np.argmax(m == v)])
+    # Corollary 1: max_diff 4 only at p = 3 (checked by _finish_claims), >= 6 elsewhere
+    d["max_diff_4_at"] += ps[max_diff == 4].tolist()
+    others = ps != 3
+    for i in np.flatnonzero(others & (max_diff < 6)):
+        found.append(_counterexample(int(ps[i]), "max_diff >= 6", int(max_diff[i])))
     if others.any():
-        low, prev = int(part.max_diff[others].min()), d["min_max_diff_excluding_p3"]
+        low, prev = int(max_diff[others].min()), d["min_max_diff_excluding_p3"]
         d["min_max_diff_excluding_p3"] = low if prev is None else min(prev, low)
-    # corollary equivalences are stated for constellations based at p = 30t+29
-    cls29 = (part.ps % 30) == 29
+    # the m=15/17 equivalences are stated for constellations based at p = 30t+29
+    cls29 = (ps % 30) == 29
     for m_val, matches in ((17, part.cor17), (15, part.cor15)):
-        is_m = part.m == m_val
+        is_m = m == m_val
         for i in np.flatnonzero(cls29 & (is_m != matches)):
-            report.counterexamples.append(_counterexample(
-                int(part.ps[i]), f"m=={m_val} iff pattern({m_val})",
-                {"m": int(part.m[i]), "pattern": bool(matches[i])}))
+            found.append(_counterexample(int(ps[i]), f"m=={m_val} iff pattern({m_val})",
+                                         {"m": int(m[i]), "pattern": bool(matches[i])}))
         d[f"count_m{m_val}"] += int(np.count_nonzero(is_m))
         d[f"count_m{m_val}_outside_mod30_29"] += int(np.count_nonzero(is_m & ~cls29))
 
 
-def _finish_corollaries(report: CampaignReport) -> None:
-    """Unique max-diff 4 at p=3. A stop-mode pair that exceeds the threshold
-    carries a prefix max_diff > 6, which decides the 4-versus->=6 dichotomy
-    without simulating to the (possibly very distant) merge."""
-    at4 = report.details.pop("max_diff_4_at")
+def _finish_claims(report: CampaignReport) -> None:
+    """Sort the first occurrences of each m, and check that max-diff 4 occurs
+    at p = 3 alone. A stop-mode pair that exceeds the threshold carries a
+    prefix max_diff > 6, which decides the 4-versus->=6 dichotomy without
+    simulating to the (possibly very distant) merge."""
+    d = report.details
+    d["first_occurrence"] = dict(sorted(d["first_occurrence"].items()))
+    d["observed_m_values"] = sorted(d["first_occurrence"])
+    at4 = d.pop("max_diff_4_at")
     # an aborted scan checked p = 3 only if its completed prefix reached it
-    scanned_to = report.details["completed_hi"] if report.aborted else report.hi
+    scanned_to = d["completed_hi"] if report.aborted else report.hi
     if scanned_to >= 3 and at4 != [3]:
         report.counterexamples.insert(
             0, {"expected": "max_diff 4 exactly at p=3", "observed": at4})
-
-
-def _no_step(*args) -> None:
-    pass
-
-
-# per campaign: its own details before any chunk, in report order; its fold;
-# the scan_twin_range options for the columns that fold reads; and its finish,
-# which partitioned_scan runs on the report once the sweep ends
-_CAMPAIGNS = {
-    "scan": ({}, _no_step, {}, _no_step),
-    "theorem1": ({"c_count": 0, "c_prefix": [], "c_mod10_eq_1": []}, _fold_theorem1,
-                 {"predict": True}, _no_step),
-    "theorem2": ({"first_occurrence": {}}, _fold_theorem2, {}, _finish_theorem2),
-    "corollaries": ({"count_m17": 0, "count_m17_outside_mod30_29": 0,
-                     "count_m15": 0, "count_m15_outside_mod30_29": 0,
-                     "min_max_diff_excluding_p3": None, "max_diff_4_at": []},
-                    _fold_corollaries, {"corollary_check": True}, _finish_corollaries),
-}
 
 
 def probe_conjecture1(prime_count: int, bound: int = DEFAULT_BOUND) -> CampaignReport:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The 10^7 Theorem 1 campaign is run once and shared by criteria 5 and 6.
+lines. The 10^7 campaign is run once and shared by criteria 5 and 6.
 """
 
 import time
@@ -30,7 +30,7 @@ def _report(n, label, elapsed=None):
 @pytest.fixture(scope="module")
 def sweep_1e7():
     t0 = time.perf_counter()
-    report = partitioned_scan(10**7, campaign="theorem1")
+    report = partitioned_scan(10**7)
     return report, time.perf_counter() - t0
 
 
@@ -100,7 +100,7 @@ def test_criterion_7_rare_residue():
 
 def test_criterion_8_corollary_1():
     t0 = time.perf_counter()
-    report = partitioned_scan(10**6, campaign="corollaries")
+    report = partitioned_scan(10**6)
     elapsed = time.perf_counter() - t0
     # verified includes "max_diff 4 exactly at p=3" and "max_diff >= 6" for
     # every other p

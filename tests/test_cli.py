@@ -220,6 +220,7 @@ def test_verify_conj1_bound_exhausted(tmp_path, capsys):
     assert code == 3
     assert "did not merge within bound 5" in err
     assert "unmerged: [(5, 3), (7, 5)]\n" in out
+    assert "verified: False\n" in out
     assert report.read_text() == out[: out.index("report: ")]
 
 

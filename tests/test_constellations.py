@@ -16,7 +16,7 @@ from twinconst.constellations import (
     scan_m_sequence,
 )
 from twinconst.hseq import pair_trace
-from twinconst.kernels import match_offsets_bulk
+from twinconst.kernels import gap_words, match_offsets_bulk
 
 PRODUCTION_PATTERNS = [*NEAR_PATTERNS.values(), *corollary_patterns(17),
                        *corollary_patterns(15)]
@@ -55,6 +55,12 @@ def test_gap_pattern_validation():
     with pytest.raises(ValueError):
         GapPattern((0, 2), span=5)
     assert GapPattern((0, 2, 6)).span == 6
+    # a gap word holds offsets 0..MAX_SPAN: a longer pattern could never match
+    assert GapPattern((0, 2), span=MAX_SPAN).word == ((1 << 17) - 1, 0b11)
+    with pytest.raises(ValueError, match="MAX_SPAN"):
+        GapPattern((0, 2), span=MAX_SPAN + 2)
+    with pytest.raises(ValueError, match="MAX_SPAN"):
+        GapPattern((0, 2, MAX_SPAN + 2))
 
 
 def test_matches_pattern():
@@ -107,7 +113,7 @@ def test_predict_near_bulk_matches_scalar():
     flags = seg.flags
     width = 40_000
     twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
-    bulk = predict_near_bulk(twin_ks, lo, flags)
+    bulk = predict_near_bulk(gap_words(twin_ks, flags), lo + twin_ks)
     for k, got in zip(twin_ks, bulk):
         assert bool(got) == predicts_near(lo + int(k))
 
@@ -120,8 +126,9 @@ def test_match_offsets_bulk_matches_scalar():
     for lo, width in ((3, 1 << 19), (7_446_000, 1 << 12), (10**12, 1 << 12)):
         flags = primes.sieve_segment(lo, lo + width + 40).flags
         ks = np.flatnonzero(flags[:width])
+        words = gap_words(ks, flags)
         for i, pattern in enumerate(patterns):
-            bulk = match_offsets_bulk(ks, flags, pattern)
+            bulk = match_offsets_bulk(words, pattern)
             scalar = [matches_pattern(lo + k, pattern) for k in ks.tolist()]
             assert bulk.tolist() == scalar, (lo, pattern)
             hits[i] += np.count_nonzero(bulk)
@@ -147,12 +154,13 @@ def test_matchers_agree_with_sieved_primes(lo, hi, scalar_hi):
     flags = primes.sieve_segment(lo, hi + MAX_SPAN).flags
     ks = np.flatnonzero(flags[: hi - lo + 1])
     windows = np.lib.stride_tricks.sliding_window_view(flags, MAX_SPAN + 1)[ks]
+    words = gap_words(ks, flags)
     scalar_ks = ks[lo + ks <= scalar_hi].tolist()
     for i, pattern in enumerate(PRODUCTION_PATTERNS):
         word = np.zeros(pattern.span + 1, bool)
         word[list(pattern.offsets)] = True
         expected = (windows[:, : pattern.span + 1] == word).all(axis=1)
-        assert np.array_equal(match_offsets_bulk(ks, flags, pattern), expected), pattern
+        assert np.array_equal(match_offsets_bulk(words, pattern), expected), pattern
         scalar = [matches_pattern(lo + k, pattern) for k in scalar_ks]
         assert scalar == expected[: len(scalar_ks)].tolist(), pattern
         if lo == 3:

@@ -60,26 +60,26 @@ def _first_pair_falls_back(args):
 
 
 def test_theorem1_small_range():
-    report = partitioned_scan(4000, campaign="theorem1")
+    report = partitioned_scan(4000)
     assert report.verified
     assert not report.counterexamples
     assert report.details["c_prefix"] == C_PREFIX
 
 
 def test_theorem1_trivial_range():
-    report = partitioned_scan(10, campaign="theorem1")
+    report = partitioned_scan(10)
     assert report.verified
     assert report.pairs_examined == 2  # twins 3 and 5
 
 
 def test_theorem1_rare_residue():
-    report = partitioned_scan(200_000, campaign="theorem1")
+    report = partitioned_scan(200_000)
     assert report.verified
     assert report.details["c_mod10_eq_1"] == [11, 165701]
 
 
 def test_theorem2_value_set():
-    report = partitioned_scan(500, campaign="theorem2")
+    report = partitioned_scan(500)
     assert report.verified
     observed = set(report.details["observed_m_values"])
     assert observed <= ALLOWED_M_VALUES
@@ -87,12 +87,12 @@ def test_theorem2_value_set():
 
 
 def test_theorem2_tiny_range():
-    report = partitioned_scan(10, campaign="theorem2")
+    report = partitioned_scan(10)
     assert set(report.details["observed_m_values"]) == {0, 13}
 
 
 def test_theorem2_first_occurrences_reported():
-    report = partitioned_scan(2_000, campaign="theorem2")
+    report = partitioned_scan(2_000)
     first = report.details["first_occurrence"]
     assert first[0] == 3
     assert first[13] == 5
@@ -100,7 +100,7 @@ def test_theorem2_first_occurrences_reported():
 
 
 def test_corollaries():
-    report = partitioned_scan(10_000, campaign="corollaries")
+    report = partitioned_scan(10_000)
     assert report.verified
     assert report.details["min_max_diff_excluding_p3"] == 6
     # 12th twin pair (p=149) is the first with m=15
@@ -111,7 +111,7 @@ def test_corollaries():
 @pytest.mark.parametrize("limit", [-5, 2, 3])
 def test_corollaries_p3_check_needs_p3_in_range(limit):
     # below 3 no pair is scanned, so there is no max_diff 4 at p = 3 to miss
-    report = partitioned_scan(limit, campaign="corollaries")
+    report = partitioned_scan(limit)
     assert report.verified, report.counterexamples
     assert report.pairs_examined == (limit >= 3)
 
@@ -122,13 +122,13 @@ def test_corollaries_aborted_before_p3_has_no_p3_counterexample(monkeypatch):
         raise RuntimeError("injected worker failure")
 
     monkeypatch.setattr(sweeps, "_scan_chunk", failing)
-    report = partitioned_scan(10_000, campaign="corollaries")
+    report = partitioned_scan(10_000)
     assert report.aborted and report.details["completed_hi"] == 2
     assert report.counterexamples == []
 
 
 def test_corollaries_pattern_equivalence_range():
-    report = partitioned_scan(200_000, campaign="corollaries")
+    report = partitioned_scan(200_000)
     assert report.verified
     assert report.details["count_m17_outside_mod30_29"] == 0
     assert report.details["count_m15_outside_mod30_29"] == 0
@@ -139,13 +139,13 @@ def test_partitioned_scan_finishes_every_campaign(monkeypatch):
     # pair has max_diff 4, and keeps no list of the pairs that do
     monkeypatch.setattr(sys.modules[__name__], "_plants", [("max_diff", 3, 6)])
     monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
-    report = partitioned_scan(10_000, campaign="corollaries")
+    report = partitioned_scan(10_000)
     assert "max_diff_4_at" not in report.details
     assert report.counterexamples == [
         {"expected": "max_diff 4 exactly at p=3", "observed": []}]
     # 100-value chunks fold m values out of order: 0 and 13 come first
     monkeypatch.setattr(sweeps, "CHUNK", 100)
-    report = partitioned_scan(2_000, campaign="theorem2")
+    report = partitioned_scan(2_000)
     first = report.details["first_occurrence"]
     assert list(first) == report.details["observed_m_values"] == sorted(first)
     assert len(first) > 3
@@ -176,6 +176,7 @@ def test_probe_conjecture1_adjacent_merges_match_oracle():
         pos = pair_trace(a, b, bound=bound).merge_index
         assert n == (None if isinstance(pos, NotMergedWithin) else pos), (a, b)
     assert report.details["unmerged"] == [(163, 157)]
+    assert not report.verified  # an open adjacent pair leaves the conjecture unverified
     assert report.pairs_examined == k * (k - 1) // 2 and report.hi == ps[-1]
     # every pair's merge is the largest adjacent merge between its starts
     merges = [bound + 1 if n is None else n for _, _, n in adjacent]
@@ -197,16 +198,15 @@ def _report_lines(report):
 def test_partitioned_scan_worker_invariance(monkeypatch):
     # per-pair columns are compared across worker counts by
     # prop_checks.run_parallel_determinism
-    for campaign in ("theorem1", "theorem2", "corollaries"):
-        with monkeypatch.context() as m:
-            m.setattr(sweeps, "CHUNK", 30_000)
-            r1 = partitioned_scan(3 * 10**5, 1, campaign=campaign)
-            r4 = partitioned_scan(3 * 10**5, 4, campaign=campaign)
-        one_chunk = partitioned_scan(3 * 10**5, 1, campaign=campaign)
-        # c_prefix fills up (50 terms) in the seventh chunk
-        assert campaign != "theorem1" or r1.details["c_count"] > 50
-        assert _report_lines(r1) == _report_lines(r4) == _report_lines(one_chunk)
-        assert r1.details == r4.details == one_chunk.details
+    with monkeypatch.context() as m:
+        m.setattr(sweeps, "CHUNK", 30_000)
+        r1 = partitioned_scan(3 * 10**5, 1)
+        r4 = partitioned_scan(3 * 10**5, 4)
+    one_chunk = partitioned_scan(3 * 10**5, 1)
+    # c_prefix fills up (50 terms) in the seventh chunk
+    assert r1.details["c_count"] > 50
+    assert _report_lines(r1) == _report_lines(r4) == _report_lines(one_chunk)
+    assert r1.details == r4.details == one_chunk.details
 
 
 def test_partitioned_scan_residues():
@@ -270,6 +270,7 @@ def test_partitioned_scan_checkpoint_failure_two_workers(monkeypatch, tmp_path):
 
     monkeypatch.setattr(verify_mod, "_save_checkpoint", failing_save)
     monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    monkeypatch.setattr(verify_mod, "CHECKPOINT_SPAN", 10_000)  # a write per chunk
     report = partitioned_scan(400_000, 2, checkpoint=ckpt)
     assert report.aborted
     assert "OSError: injected checkpoint failure" in report.details["error"]
@@ -322,8 +323,8 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
     # count must survive the checkpoint (the real stragglers cost seconds)
     monkeypatch.setattr(sweeps, "_scan_chunk", _first_pair_falls_back)
     monkeypatch.setattr(sweeps, "CHUNK", 20_000)
-    kwargs = dict(campaign="corollaries")
-    fresh = partitioned_scan(60_000, 1, **kwargs)
+    monkeypatch.setattr(verify_mod, "CHECKPOINT_SPAN", 20_000)  # a write per chunk
+    fresh = partitioned_scan(60_000, 1)
     assert fresh.details["fallback_pairs"] == 3
 
     # abort after the first chunk, leaving a checkpoint behind
@@ -336,7 +337,7 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
         return _first_pair_falls_back(args)
 
     monkeypatch.setattr(sweeps, "_scan_chunk", flaky)
-    partial = partitioned_scan(60_000, 1, checkpoint=ckpt, **kwargs)
+    partial = partitioned_scan(60_000, 1, checkpoint=ckpt)
     assert partial.aborted
     assert os.path.exists(ckpt)
 
@@ -346,7 +347,7 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
 
     started.clear()
     monkeypatch.setattr(sweeps, "_scan_chunk", recorded)
-    resumed = partitioned_scan(60_000, 1, checkpoint=ckpt, **kwargs)
+    resumed = partitioned_scan(60_000, 1, checkpoint=ckpt)
     assert started == [20_003, 40_003]  # the first chunk came from the checkpoint
     assert not resumed.aborted
     assert resumed.details == fresh.details
@@ -378,10 +379,26 @@ def test_checkpoint_param_mismatch_is_ignored(tmp_path, monkeypatch):
     assert report.pairs_examined == partial_params_scan.pairs_examined
 
 
+def test_report_1e6_pinned():
+    # every claim's figures at 10^6, as one report states them
+    report = partitioned_scan(10**6, 2)
+    assert report.verified and report.pairs_examined == 8169  # pi_2(10^6), A007508
+    assert report.m_value_histogram == {0: 115, 3: 5515, 5: 1741, 7: 608, 9: 17,
+                                        11: 135, 13: 29, 15: 3, 17: 6}
+    d = report.details
+    assert d["c_count"] == 115 and d["c_mod10_eq_1"] == [11, 165701]
+    assert d["first_occurrence"] == {0: 3, 3: 137, 5: 107, 7: 191, 9: 41, 11: 71,
+                                     13: 5, 15: 149, 17: 30089}
+    assert d["observed_m_values"] == sorted(ALLOWED_M_VALUES)
+    assert (d["count_m17"], d["count_m15"]) == (6, 3)
+    assert d["count_m17_outside_mod30_29"] == d["count_m15_outside_mod30_29"] == 0
+    assert d["min_max_diff_excluding_p3"] == 6
+
+
 def test_report_serialization(tmp_path):
-    report = partitioned_scan(2_000, campaign="theorem1")
+    report = partitioned_scan(2_000)
     text = report.to_text()
-    assert "campaign: theorem1" in text
+    assert text.startswith("campaign: claims\n")
     assert "counterexamples: 0" in text
     assert "m_histogram: 0:" in text
     path = tmp_path / "report.txt"
@@ -392,29 +409,27 @@ def test_report_serialization(tmp_path):
 PLANT_LIMIT = 2_200_000  # three default-size chunks; plants sit in the first and third
 
 
-PLANTED = pytest.mark.parametrize("campaign, plants, expected", [
-    ("theorem1",
-     [("predicted", 500_111, None), ("predicted", 514_637, None),
-      ("predicted", 2_097_257, None)],
-     "classifier"),
-    ("theorem2", [("m", 500_177, 4), ("m", 2_097_287, 4)],
-     "m in {0,3,5,7,9,11,13,15,17}"),
+_M_SET = "m in {0,3,5,7,9,11,13,15,17}"
+PLANTS = {
+    "classifier": [("predicted", 500_111, None), ("predicted", 514_637, None),
+                   ("predicted", 2_097_257, None)],
+    _M_SET: [("m", 500_177, 4), ("m", 2_097_287, 4)],
     # both lessers are 30t+29 with m = 3
-    ("corollaries", [("cor17", 500_909, None), ("cor15", 2_097_449, None)],
-     "pattern"),
-    ("corollaries", [("max_diff", 500_231, 4), ("max_diff", 2_097_479, 4)],
-     "max_diff >= 6"),
+    "pattern": [("cor17", 500_909, None), ("cor15", 2_097_449, None)],
+    "max_diff >= 6": [("max_diff", 500_231, 4), ("max_diff", 2_097_479, 4)],
+}
+PLANTED = pytest.mark.parametrize("plants, expected", [
+    (plants, expected) for expected, plants in PLANTS.items()
 ], ids=["t1-predicted", "t2-m", "cor-pattern", "cor-max-diff"])
 
 
 @PLANTED
-def test_planted_counterexamples(monkeypatch, campaign, plants, expected):
+def test_planted_counterexamples(monkeypatch, plants, expected):
     from twinconst.hseq import h_sequence
 
     monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
     monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
-    reports = [partitioned_scan(PLANT_LIMIT, workers, campaign=campaign)
-               for workers in (1, 2)]
+    reports = [partitioned_scan(PLANT_LIMIT, workers) for workers in (1, 2)]
     planted = sorted(p for _, p, _ in plants)
     for report in reports:
         assert not report.verified
@@ -440,7 +455,7 @@ def test_planted_counterexamples(monkeypatch, campaign, plants, expected):
             assert report.details["min_max_diff_excluding_p3"] == 4
         else:
             assert len(with_p) == len(report.counterexamples)
-        if campaign == "theorem2":
+        if expected == _M_SET:
             assert report.details["first_occurrence"][4] == planted[0]
         # the report file: the text, then one line per counterexample
         lines = _report_lines(report)
@@ -448,17 +463,16 @@ def test_planted_counterexamples(monkeypatch, campaign, plants, expected):
         assert lines[: len(text)] == text
         assert [line.partition("\t") for line in lines[len(text):]] == [
             ("counterexample", "\t", json.dumps(ce)) for ce in report.counterexamples]
-    # fold order may interleave the kinds of counterexample across chunks
-    assert sorted(_report_lines(reports[0])) == sorted(_report_lines(reports[1]))
+    assert _report_lines(reports[0]) == _report_lines(reports[1])
 
 
 @PLANTED
-def test_resumed_campaign_matches_uninterrupted(tmp_path, monkeypatch, campaign, plants,
-                                                expected):
+def test_resumed_campaign_matches_uninterrupted(tmp_path, monkeypatch, plants, expected):
     ckpt = str(tmp_path / "campaign.ckpt")
     monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
     monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
-    fresh = partitioned_scan(PLANT_LIMIT, campaign=campaign)
+    monkeypatch.setattr(verify_mod, "CHECKPOINT_SPAN", sweeps.CHUNK)  # a write per chunk
+    fresh = partitioned_scan(PLANT_LIMIT)
     started = []
 
     def abort_third(args):
@@ -468,19 +482,80 @@ def test_resumed_campaign_matches_uninterrupted(tmp_path, monkeypatch, campaign,
         return _planted_chunk(args)
 
     monkeypatch.setattr(sweeps, "_scan_chunk", abort_third)
-    partial = partitioned_scan(PLANT_LIMIT, checkpoint=ckpt, campaign=campaign)
+    partial = partitioned_scan(PLANT_LIMIT, checkpoint=ckpt)
     assert partial.aborted and os.path.exists(ckpt)
     started.clear()
-    resumed = partitioned_scan(PLANT_LIMIT, checkpoint=ckpt, campaign=campaign)
+    resumed = partitioned_scan(PLANT_LIMIT, checkpoint=ckpt)
     assert started == [2 * sweeps.CHUNK + 3]  # two chunks came from the checkpoint
     assert _report_lines(resumed) == _report_lines(fresh)
     assert resumed.counterexamples == fresh.counterexamples
     # JSON keys are strings; the int-keyed maps come back with int keys
-    maps = [resumed.m_value_histogram, resumed.residue_counts]
-    if campaign == "theorem2":
-        maps.append(resumed.details["first_occurrence"])
+    maps = [resumed.m_value_histogram, resumed.residue_counts,
+            resumed.details["first_occurrence"]]
     for counts in maps:
         assert counts and all(type(k) is int for k in counts)
+    assert not os.path.exists(ckpt)
+
+
+def test_one_sweep_reports_every_kind_of_planted_counterexample(monkeypatch):
+    plants = [plant for kind in PLANTS.values() for plant in kind]
+    monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
+    report = partitioned_scan(PLANT_LIMIT, 2)
+    assert not report.verified
+    with_p = [ce for ce in report.counterexamples if "p" in ce]
+    assert sorted(ce["p"] for ce in with_p) == sorted(p for _, p, _ in plants)
+    assert report.counterexamples[0] == {
+        "expected": "max_diff 4 exactly at p=3",
+        "observed": [3] + [p for _, p, _ in PLANTS["max_diff >= 6"]]}
+    assert len(report.counterexamples) == len(with_p) + 1
+
+
+def test_checkpoint_cadence_and_resume_between_writes(tmp_path, monkeypatch):
+    ckpt = str(tmp_path / "scan.ckpt")
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    monkeypatch.setattr(verify_mod, "CHECKPOINT_SPAN", 25_000)
+    fresh = partitioned_scan(100_000, 1)
+    writes = []
+    real_save = verify_mod._save_checkpoint
+
+    def recorded_save(path, params, next_lo, state):
+        writes.append(next_lo)
+        real_save(path, params, next_lo, state)
+
+    monkeypatch.setattr(verify_mod, "_save_checkpoint", recorded_save)
+    # chunks end at 10_002, 20_002, ...: a write once 25_000 values have
+    # passed since the last, and none for the last chunk, whose clean
+    # finish removes the checkpoint
+    assert _report_lines(partitioned_scan(100_000, 1, checkpoint=ckpt)) == _report_lines(fresh)
+    assert writes == [30_003, 60_003, 90_003]
+    assert not os.path.exists(ckpt)
+
+    # abort in the fifth chunk, after the first write and before the second
+    writes.clear()
+
+    def abort_fifth(args):
+        if args[0] == 40_003:
+            raise RuntimeError("boom")
+        return _real_scan_chunk(args)
+
+    monkeypatch.setattr(sweeps, "_scan_chunk", abort_fifth)
+    partial = partitioned_scan(100_000, 1, checkpoint=ckpt)
+    assert partial.aborted and partial.details["completed_hi"] == 40_002
+    assert writes == [30_003]
+    started = []
+
+    def recorded(args):
+        started.append(args[0])
+        return _real_scan_chunk(args)
+
+    monkeypatch.setattr(sweeps, "_scan_chunk", recorded)
+    writes.clear()
+    resumed = partitioned_scan(100_000, 1, checkpoint=ckpt)
+    assert started == list(range(30_003, 100_000, 10_000))
+    # the span counts from the resumed write: 60_002 is 30_000 values past it
+    assert writes == [60_003, 90_003]
+    assert _report_lines(resumed) == _report_lines(fresh)
     assert not os.path.exists(ckpt)
 
 
@@ -504,7 +579,7 @@ def _contents(path):
 @pytest.mark.parametrize("write", [
     lambda path: path.write_bytes(b"\x00\xffnot a checkpoint\n"),
     lambda path: path.write_text("[1, 2, 3]"),
-    lambda path: path.write_text('{"version": 3}'),
+    lambda path: path.write_text(json.dumps({"version": verify_mod.CHECKPOINT_VERSION})),
     _v2_npz_checkpoint,
     _directory,
 ], ids=["garbage", "json-list", "json-without-params", "v2-npz", "directory"])
@@ -545,7 +620,7 @@ def test_unwritable_checkpoint_is_rejected_before_any_sieving(tmp_path, capsys, 
     assert not report.exists() and not ckpt.parent.exists()
 
 
-_T1_PARAMS = {"limit": 30_000, "campaign": "theorem1"}
+_PARAMS = {"limit": 30_000}
 _STATE = {"pairs_examined": 10**6, "counterexamples": [], "m_value_histogram": {},
           "residue_counts": {}, "details": {}}
 
@@ -553,47 +628,72 @@ _STATE = {"pairs_examined": 10**6, "counterexamples": [], "m_value_histogram": {
 def test_checkpoint_of_another_version_is_ignored(tmp_path, monkeypatch):
     monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     ckpt = tmp_path / "scan.ckpt"
-    fresh = partitioned_scan(30_000, 1, campaign="theorem1")
-    ckpt.write_text(json.dumps({"version": 2, "params": _T1_PARAMS, "next_lo": 20_003,
-                                "state": _STATE}))
-    report = partitioned_scan(30_000, 1, checkpoint=str(ckpt), campaign="theorem1")
-    assert _report_lines(report) == _report_lines(fresh)
-    assert not ckpt.exists()
+    fresh = partitioned_scan(30_000, 1)
+    for version in (2, verify_mod.CHECKPOINT_VERSION - 1):
+        ckpt.write_text(json.dumps({"version": version, "params": _PARAMS,
+                                    "next_lo": 20_003, "state": _STATE}))
+        report = partitioned_scan(30_000, 1, checkpoint=str(ckpt))
+        assert _report_lines(report) == _report_lines(fresh), version
+        assert not ckpt.exists()
 
 
 def test_checkpoint_with_sweep_options_in_params_is_ignored(tmp_path, monkeypatch):
-    # params once also held the sweep options, which the campaign now implies,
-    # and the chunk, which is now the constant sweeps.CHUNK
+    # params once also held the campaign and its sweep options, which one
+    # campaign of every claim now implies, and the chunk, which is now the
+    # constant sweeps.CHUNK
     monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     ckpt = tmp_path / "scan.ckpt"
-    fresh = partitioned_scan(30_000, 1, campaign="theorem1")
-    old = {**_T1_PARAMS, "chunk": 10_000}
+    fresh = partitioned_scan(30_000, 1)
+    old = {**_PARAMS, "campaign": "theorem1", "chunk": 10_000}
     for params in ({**old, "predict": True, "corollary_check": False}, old):
-        ckpt.write_text(json.dumps({"version": 3, "params": params, "next_lo": 20_003,
-                                    "state": _STATE}))
-        report = partitioned_scan(30_000, 1, checkpoint=str(ckpt), campaign="theorem1")
+        ckpt.write_text(json.dumps({"version": verify_mod.CHECKPOINT_VERSION,
+                                    "params": params, "next_lo": 20_003, "state": _STATE}))
+        report = partitioned_scan(30_000, 1, checkpoint=str(ckpt))
         assert _report_lines(report) == _report_lines(fresh), params
         assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("campaign", ["theorem1", "theorem2", "corollaries", "scan"])
+def test_checkpoint_of_one_claim_campaign_is_ignored(tmp_path, monkeypatch, campaign):
+    # a version 3 checkpoint named its campaign in params and held only that
+    # campaign's details: the whole range is scanned again
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    ckpt = tmp_path / "scan.ckpt"
+    fresh = partitioned_scan(30_000, 1)
+    state = {**_STATE, "details": {"fallback_pairs": 0}}
+    ckpt.write_text(json.dumps({"version": 3, "params": {**_PARAMS, "campaign": campaign},
+                                "next_lo": 20_003, "state": state}))
+    started = []
+
+    def recorded(args):
+        started.append(args[0])
+        return _real_scan_chunk(args)
+
+    monkeypatch.setattr(sweeps, "_scan_chunk", recorded)
+    report = partitioned_scan(30_000, 1, checkpoint=str(ckpt))
+    assert started == [3, 10_003, 20_003]
+    assert _report_lines(report) == _report_lines(fresh)
+    assert not ckpt.exists()
 
 
 def test_checkpoint_without_report_state_is_rejected(tmp_path, monkeypatch):
     monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     ckpt = tmp_path / "scan.ckpt"
     state = {k: v for k, v in _STATE.items() if k != "details"}
-    ckpt.write_text(json.dumps({"version": 3, "params": _T1_PARAMS, "next_lo": 20_003,
-                                "state": state}))
+    ckpt.write_text(json.dumps({"version": verify_mod.CHECKPOINT_VERSION,
+                                "params": _PARAMS, "next_lo": 20_003, "state": state}))
     with pytest.raises(ValueError, match="not a JSON checkpoint"):
-        partitioned_scan(30_000, 1, checkpoint=str(ckpt), campaign="theorem1")
+        partitioned_scan(30_000, 1, checkpoint=str(ckpt))
 
 
 def test_planted_m_outside_mod30_29_is_counted_not_reported(monkeypatch):
     # the corollaries' equivalences are stated for 30t+29 lessers only
     plants = [("m", 500_111, 17), ("m", 2_097_257, 15)]  # lessers 30t+11 and 30t+17
     assert [p % 30 for _, p, _ in plants] == [11, 17]
-    fresh = partitioned_scan(PLANT_LIMIT, campaign="corollaries")
+    fresh = partitioned_scan(PLANT_LIMIT)
     monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
     monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
-    report = partitioned_scan(PLANT_LIMIT, campaign="corollaries")
+    report = partitioned_scan(PLANT_LIMIT)
     assert report.verified
     for m_val in (17, 15):
         assert report.details[f"count_m{m_val}"] == fresh.details[f"count_m{m_val}"] + 1
