@@ -8,8 +8,6 @@ from .constellations import (
     corollary_patterns,
     matches_pattern,
     predicts_near,
-    scan_c_sequence,
-    scan_m_sequence,
 )
 from .hseq import (
     HTrace,
@@ -29,6 +27,7 @@ from .primes import (
     sieve_segment,
     twin_lessers,
 )
+from .sweeps import scan_c_sequence, scan_m_sequence
 from .verify import (
     CampaignReport,
     partitioned_scan,

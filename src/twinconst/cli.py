@@ -10,10 +10,11 @@ import argparse
 import os
 import sys
 
-from . import constellations, primes, verify
+from . import primes, verify
 from .bfile import SequenceRecord, get_fixture
-from .hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, h_sequence
-from .sweeps import UNMERGED, pair_report, prime_pair_merges, walk_pairs
+from .hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, check_walk, h_sequence
+from .sweeps import (merge_walks, pair_report, prime_pair_merges, scan_c_sequence,
+                     scan_m_sequence)
 # unused here; perfbench/child.py traces the name cli.scan_twin_range
 from .sweeps import scan_twin_range  # noqa: F401
 
@@ -82,53 +83,44 @@ def _merge_sequence_terms(count: int, bound: int):
 def _maxdiff_terms(count: int, bound: int = DEFAULT_BOUND):
     """Max differences of the first count twin pairs over indices 2..bound
     (exact for a pair that merges within bound), and whether any did not;
-    one walk_pairs call takes every pair to its merge or to bound."""
+    a bound below 2 is refused before the twin pairs are sieved."""
+    check_walk(DEFAULT_THRESHOLD, bound)
     ps = primes.first_twin_lessers(count)
-    _, max_diff, _, merge_n = walk_pairs([p + 2 for p in ps], ps, DEFAULT_THRESHOLD, False, bound)
-    return tuple(int(d) for d in max_diff), bool((merge_n == UNMERGED).any())
+    reports = merge_walks([p + 2 for p in ps], ps, bound)
+    return tuple(r.max_diff for r in reports), not all(r.merged for r in reports)
 
 
 def _cmd_scan(args) -> int:
-    fmt = args.format
-    if args.kind == "c":
-        if args.limit is None:
-            print("error: scan c requires --limit", file=sys.stderr)
-            return EXIT_ARG
-        try:
-            terms = constellations.scan_c_sequence(args.limit, workers=args.workers)
-        except ValueError as exc:  # a limit past the sweep's range
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ARG
-        _print_record(SequenceRecord("c-sequence", 1, tuple(terms)), fmt)
-        return EXIT_OK
-    if args.count is None:
+    if args.kind == "c" and args.limit is None:
+        print("error: scan c requires --limit", file=sys.stderr)
+        return EXIT_ARG
+    if args.kind != "c" and args.count is None:
         print(f"error: scan {args.kind} requires --count", file=sys.stderr)
         return EXIT_ARG
-    if args.count < 1:
+    if args.kind != "c" and args.count < 1:
         print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
         return EXIT_ARG
-    if args.kind == "m":
-        terms = constellations.scan_m_sequence(args.count, workers=args.workers)
-        _print_record(SequenceRecord("m-sequence", 1, tuple(terms)), fmt)
-        return EXIT_OK
-    if args.bound < 2:  # maxdiff and merge walk to the bound
-        print(f"error: bound must be >= 2, got {args.bound}", file=sys.stderr)
+    unmerged = False  # only maxdiff and merge walk pairs to a bound
+    try:  # a sweep limit past the range, or a walk bound below 2
+        if args.kind == "c":
+            name, terms = "c-sequence", scan_c_sequence(args.limit, workers=args.workers)
+        elif args.kind == "m":
+            name, terms = "m-sequence", scan_m_sequence(args.count, workers=args.workers)
+        elif args.kind == "maxdiff":
+            name, note = "max-diffs", "their terms are lower bounds"
+            terms, unmerged = _maxdiff_terms(args.count, args.bound)
+        else:  # merge: the positions of the pairs that merge within the bound
+            name, note = "merge-positions", "partial output"
+            merges = _merge_sequence_terms(args.count, args.bound)
+            terms = [t for t in merges if t is not None]
+            unmerged = len(terms) < len(merges)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARG
-    if args.kind == "maxdiff":
-        terms, unmerged = _maxdiff_terms(args.count, args.bound)
-        _print_record(SequenceRecord("max-diffs", 1, terms), fmt)
-        if unmerged:
-            print(f"warning: some pairs did not merge within bound {args.bound}; "
-                  "their terms are lower bounds", file=sys.stderr)
-            return EXIT_BOUND
-        return EXIT_OK
-    # kind == "merge"
-    terms = _merge_sequence_terms(args.count, args.bound)
-    shown = tuple(t for t in terms if t is not None)
-    _print_record(SequenceRecord("merge-positions", 1, shown), fmt)
-    if len(shown) < len(terms):
-        print(f"warning: some pairs did not merge within bound {args.bound}; "
-              "partial output", file=sys.stderr)
+    _print_record(SequenceRecord(name, 1, tuple(terms)), args.format)
+    if unmerged:
+        print(f"warning: some pairs did not merge within bound {args.bound}; {note}",
+              file=sys.stderr)
         return EXIT_BOUND
     return EXIT_OK
 
@@ -171,9 +163,9 @@ def _recompute_fixture(fixture: SequenceRecord) -> tuple[int, ...]:
     if fixture.name == "max-diffs":
         return _maxdiff_terms(count)[0]
     if fixture.name == "c-sequence":
-        return tuple(constellations.scan_c_sequence(max(fixture.terms)))
+        return tuple(scan_c_sequence(max(fixture.terms)))
     # m-sequence
-    return tuple(constellations.scan_m_sequence(count))
+    return tuple(scan_m_sequence(count))
 
 
 def _cmd_compare(args) -> int:

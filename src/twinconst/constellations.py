@@ -3,7 +3,8 @@
 A twin lesser p is "near" when the traces started at p and p+2 never drift
 more than 6 apart. Simulation (hseq.pair_trace) is the ground truth; the
 pattern classifier here predicts the same answer from a constellation test
-and is verified against simulation by the sweep. A constellation is a
+and is verified against simulation by the sweeps of sweeps.py, which this
+module does not import. A constellation is a
 GapPattern: a prime/composite word over the even offsets 0..span from its
 base, read by matches_pattern one value at a time and by
 kernels.match_offsets_bulk from the gap words (kernels.gap_words) of a
@@ -12,7 +13,6 @@ sweep's twin pairs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
@@ -140,27 +140,3 @@ def predict_near_bulk(words: np.ndarray, ps: np.ndarray) -> np.ndarray:
     out[ps == 3] = True
     out[ps == 5] = False
     return out
-
-
-def scan_c_sequence(limit: int, workers: int = 1) -> list[int]:
-    """Twin lessers p <= limit with simulated max difference <= 6, ascending."""
-    from .sweeps import scan_twin_range
-
-    terms: list[int] = []
-    scan_twin_range(3, limit, workers=workers,
-                    on_chunk=lambda part: terms.extend(part.ps[part.near].tolist()))
-    return terms
-
-
-def scan_m_sequence(count: int, workers: int = 1) -> list[int]:
-    """First-excess indices for the first count twin pairs (0 = never exceeds)."""
-    from .sweeps import scan_twin_range
-
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    # the count-th twin lesser ends the sweep; no list of the lessers is kept
-    last = next(itertools.islice(primes.twin_lessers(primes.STEP_HEADROOM), count - 1, None))
-    terms: list[int] = []
-    scan_twin_range(3, last, workers=workers,
-                    on_chunk=lambda part: terms.extend(part.m.tolist()))
-    return terms

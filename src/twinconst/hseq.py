@@ -97,16 +97,21 @@ def _stream_pair(a: int, b: int, bound: int):
         yield n, va, vb
 
 
-def check_pair(a: int, b: int, threshold: int, bound: int) -> None:
-    """Raise ValueError unless a > b are odd primes, threshold >= 1 and bound >= 2."""
-    _require_prime_start(a)
-    _require_prime_start(b)
-    if a <= b:
-        raise ValueError(f"require a > b, got a={a} b={b}")
+def check_walk(threshold: int, bound: int) -> None:
+    """Raise ValueError unless threshold >= 1 and bound >= 2."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
+
+
+def check_pair(a: int, b: int, threshold: int, bound: int) -> None:
+    """Raise ValueError unless a > b are odd primes and check_walk passes."""
+    _require_prime_start(a)
+    _require_prime_start(b)
+    if a <= b:
+        raise ValueError(f"require a > b, got a={a} b={b}")
+    check_walk(threshold, bound)
 
 
 def pair_trace(
@@ -120,8 +125,8 @@ def pair_trace(
     When the pair does not merge within bound, max_diff and first_excess are
     lower-bound observations over the scanned prefix. This pure-Python walk,
     one Miller-Rabin step per trace and index, is the reference oracle;
-    sweeps.pair_report gives the same report from the rank-space walker, and
-    no sweep or command steps a trace through here.
+    sweeps.merge_walks gives the same report for many pairs at once from the
+    rank-space walker, and no sweep or command steps a trace through here.
     """
     check_pair(a, b, threshold, bound)
     max_diff = -1

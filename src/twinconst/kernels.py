@@ -5,8 +5,8 @@ index at a time, and stops each pair at its merge or its first excess: at
 index n all pairs take the same kind of step (to the next prime or the next
 composite), so each index costs a few array operations over the pairs still
 walking. walk_pairs takes the pairs it gives up on, and every run-to-merge
-walk (trace, scan maxdiff, scan merge, verify conj1), to their merge or a
-bound in rank space, one prime index at a time, in one process; it reads the
+walk (sweeps.merge_walks), to their merge or a bound in rank space, one
+prime index at a time, in one process; it reads the
 differences at the prime indices and expands a composite run to its indices
 only where the run can raise a pair's max. A block of its steps with at most
 _FEW_TRACES traces (the few stragglers a long walk ends with) steps each trace

@@ -188,8 +188,6 @@ def next_prime(x: int) -> int:
         return 2
     c = x + 1
     if c % 2 == 0:
-        if c == 2:
-            return 2
         c += 1
     while not is_prime(c):
         c += 2

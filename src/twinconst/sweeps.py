@@ -9,15 +9,17 @@ together and stops each at its merge or its first excess; a pair that
 outruns the kernel's bitmap or its index table is walked again in rank space
 by kernels.walk_pairs, on windows it sieves as the traces advance, up to
 DEFAULT_BOUND. Chunk results are merged in ascending range order, so reports
-do not depend on worker count. Run-to-merge statistics come from the walker
-alone, in one process: pair_report puts single pairs (twinconst trace)
-through it, and _adjacent_merges the pairs of consecutive odd primes (verify
-conj1), whose merges decide those of all pairs of small prime starts
-(prime_pair_merges, behind scan merge).
+do not depend on worker count; the c and m sequences are read off them.
+Run-to-merge statistics come from one walk_pairs call in merge_walks, as
+hseq.pair_trace's reports: of single pairs for pair_report (twinconst trace),
+of twin pairs for scan maxdiff, and of the pairs of consecutive odd primes
+for _adjacent_merges (verify conj1), whose merges decide those of all pairs
+of small prime starts (prime_pair_merges, behind scan merge).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, fields, replace
@@ -33,6 +35,7 @@ from .hseq import (
     NotMergedWithin,
     PairReport,
     check_pair,
+    check_walk,
     pair_trace,  # noqa: F401  (unused here; perfbench/child.py wraps sweeps.pair_trace)
 )
 from .kernels import UNMERGED, gap_words, match_offsets_bulk, pair_stats_kernel, walk_pairs
@@ -156,6 +159,20 @@ def _scan_chunk(args) -> TwinScanResult:
     )
 
 
+def merge_walks(a, b, bound: int = DEFAULT_BOUND,
+                threshold: int = DEFAULT_THRESHOLD) -> list[PairReport]:
+    """hseq.pair_trace's report for each pair of odd prime starts a[i] > b[i],
+    from one walk_pairs call that takes every pair to its merge or to bound;
+    raises check_walk's ValueError before any trace is stepped."""
+    check_walk(threshold, bound)
+    past = NotMergedWithin(bound)
+    cols = (col.tolist() for col in walk_pairs(a, b, threshold, False, bound))
+    return [PairReport(a=int(x), b=int(y), threshold=threshold, bound=bound,
+                       merge_index=past if n == UNMERGED else n, max_diff=d,
+                       max_diff_first_index=d_n, first_excess=m)
+            for x, y, m, d, d_n, n in zip(a, b, *cols)]
+
+
 def pair_report(
     a: int,
     b: int,
@@ -163,32 +180,21 @@ def pair_report(
     bound: int = DEFAULT_BOUND,
 ) -> PairReport:
     """hseq.pair_trace's report for the traces started at a > b, from
-    kernels.walk_pairs; raises the same ValueError for the same arguments."""
+    merge_walks; raises the same ValueError for the same arguments."""
     check_pair(a, b, threshold, bound)
-    m, maxd, maxd_n, merge = (int(x[0]) for x in walk_pairs([a], [b], threshold, False, bound))
-    return PairReport(
-        a=a,
-        b=b,
-        threshold=threshold,
-        bound=bound,
-        merge_index=NotMergedWithin(bound) if merge == UNMERGED else merge,
-        max_diff=maxd,
-        max_diff_first_index=maxd_n,
-        first_excess=m,
-    )
+    return merge_walks([a], [b], bound, threshold)[0]
 
 
 def _adjacent_merges(k: int, bound: int) -> list[tuple]:
     """(a, b, merge index or None past bound) for the k - 1 pairs of
-    consecutive primes b < a among the first k odd primes, in one walk_pairs
-    call."""
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
+    consecutive primes b < a among the first k odd primes, from merge_walks;
+    a bound below 2 is refused before the primes are listed."""
+    check_walk(DEFAULT_THRESHOLD, bound)
     if k < 2:
         return []
     ps = primes.consecutive_primes_from(3, k)
-    merges = walk_pairs(ps[1:], ps[:-1], DEFAULT_THRESHOLD, False, bound)[3].tolist()
-    return [(a, b, None if n == UNMERGED else n) for a, b, n in zip(ps[1:], ps, merges)]
+    return [(r.a, r.b, r.merge_index if r.merged else None)
+            for r in merge_walks(ps[1:], ps[:-1], bound)]
 
 
 def prime_pair_merges(count: int, bound: int = DEFAULT_BOUND) -> list[tuple]:
@@ -196,7 +202,7 @@ def prime_pair_merges(count: int, bound: int = DEFAULT_BOUND) -> list[tuple]:
     primes b < a, in the order (5, 3), (7, 3), (7, 5), (11, 3), ..., so the
     pairs among the first k odd primes come first.
 
-    Only the k - 1 adjacent pairs take the walker, in one walk_pairs call.
+    Only the k - 1 adjacent pairs take the walker, in one merge_walks call.
     Traces a > b never cross and stay equal once they meet, so for odd
     primes s_i < s_l < s_j the traces of s_j and s_i meet exactly when both
     adjacent pairs between them have: the merge index of (s_j, s_i) is the
@@ -283,3 +289,23 @@ def scan_twin_range(
             if executor is None:
                 pool.shutdown()
     return TwinScanResult.concat(parts) if on_chunk is None else None
+
+
+def scan_c_sequence(limit: int, workers: int = 1) -> list[int]:
+    """Twin lessers p <= limit with simulated max difference <= 6, ascending."""
+    terms: list[int] = []
+    scan_twin_range(3, limit, workers=workers,
+                    on_chunk=lambda part: terms.extend(part.ps[part.near].tolist()))
+    return terms
+
+
+def scan_m_sequence(count: int, workers: int = 1) -> list[int]:
+    """First-excess indices for the first count twin pairs (0 = never exceeds)."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    # the count-th twin lesser ends the sweep; no list of the lessers is kept
+    last = next(itertools.islice(primes.twin_lessers(primes.STEP_HEADROOM), count - 1, None))
+    terms: list[int] = []
+    scan_twin_range(3, last, workers=workers,
+                    on_chunk=lambda part: terms.extend(part.m.tolist()))
+    return terms

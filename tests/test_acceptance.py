@@ -11,8 +11,8 @@ import pytest
 import prop_checks
 from twinconst import partitioned_scan
 from twinconst.cli import _maxdiff_terms, _merge_sequence_terms
-from twinconst.constellations import scan_c_sequence, scan_m_sequence
 from twinconst.hseq import h_sequence, pair_trace
+from twinconst.sweeps import scan_c_sequence, scan_m_sequence
 from twinconst.verify import ALLOWED_M_VALUES
 
 MERGE_PREFIX = [11, 47, 47, 47, 47, 11, 47, 47, 17, 17, 683, 683, 683, 683, 683]

@@ -226,13 +226,14 @@ def test_verify_conj1_bound_exhausted(tmp_path, capsys):
 
 @pytest.mark.parametrize("target", ["t1", "conj1"])
 def test_verify_unwritable_report_exits_before_the_scan(capsys, tmp_path, monkeypatch, target):
+    import twinconst.sweeps as sweeps
     import twinconst.verify as verify
 
     def no_scan(*args, **kwargs):
         raise AssertionError("the campaign ran")
 
     monkeypatch.setattr(verify, "partitioned_scan", no_scan)
-    monkeypatch.setattr(verify, "_adjacent_merges", no_scan)
+    monkeypatch.setattr(sweeps, "merge_walks", no_scan)  # conj1's walk
     for report in (tmp_path / "missing" / "x.report", tmp_path):
         code, out, err = run(capsys, "verify", target, "--limit", "1000",
                              "--report", str(report))

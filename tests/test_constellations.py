@@ -12,11 +12,10 @@ from twinconst.constellations import (
     matches_pattern,
     predict_near_bulk,
     predicts_near,
-    scan_c_sequence,
-    scan_m_sequence,
 )
 from twinconst.hseq import pair_trace
 from twinconst.kernels import gap_words, match_offsets_bulk
+from twinconst.sweeps import scan_c_sequence, scan_m_sequence
 
 PRODUCTION_PATTERNS = [*NEAR_PATTERNS.values(), *corollary_patterns(17),
                        *corollary_patterns(15)]

@@ -1,6 +1,7 @@
 """The lockstep pair kernel and the rank-space walker against the point-query
-oracle hseq.pair_trace, through scan_twin_range, cli._maxdiff_terms,
-sweeps.pair_report, sweeps.prime_pair_merges and kernels.walk_pairs."""
+oracle hseq.pair_trace, through scan_twin_range, sweeps.merge_walks and its
+consumers (cli._maxdiff_terms, sweeps.pair_report, sweeps.prime_pair_merges,
+verify.probe_conjecture1) and kernels.walk_pairs."""
 
 import math
 from dataclasses import fields
@@ -18,7 +19,9 @@ from twinconst.constellations import MAX_SPAN
 from twinconst.hseq import (DEFAULT_BOUND, DEFAULT_THRESHOLD, NotMergedWithin, h_sequence,
                             pair_trace)
 from twinconst.kernels import UNMERGED, pair_stats_kernel, walk_pairs
-from twinconst.sweeps import TwinScanResult, pair_report, prime_pair_merges, scan_twin_range
+from twinconst.sweeps import (TwinScanResult, merge_walks, pair_report, prime_pair_merges,
+                               scan_twin_range)
+from twinconst.verify import probe_conjecture1
 
 
 def _assert_matches_oracle(result):
@@ -87,15 +90,15 @@ def walk_block(request, monkeypatch):
 def test_run_to_merge_below_1e4_matches_oracle():
     # scan maxdiff walks the 205 twin pairs below 10^4 to their merges with
     # the walker, the stragglers 3467 and 6701 (merges at 841793 and 503819)
-    # among them; the oracle checks them like every other pair
+    # among them; the oracle checks every field of every pair's report
     ps = list(primes.twin_lessers(10**4))
     assert len(ps) == 205 and {3467, 6701} < set(ps)
-    terms, unmerged = _maxdiff_terms(205)
-    assert not unmerged and len(terms) == 205
-    reps = {p: pair_trace(p + 2, p, DEFAULT_THRESHOLD, DEFAULT_BOUND) for p in ps}
-    for p, term in zip(ps, terms):
-        assert reps[p].merged and term == reps[p].max_diff, p
-    assert [reps[p].merge_index for p in (3467, 6701)] == [841793, 503819]
+    reports = merge_walks([p + 2 for p in ps], ps)
+    for p, rep in zip(ps, reports):
+        assert rep == pair_trace(p + 2, p, 6, 10**6), p
+    assert all(rep.merged for rep in reports)
+    assert [rep.merge_index for rep in reports if rep.b in (3467, 6701)] == [841793, 503819]
+    assert _maxdiff_terms(205) == (tuple(rep.max_diff for rep in reports), False)
 
 
 def test_stop_on_excess_near_1e12_matches_oracle():
@@ -281,6 +284,21 @@ def test_prime_pair_merges_edge_arguments():
     assert prime_pair_merges(1, 2) == [(5, 3, None)]
     with pytest.raises(ValueError, match="bound must be >= 2"):
         prime_pair_merges(3, 1)
+
+
+@pytest.mark.parametrize("walk", [
+    lambda: _maxdiff_terms(5, 1), lambda: prime_pair_merges(3, 1),
+    lambda: probe_conjecture1(3, 1), lambda: pair_report(7, 5, 6, 1)],
+    ids=["maxdiff", "merge", "conj1", "trace"])
+def test_bound_below_2_is_refused_before_any_sieving_or_walking(walk, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("sieved or walked before the bound was checked")
+
+    monkeypatch.setattr(primes, "sieve_segment", refused)
+    monkeypatch.setattr(sweeps, "walk_pairs", refused)
+    with pytest.raises(ValueError) as exc:
+        walk()
+    assert str(exc.value) == "bound must be >= 2, got 1"
 
 
 @pytest.mark.parametrize("window", [64, 1024])
