@@ -19,26 +19,6 @@ class SequenceRecord:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_bfile(text: str, name: str = "parsed") -> SequenceRecord:
-    """Parse b-file text; blank lines and '#' comments are ignored."""
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'index value', got {raw!r}")
-        pairs.append((int(fields[0]), int(fields[1])))
-    if not pairs:
-        return SequenceRecord(name=name, offset=0, terms=())
-    offset = pairs[0][0]
-    for i, (idx, _) in enumerate(pairs):
-        if idx != offset + i:
-            raise ValueError(f"non-contiguous index {idx} (expected {offset + i})")
-    return SequenceRecord(name=name, offset=offset, terms=tuple(v for _, v in pairs))
-
-
 # Published prefixes used by the `compare` command and regression tests.
 # Merge positions for pairs (a, b) over the first odd primes, grouped by a:
 # (5,3); (7,3),(7,5); (11,3),(11,5),(11,7); (13,*); (17,*).

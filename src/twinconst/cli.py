@@ -48,13 +48,11 @@ def _print_record(record: SequenceRecord, fmt: str) -> None:
 
 def _cmd_hseq(args) -> int:
     try:
-        if not primes.is_prime(args.start):
-            raise ValueError(f"start {args.start} is not prime")
-        trace = h_sequence(args.start, args.n)
+        terms = h_sequence(args.start, args.n)
     except ValueError as exc:  # also a start outside is_prime's range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARG
-    _print_record(SequenceRecord("hseq", 2, trace.values), args.format)
+    _print_record(SequenceRecord("hseq", 2, terms), args.format)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Gap patterns, twin-lesser classification, and the fast nearness predicate.
+"""Gap patterns and the fast nearness predicate for twin lessers.
 
 A twin lesser p is "near" when the traces started at p and p+2 never drift
 more than 6 apart. Simulation (hseq.pair_trace) is the ground truth; the
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -27,15 +26,6 @@ from . import primes
 # p + 2i for i = 0..MAX_SPAN // 2, 17 bits of a uint32. The classifier and
 # corollary patterns read up to it.
 MAX_SPAN = 32
-
-
-class TwinClass(Enum):
-    MOD30_11 = 11
-    MOD30_17 = 17
-    MOD30_29 = 29
-    SPECIAL_3 = 3
-    SPECIAL_5 = 5
-    NOT_TWIN_LESSER = 0
 
 
 @dataclass(frozen=True)
@@ -71,11 +61,12 @@ class GapPattern:
         return (1 << (self.span // 2 + 1)) - 1, sum(1 << (o // 2) for o in self.offsets)
 
 
-# Five- and seven-prime constellations characterizing nearness per residue class.
-NEAR_PATTERNS: dict[TwinClass, GapPattern] = {
-    TwinClass.MOD30_17: GapPattern((0, 2, 6, 12, 14)),
-    TwinClass.MOD30_29: GapPattern((0, 2, 8, 12, 14)),
-    TwinClass.MOD30_11: GapPattern((0, 2, 6, 8, 12, 18, 20)),
+# Five- and seven-prime constellations characterizing nearness, keyed by the
+# residue p % 30 of the twin lesser p; every twin lesser p > 5 has one of them.
+NEAR_PATTERNS: dict[int, GapPattern] = {
+    17: GapPattern((0, 2, 6, 12, 14)),
+    29: GapPattern((0, 2, 8, 12, 14)),
+    11: GapPattern((0, 2, 6, 8, 12, 18, 20)),
 }
 
 _EXCESS17_OFFSETS = (
@@ -83,19 +74,6 @@ _EXCESS17_OFFSETS = (
     (0, 2, 8, 14, 20, 24, 30),
     (0, 2, 8, 14, 18, 24, 30),
 )
-
-
-def classify_twin(p: int) -> TwinClass:
-    if p < 2 or not (primes.is_prime(p) and primes.is_prime(p + 2)):
-        return TwinClass.NOT_TWIN_LESSER
-    if p == 3:
-        return TwinClass.SPECIAL_3
-    if p == 5:
-        return TwinClass.SPECIAL_5
-    r = p % 30
-    if r not in (11, 17, 29):
-        raise AssertionError(f"twin lesser {p} outside residue trichotomy")
-    return TwinClass(r)
 
 
 def matches_pattern(p: int, pattern: GapPattern) -> bool:
@@ -109,14 +87,11 @@ def matches_pattern(p: int, pattern: GapPattern) -> bool:
 
 def predicts_near(p: int) -> bool:
     """Constellation-based prediction of max trace difference <= 6, no simulation."""
-    cls = classify_twin(p)
-    if cls is TwinClass.NOT_TWIN_LESSER:
+    if p < 2 or not (primes.is_prime(p) and primes.is_prime(p + 2)):
         raise ValueError(f"{p} is not a twin lesser")
-    if cls is TwinClass.SPECIAL_3:
-        return True  # unique pair with max difference 4
-    if cls is TwinClass.SPECIAL_5:
-        return False  # max difference 14
-    return matches_pattern(p, NEAR_PATTERNS[cls])
+    if p <= 5:
+        return p == 3  # 3: the unique pair with max difference 4; 5: max difference 14
+    return matches_pattern(p, NEAR_PATTERNS[p % 30])
 
 
 def corollary_patterns(m: int) -> list[GapPattern]:
@@ -135,8 +110,8 @@ def predict_near_bulk(words: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
     residues = ps % 30
     out = np.zeros(ps.size, dtype=bool)
-    for cls, pattern in NEAR_PATTERNS.items():
-        out |= (residues == cls.value) & match_offsets_bulk(words, pattern)
+    for residue, pattern in NEAR_PATTERNS.items():
+        out |= (residues == residue) & match_offsets_bulk(words, pattern)
     out[ps == 3] = True
     out[ps == 5] = False
     return out

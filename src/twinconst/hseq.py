@@ -28,20 +28,6 @@ class NotMergedWithin:
 
 
 @dataclass(frozen=True)
-class HTrace:
-    """Materialized prefix of one trace; values[i] holds the term at index 2 + i."""
-
-    start: int
-    n_max: int
-    values: tuple[int, ...]
-
-    def value_at(self, n: int) -> int:
-        if not 2 <= n <= self.n_max:
-            raise IndexError(f"index {n} outside [2, {self.n_max}]")
-        return self.values[n - 2]
-
-
-@dataclass(frozen=True)
 class PairReport:
     """Joint statistics of the traces started at a and b (a > b)."""
 
@@ -73,15 +59,16 @@ def _require_prime_start(start: int) -> None:
         raise ValueError(f"start must be an odd prime >= 3, got {start}")
 
 
-def h_sequence(start: int, n_max: int) -> HTrace:
-    """Materialize the trace from index 2 through n_max."""
+def h_sequence(start: int, n_max: int) -> tuple[int, ...]:
+    """The terms of the trace at indices 2 through n_max; index n is at
+    position n - 2."""
     _require_prime_start(start)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     values = [start]
     for n in range(3, n_max + 1):
         values.append(h_step(values[-1], primes.is_prime(n)))
-    return HTrace(start=start, n_max=n_max, values=tuple(values))
+    return tuple(values)
 
 
 def _stream_pair(a: int, b: int, bound: int):

@@ -76,10 +76,6 @@ def pair_stats_kernel(
     ok_out = np.ones(npairs, np.bool_)
 
     size = flags.size
-    # From a value v >= 3 the next composite is v + 1, or v + 2 when v + 1
-    # is prime (then v + 2 is even and >= 6). One byte per offset.
-    comp_step = np.ones(size, np.int8)
-    comp_step[:-1] += flags[1:]
     # Prime positions with a sentinel that reads as "off the bitmap".
     prime_ks = np.append(np.flatnonzero(flags), size)
 
@@ -95,7 +91,10 @@ def pair_stats_kernel(
         if index_is_prime[n]:
             k = prime_ks[prime_ks.searchsorted(k, "right")]
         else:
-            k = k + comp_step[k]
+            # From a value v >= 3 the next composite is v + 1, or v + 2 when
+            # v + 1 is prime (then v + 2 is even and >= 6). A trace at the
+            # bitmap's last offset steps off it either way.
+            k = k + 1 + flags.take(k + 1, mode="clip")
         if k[0, -1] >= size:
             # Pairs whose step left the bitmap keep their stats so far.
             off = k[0] >= size

@@ -185,8 +185,8 @@ def partitioned_scan(
 def _counterexample(p: int, expected, observed, depth: int = 40) -> dict:
     """A counterexample with the traces of both sequences, for offline replay."""
     return {"p": p, "expected": expected, "observed": observed,
-            "upper_trace": list(h_sequence(p + 2, depth).values),
-            "lower_trace": list(h_sequence(p, depth).values)}
+            "upper_trace": list(h_sequence(p + 2, depth)),
+            "lower_trace": list(h_sequence(p, depth))}
 
 
 def _count_into(counts: dict, values: np.ndarray) -> list:

@@ -9,11 +9,10 @@ import time
 import pytest
 
 import prop_checks
-from twinconst import partitioned_scan
 from twinconst.cli import _maxdiff_terms, _merge_sequence_terms
 from twinconst.hseq import h_sequence, pair_trace
 from twinconst.sweeps import scan_c_sequence, scan_m_sequence
-from twinconst.verify import ALLOWED_M_VALUES
+from twinconst.verify import ALLOWED_M_VALUES, partitioned_scan
 
 MERGE_PREFIX = [11, 47, 47, 47, 47, 11, 47, 47, 17, 17, 683, 683, 683, 683, 683]
 MAXDIFF_PREFIX = (4, 14, 6, 6, 6, 12, 6, 8, 14, 14, 18,
@@ -128,8 +127,8 @@ def test_criterion_9_sufficiency_instances():
     ]
     for a, b, rows_a, rows_b, attain, merge_at in cases:
         n_last = 2 + len(rows_a) - 1
-        assert h_sequence(a, n_last).values == rows_a, (a, b)
-        assert h_sequence(b, n_last).values == rows_b, (a, b)
+        assert h_sequence(a, n_last) == rows_a, (a, b)
+        assert h_sequence(b, n_last) == rows_b, (a, b)
         rep = pair_trace(a, b)
         assert rep.max_diff == 6
         assert rep.max_diff_first_index == min(attain)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twinconst import cli
-from twinconst.bfile import SequenceRecord
+from twinconst.bfile import SequenceRecord, get_fixture
 from twinconst.cli import main
 
 
@@ -32,9 +32,11 @@ def test_hseq_bfile(capsys):
 
 
 def test_hseq_nonprime_start(capsys):
-    code, _, err = run(capsys, "hseq", "--start", "4", "--n", "5")
-    assert code == 2
-    assert "not prime" in err
+    # h_sequence's one check of the start refuses a composite start and 2
+    for start in ("4", "2"):
+        code, out, err = run(capsys, "hseq", "--start", start, "--n", "5")
+        assert (code, out) == (2, "")
+        assert err == f"error: start must be an odd prime >= 3, got {start}\n"
     # starts outside primality's range [0, 2^63] are argument errors too
     for start in ("-5", "9223372036854775809"):
         code, out, err = run(capsys, "hseq", "--start", start, "--n", "3")
@@ -170,13 +172,10 @@ def test_scan_merge_bound_below_two(capsys):
 
 
 def test_scan_bfile_round_trip(capsys):
-    from twinconst.bfile import parse_bfile
     code, out, _ = run(capsys, "scan", "c", "--limit", "100",
                        "--format", "bfile")
     assert code == 0
-    rec = parse_bfile(out)
-    assert rec.offset == 1
-    assert rec.terms == (3, 11, 17, 29, 59)
+    assert out == "1 3\n2 11\n3 17\n4 29\n5 59\n"
 
 
 def test_verify_t1(tmp_path, capsys, monkeypatch):
@@ -262,6 +261,18 @@ def test_compare_fixtures(capsys):
         code, out, _ = run(capsys, "compare", name)
         assert code == 0, (name, out)
         assert "match" in out
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda terms: terms[:5] + [terms[5] + 1] + terms[6:],
+     "m-sequence: first divergence at index 6: computed 10, fixture 9\n"),
+    (lambda terms: terms[:-1], "m-sequence: length mismatch (computed 22, fixture 23)\n"),
+], ids=["divergence", "short"])
+def test_compare_mismatch(capsys, monkeypatch, change, message):
+    terms = list(get_fixture("m-sequence").terms)
+    monkeypatch.setattr(cli, "scan_m_sequence", lambda count: change(terms))
+    code, out, _ = run(capsys, "compare", "m-sequence")
+    assert (code, out) == (1, message)
 
 
 def test_compare_unknown(capsys):

@@ -6,8 +6,6 @@ from twinconst.constellations import (
     MAX_SPAN,
     NEAR_PATTERNS,
     GapPattern,
-    TwinClass,
-    classify_twin,
     corollary_patterns,
     matches_pattern,
     predict_near_bulk,
@@ -21,23 +19,18 @@ PRODUCTION_PATTERNS = [*NEAR_PATTERNS.values(), *corollary_patterns(17),
                        *corollary_patterns(15)]
 
 
-def test_classify_twin():
-    assert classify_twin(17) is TwinClass.MOD30_17
-    assert classify_twin(29) is TwinClass.MOD30_29
-    assert classify_twin(11) is TwinClass.MOD30_11
-    assert classify_twin(3) is TwinClass.SPECIAL_3
-    assert classify_twin(5) is TwinClass.SPECIAL_5
-    assert classify_twin(9) is TwinClass.NOT_TWIN_LESSER
-    assert classify_twin(7) is TwinClass.NOT_TWIN_LESSER
-    assert classify_twin(0) is TwinClass.NOT_TWIN_LESSER
-
-
 def test_classify_residues():
-    for p in primes.twin_lessers(10_000):
-        cls = classify_twin(p)
-        if p >= 11:
-            assert cls.value == p % 30
-            assert p % 10 == {11: 1, 17: 7, 29: 9}[cls.value]
+    # every twin lesser p > 5 lies in one of the residue classes 11, 17 and
+    # 29 mod 30, the keys of NEAR_PATTERNS
+    assert sorted(NEAR_PATTERNS) == [11, 17, 29]
+    lessers = list(primes.twin_lessers(10_000))
+    assert lessers[:4] == [3, 5, 11, 17]
+    for p in lessers[2:]:
+        assert p % 30 in NEAR_PATTERNS, p
+    # and the classifier refuses every p that is no twin lesser
+    for p in (0, 1, 7, 9, 23):
+        with pytest.raises(ValueError, match="not a twin lesser"):
+            predicts_near(p)
 
 
 def test_gap_pattern_validation():

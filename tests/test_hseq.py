@@ -17,9 +17,9 @@ def test_h_step():
 
 
 def test_h_sequence_fixtures():
-    assert h_sequence(3, 11).values == (3, 5, 6, 7, 8, 11, 12, 14, 15, 17)
-    assert h_sequence(17, 10).values == (17, 19, 20, 23, 24, 29, 30, 32, 33)
-    assert h_sequence(19, 10).values == (19, 23, 24, 29, 30, 31, 32, 33, 34)
+    assert h_sequence(3, 11) == (3, 5, 6, 7, 8, 11, 12, 14, 15, 17)
+    assert h_sequence(17, 10) == (17, 19, 20, 23, 24, 29, 30, 32, 33)
+    assert h_sequence(19, 10) == (19, 23, 24, 29, 30, 31, 32, 33, 34)
 
 
 def test_h_sequence_validation():
@@ -31,20 +31,20 @@ def test_h_sequence_validation():
         h_sequence(3, 1)
 
 
-def test_h_sequence_value_at():
-    trace = h_sequence(17, 10)
-    assert trace.value_at(2) == 17
-    assert trace.value_at(10) == 33
+def test_h_sequence_indexing():
+    # the term at index n is at position n - 2: indices 2..n_max, no more
+    terms = h_sequence(17, 10)
+    assert len(terms) == 9
+    assert terms[2 - 2] == 17
+    assert terms[10 - 2] == 33
     with pytest.raises(IndexError):
-        trace.value_at(11)
-    with pytest.raises(IndexError):
-        trace.value_at(1)
+        terms[11 - 2]
 
 
 def test_h_sequence_prefix_determinism():
     short = h_sequence(7, 30)
     long = h_sequence(7, 100)
-    assert long.values[: len(short.values)] == short.values
+    assert long[: len(short)] == short
 
 
 def test_merge_position_published_values():
@@ -85,8 +85,7 @@ def test_pair_trace_merge_consistency():
     # and they stay equal after it
     rep = pair_trace(19, 17)
     assert rep.merged and rep.merge_index == 11
-    ta, tb = h_sequence(19, 20), h_sequence(17, 20)
-    diffs = [va - vb for va, vb in zip(ta.values, tb.values)]
+    diffs = [va - vb for va, vb in zip(h_sequence(19, 20), h_sequence(17, 20))]
     assert diffs.index(0) + 2 == rep.merge_index
     assert not any(diffs[rep.merge_index - 2 :])
 
@@ -117,7 +116,7 @@ def test_streaming_matches_materialized():
         n_max = rep.merge_index + 5
         ta = h_sequence(a, n_max)
         tb = h_sequence(b, n_max)
-        diffs = [ta.value_at(n) - tb.value_at(n) for n in range(2, n_max + 1)]
+        diffs = [ta[n - 2] - tb[n - 2] for n in range(2, n_max + 1)]
         assert max(diffs) == rep.max_diff
         assert 2 + diffs.index(max(diffs)) == rep.max_diff_first_index
         assert 2 + diffs.index(0) == rep.merge_index

@@ -72,7 +72,7 @@ def _assert_walk_matches_oracle(a, b, threshold, stop_on_excess, bound):
 
 def _differences(a, b, n_max):
     """The trace differences at indices 2..n_max, from hseq.h_sequence."""
-    return [x - y for x, y in zip(h_sequence(a, n_max).values, h_sequence(b, n_max).values)]
+    return [x - y for x, y in zip(h_sequence(a, n_max), h_sequence(b, n_max))]
 
 
 @pytest.fixture(params=["default-blocks", "one-step-blocks", "few-cells"])

@@ -437,8 +437,8 @@ def test_planted_counterexamples(monkeypatch, plants, expected):
         assert sorted(ce["p"] for ce in with_p) == planted
         for ce in with_p:
             p = ce["p"]
-            assert list(h_sequence(p + 2, 40).values) == ce["upper_trace"]
-            assert list(h_sequence(p, 40).values) == ce["lower_trace"]
+            assert list(h_sequence(p + 2, 40)) == ce["upper_trace"]
+            assert list(h_sequence(p, 40)) == ce["lower_trace"]
         if expected == "classifier":
             assert all(ce["expected"] != ce["observed"] for ce in with_p)
         elif expected == "pattern":
