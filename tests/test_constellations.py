@@ -19,18 +19,27 @@ PRODUCTION_PATTERNS = [*NEAR_PATTERNS.values(), *corollary_patterns(17),
                        *corollary_patterns(15)]
 
 
+def test_classify_twin():
+    # a twin lesser p > 5 is classed by p % 30, the key of its NEAR_PATTERNS
+    # entry; 3 and 5 are special cases; anything else is refused
+    assert sorted(NEAR_PATTERNS) == [11, 17, 29]
+    for p in (11, 17, 29):
+        assert predicts_near(p) == matches_pattern(p, NEAR_PATTERNS[p])
+    assert predicts_near(3) is True
+    assert predicts_near(5) is False
+    for p in (0, 1, 7, 9, 23):
+        with pytest.raises(ValueError, match="not a twin lesser"):
+            predicts_near(p)
+
+
 def test_classify_residues():
     # every twin lesser p > 5 lies in one of the residue classes 11, 17 and
     # 29 mod 30, the keys of NEAR_PATTERNS
-    assert sorted(NEAR_PATTERNS) == [11, 17, 29]
     lessers = list(primes.twin_lessers(10_000))
     assert lessers[:4] == [3, 5, 11, 17]
     for p in lessers[2:]:
         assert p % 30 in NEAR_PATTERNS, p
-    # and the classifier refuses every p that is no twin lesser
-    for p in (0, 1, 7, 9, 23):
-        with pytest.raises(ValueError, match="not a twin lesser"):
-            predicts_near(p)
+        assert p % 10 == {11: 1, 17: 7, 29: 9}[p % 30], p
 
 
 def test_gap_pattern_validation():
