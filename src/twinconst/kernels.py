@@ -29,7 +29,8 @@ UNMERGED = -1  # merge_n marker: not merged within the walk's bound
 
 # Values sieved past those a trace holds: past each sweep chunk for this
 # module's kernel and matcher, and past each trace when the walk sieves, doubled
-# when a window holds only one block; 2^17 added 2 MB to scan maxdiff's peak RSS.
+# only when the first block on a fresh window leaves it, so that a block that
+# outruns a window still ends; 2^17 added 2 MB to scan maxdiff's peak RSS.
 WALK_WINDOW = 1 << 15
 # Indices pair_stats_kernel steps through. Its pairs stop at the first excess
 # and resolve by index 17 (Theorem 2's m <= 17); a pair still walking here is
@@ -141,47 +142,46 @@ def _index_primes(bound: int):
 
 
 def _rank_line(values: np.ndarray, width: int):
-    """Rank-space tables for traces at the prime values (2, P).
+    """Rank-space tables for traces at the odd prime values (2, P).
 
-    Each cluster of values gets one sieved window that reaches width values
-    past its largest value. The windows lie end to end on a virtual line, one
-    non-prime pad after each. A prime's rank is the count of non-primes before
-    it on the line, so rank is strictly increasing over primes. Positions and
-    ranks are int32, so the line must stay below 2^31 values; the pairs of one
-    sweep chunk (below 2^26 values wide) need a few times 2^26 at most. Returns:
-      C     C[r] is the line position of the non-prime of rank r, so the
-            prime of rank R sits at C[R] - 1
-      F     F[x] is the least prime rank >= x, or the sentinel one past the
-            last prime rank at F[-1], where walk_pairs clips larger x
+    Value v needs the window up to the even value (v + width + 1) & ~1. A
+    value past the previous window end starts a cluster, sieved up to its
+    last end in abutting segments of at most primes.MAX_SEGMENT_SIZE values.
+    A prime's rank, the count of non-primes below it in these disjoint
+    windows, is int32: they must hold fewer than 2^31 non-primes (a sweep
+    chunk's pairs need a few times 2^26). A window reaching 2^63 is refused
+    with ValueError. Returns:
+      C     the windows' non-prime values, strictly ascending, as int64: the
+            prime of rank R is C[R] - 1
+      F     F[x] is the least prime rank >= x, or the sentinel C.size at
+            F[-1], where walk_pairs clips larger x
       R     each trace's rank
-      off   value = line position + off, per trace
-      last  rank of the last prime of each trace's window
+      last  rank of the even value that ends each trace's window
     """
-    los: list[int] = []
-    his: list[int] = []
-    for v in sorted(values.ravel().tolist()):
-        if los and v <= his[-1] and v + width - los[-1] < primes.MAX_SEGMENT_SIZE:
-            his[-1] = v + width
-        else:
-            los.append(v)
-            his.append(v + width)
-    starts = np.cumsum([0] + [hi - lo + 2 for lo, hi in zip(los, his)])
-    line = np.zeros(starts[-1], bool)
-    for lo, hi, s in zip(los, his, starts.tolist()):
-        line[s : s + hi - lo + 1] = primes.sieve_segment(lo, hi).flags
-    pos = np.arange(line.size, dtype=np.int32)
-    C = pos[~line]
-    prime_pos = pos[line]
-    ranks = prime_pos - np.arange(prime_pos.size, dtype=np.int32)
-    sentinel = ranks[-1] + 1
+    v = np.sort(values, None)
+    if int(v[-1]) + width + 1 >= primes.RANGE_LIMIT:
+        raise ValueError(f"walk window past {int(v[-1])} reaches 2^63")
+    ends = (v + (width + 1)) & ~1
+    cut = np.flatnonzero(v[1:] > ends[:-1])
+    los, his = v[np.append(0, cut + 1)], ends[np.append(cut, v.size - 1)]
+    size = primes.MAX_SEGMENT_SIZE
+    segs = [(s, primes.sieve_segment(s, min(s + size - 1, hi)).flags)
+            for lo, hi in zip(los.tolist(), his.tolist()) for s in range(lo, hi + 1, size)]
+    line = np.concatenate([f for _, f in segs])
+    # non-prime line positions, shifted to values in place: one int64 array
+    C = np.flatnonzero(~line)
+    starts = np.cumsum([0] + [f.size for _, f in segs])  # segment starts on the line
+    cuts = C.searchsorted(starts).tolist()
+    for (s, _), p, i, j in zip(segs, starts.tolist(), cuts, cuts[1:]):
+        C[i:j] += s - p
+    prime_pos = np.flatnonzero(line)
+    ranks = (prime_pos - np.arange(prime_pos.size)).astype(np.int32)
+    sentinel = np.int32(C.size)
     F = np.repeat(np.append(ranks, sentinel),
                   np.diff(ranks, prepend=-1, append=sentinel))
-    seg = np.searchsorted(los, values, "right") - 1
-    off = np.asarray(los, np.int64)[seg] - starts[seg]
-    R = ranks[prime_pos.searchsorted(values - off)]
-    last_prime = prime_pos.searchsorted(starts[1:] - 1) - 1
-    last = ranks[last_prime][seg]
-    return C, F, R, off, last
+    R = C.searchsorted(values).astype(np.int32)
+    last = C.searchsorted(his[los.searchsorted(values, "right") - 1]).astype(np.int32)
+    return C, F, R, last
 
 
 def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
@@ -226,11 +226,11 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
             qs = np.concatenate((qs[j:], next(index_chunks, qs[:0])))
             j = 0
         if resieve:
-            # a window that held at most one block of steps is too narrow
+            # widen a fresh window its first block left; resieve others as is
             window *= 2 if fresh else 1
-            values = np.stack((a[live], b[live])) if R is None else C[R] - 1 + off
+            values = np.stack((a[live], b[live])) if R is None else C[R] - 1
             C = F = None  # free the old tables first
-            C, F, R, off, last = _rank_line(values, window)
+            C, F, R, last = _rank_line(values, window)
             resieve, fresh = False, True
         # K steps, from prime index qs[j] to qs[j + K]: K + 1 rows of ranks
         K = max(1, min(_BLOCK_CELLS // R.size, WALK_BLOCK, qs.size - 1 - j))
@@ -264,7 +264,6 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
             resieve = True  # a trace left its window: redo the block
             continue
         fresh = False
-        offd = off[0] - off[1]
         maxd = maxdiff_out[live]
         # Traces apart at a prime index take the distinct non-primes of ranks
         # Ra + t and Rb + t through the composite run after it, so they meet
@@ -274,7 +273,7 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
         # while m is unset (max <= threshold), hold the first excess; runs
         # after a merge (equal ranks) hold 0.
         Ra, Rb = Rs[:-1, 0], Rs[:-1, 1]
-        cap = C[Ra + np.maximum(Ls - 1, 0)[:, None]] - C[Rb] + offd
+        cap = C[Ra + np.maximum(Ls - 1, 0)[:, None]] - C[Rb]
         ri, rt = np.nonzero((cap > maxd) & (Ra != Rb) & (Ls > 0)[:, None])
         ends = np.cumsum(Ls[ri])
         if ends.size and ends[-1] > _BLOCK_CELLS // 4:
@@ -286,7 +285,7 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
         advance = np.max(R - Rs[0])
         # C[R] - 1 is the prime of rank R; the -1 cancels in the difference.
         # Differences at the prime indices q[1:], one row each:
-        dp = C[Rs[1 : K + 1, 0]] - C[Rs[1 : K + 1, 1]] + offd
+        dp = C[Rs[1 : K + 1, 0]] - C[Rs[1 : K + 1, 1]]
         lens = Ls[ri]
         cell = np.repeat(np.arange(ri.size), lens)
         u = np.arange(cell.size) - np.repeat(ends - lens, lens)
@@ -295,7 +294,7 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
         n = np.concatenate((np.repeat(q[1:], live.size), q[ci] + 1 + u))
         t = np.concatenate((np.tile(np.arange(live.size), K), ct))
         d = np.concatenate((dp.ravel(),
-                            C[Ra[ci, ct] + u] - C[Rb[ci, ct] + u] + offd[ct]))
+                            C[Ra[ci, ct] + u] - C[Rb[ci, ct] + u]))
         inside = n <= bound
         n, t, d = n[inside], t[inside], d[inside]
         never = bound + 1
@@ -322,7 +321,7 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
         j += K
         if done.any():
             keep = ~done
-            live, R, off, last = live[keep], R[:, keep], off[:, keep], last[:, keep]
+            live, R, last = live[keep], R[:, keep], last[:, keep]
         # sieve again before a block like this one could leave the window
         resieve = live.size > 0 and np.min(last - R) < advance
     merge_out[live] = UNMERGED

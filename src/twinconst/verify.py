@@ -101,11 +101,11 @@ def _save_checkpoint(path: str, params: dict, next_lo: int, state: Optional[dict
 def _load_checkpoint(path: str, params: dict):
     """Return (next_lo, report state), or None when there is no file at path
     or its version or params differ; raise ValueError, naming path, for a
-    file that is not a JSON checkpoint."""
+    file that cannot be read or is not a JSON checkpoint."""
     if not os.path.exists(path):
         return None
-    # IsADirectoryError: a directory; ValueError: not UTF-8 or not JSON;
-    # KeyError, TypeError: JSON that is not a checkpoint
+    # OSError: unreadable, as a directory or a file without read permission;
+    # ValueError: not UTF-8 or not JSON; KeyError, TypeError: not a checkpoint
     try:
         with open(path, "rb") as fh:
             meta = json.loads(fh.read(), object_pairs_hook=_int_keys)
@@ -114,7 +114,7 @@ def _load_checkpoint(path: str, params: dict):
         if set(meta["state"]) != set(_STATE_FIELDS):
             raise KeyError("state")
         return int(meta["next_lo"]), meta["state"]
-    except (IsADirectoryError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a JSON checkpoint ({exc!r})") from None
 
 

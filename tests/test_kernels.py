@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import twinconst.kernels as kernels
 import twinconst.sweeps as sweeps
 from twinconst import primes
-from twinconst.cli import _maxdiff_terms
+from twinconst.cli import _maxdiff_terms, main
 from twinconst.constellations import MAX_SPAN
 from twinconst.hseq import (DEFAULT_BOUND, DEFAULT_THRESHOLD, NotMergedWithin, h_sequence,
                             pair_trace)
@@ -330,6 +330,63 @@ def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
         assert len(w) >= 3 and max(w) > window, loop
         assert len(w) - len(set(w)) >= 1, loop  # sieved again at one width
     _assert_walk_matches_oracle(a, ps, DEFAULT_THRESHOLD, False, DEFAULT_BOUND)
+
+
+@pytest.mark.parametrize("segment", [1 << 16, 1 << 17])
+@pytest.mark.parametrize("x, step", [(10**5, 1 << 14), (10**5, 30000),
+                                     (10**9, 1 << 14), (10**9, 30000)])
+def test_walk_over_a_cluster_longer_than_one_sieve_segment(x, step, segment, monkeypatch):
+    # 40 pairs of consecutive primes step values apart, step below the
+    # 2^15-value window: their windows join into one cluster of some 40 *
+    # step values, sieved as abutting segments of at most segment values,
+    # and the non-prime values C lists must ascend across every join
+    rank_line = kernels._rank_line
+    spans = []
+
+    def checked(values, width):
+        C, F, R, last = rank_line(values, width)
+        assert np.all(np.diff(C) > 0)
+        spans.append(int(C[-1] - C[0]))
+        return C, F, R, last
+
+    monkeypatch.setattr(primes, "MAX_SEGMENT_SIZE", segment)
+    monkeypatch.setattr(kernels, "_rank_line", checked)
+    b = [primes.next_prime(x + i * step) for i in range(40)]
+    a = [primes.next_prime(p) for p in b]
+    _assert_walk_matches_oracle(a, b, DEFAULT_THRESHOLD, False, 2000)
+    assert spans[0] > 4 * segment
+
+
+def _primes_below(top, k):
+    """The k largest primes below top, descending."""
+    out, x = [], top - 1
+    while len(out) < k:
+        if primes.is_prime(x):
+            out.append(x)
+        x -= 1
+    return out
+
+
+@pytest.mark.parametrize("top", [2**63 - 2**15 + 40, 2**63 - 2**15 - 400, 2**63 - 2**16])
+def test_walks_at_the_64_bit_ceiling(top, monkeypatch):
+    # the first window ends 2^15 + 1 values past the larger start, within
+    # 70 values of 2^63 for the first top; the oracle steps with next_prime,
+    # which keeps 2^32 values from 2^63 unless its headroom is lifted, and
+    # its 30-index traces stay far below 2^63
+    a, b = _primes_below(top, 2)
+    got = pair_report(a, b, 6, 30)
+    monkeypatch.setattr(primes, "STEP_HEADROOM", primes.RANGE_LIMIT)
+    assert got == pair_trace(a, b, 6, 30)
+
+
+def test_walk_whose_window_would_reach_2_63_is_refused(capsys):
+    # the two largest primes below 2^63: their first window would pass it
+    a, b = _primes_below(2**63, 2)
+    with pytest.raises(ValueError, match="2\\^63"):
+        pair_report(a, b, 6, 30)
+    assert main(["trace", str(a), str(b), "--bound", "30"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_chunk_without_twin_pairs():

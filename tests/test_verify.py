@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import json
 import os
@@ -618,6 +619,33 @@ def test_unwritable_checkpoint_is_rejected_before_any_sieving(tmp_path, capsys, 
                  "--report", str(report)])
     assert code == 2 and f"error: {ckpt}: " in capsys.readouterr().err
     assert not report.exists() and not ckpt.parent.exists()
+
+
+def test_unreadable_checkpoint_is_an_argument_error(tmp_path, capsys, monkeypatch):
+    # a checkpoint file that open refuses, as one without read permission
+    # is, ends the campaign with exit 2 before anything is sieved
+    from twinconst.cli import main
+
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.write_text("{}")
+    real_open = builtins.open
+
+    def guarded_open(file, *args, **kwargs):
+        if str(file) == str(ckpt):
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved before the checkpoint was read")
+
+    monkeypatch.setattr(builtins, "open", guarded_open)
+    monkeypatch.setattr(primes, "sieve_segment", no_sieve)
+    report = tmp_path / "t1.report"
+    code = main(["verify", "t1", "--limit", "30000", "--checkpoint", str(ckpt),
+                 "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2 and f"error: {ckpt}: not a JSON checkpoint (PermissionError" in err
+    assert ckpt.read_text() == "{}" and not report.exists()
 
 
 _PARAMS = {"limit": 30_000}
