@@ -180,7 +180,11 @@ def pair_report(
     bound: int = DEFAULT_BOUND,
 ) -> PairReport:
     """hseq.pair_trace's report for the traces started at a > b, from
-    merge_walks; raises the same ValueError for the same arguments."""
+    merge_walks; raises pair_trace's ValueError for the same bad pair,
+    threshold or bound. Near the 64-bit ceiling the two refuse differently:
+    pair_trace refuses any step within 2^32 of 2^63 (primes.STEP_HEADROOM),
+    where this walk still reports, and this one refuses a walk whose
+    window would reach 2^63."""
     check_pair(a, b, threshold, bound)
     return merge_walks([a], [b], bound, threshold)[0]
 

@@ -3,9 +3,9 @@
 One sweep compares every fast claim (pattern classifier, value-set bound,
 corollary equivalences) against direct simulation over a value range and
 reports counterexamples with replay data. partitioned_scan folds each
-chunk of the sweep into one report as the chunk arrives; long scans
-checkpoint that report to a resumable JSON file (format documented in the
-README).
+chunk of the sweep into one report as the chunk arrives, and that fold alone
+decides every claim; long scans checkpoint the report to a resumable JSON
+file (format documented in the README).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .sweeps import TwinScanResult, _adjacent_merges, _check_limit, scan_twin_ra
 
 ALLOWED_M_VALUES = frozenset({0, 3, 5, 7, 9, 11, 13, 15, 17})
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # A checkpoint is written after a chunk that ends at least this many values
 # past the last one written: about 1 ms a write, at most one per 8 default chunks.
 CHECKPOINT_SPAN = 1 << 23
@@ -98,10 +98,11 @@ def _save_checkpoint(path: str, params: dict, next_lo: int, state: Optional[dict
         raise
 
 
-def _load_checkpoint(path: str, params: dict):
+def _load_checkpoint(path: str, params: dict, detail_keys: list):
     """Return (next_lo, report state), or None when there is no file at path
     or its version or params differ; raise ValueError, naming path, for a
-    file that cannot be read or is not a JSON checkpoint."""
+    file that cannot be read or is not a JSON checkpoint: one whose state
+    fields are not _STATE_FIELDS, or whose details keys are not detail_keys."""
     if not os.path.exists(path):
         return None
     # OSError: unreadable, as a directory or a file without read permission;
@@ -111,9 +112,10 @@ def _load_checkpoint(path: str, params: dict):
             meta = json.loads(fh.read(), object_pairs_hook=_int_keys)
         if meta["version"] != CHECKPOINT_VERSION or meta["params"] != params:
             return None
-        if set(meta["state"]) != set(_STATE_FIELDS):
+        state = meta["state"]
+        if set(state) != set(_STATE_FIELDS) or list(state["details"]) != detail_keys:
             raise KeyError("state")
-        return int(meta["next_lo"]), meta["state"]
+        return int(meta["next_lo"]), state
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: not a JSON checkpoint ({exc!r})") from None
 
@@ -128,7 +130,8 @@ def partitioned_scan(
     every sweep claim of the paper, folded into one report chunk by chunk:
     pair, m value, near residue and fallback counts, Theorem 1's classifier
     against simulated nearness, Theorem 2's m set, and the corollaries' m=15/17
-    pattern equivalences and max-diff bound, finished once the sweep ends.
+    pattern equivalences and max-diff bound. The report is returned as the
+    last fold left it, with its wall time.
 
     Identical output for any worker count; on worker failure returns the
     report of the completed prefix with aborted=True. With checkpoint, the
@@ -143,7 +146,7 @@ def partitioned_scan(
         details={"fallback_pairs": 0, "c_count": 0, "c_prefix": [], "c_mod10_eq_1": [],
                  "first_occurrence": {}, "count_m17": 0, "count_m17_outside_mod30_29": 0,
                  "count_m15": 0, "count_m15_outside_mod30_29": 0,
-                 "min_max_diff_excluding_p3": None, "max_diff_4_at": []})
+                 "min_max_diff_excluding_p3": None})
     start = 3
     # a limit past the sweep's range and an unwritable checkpoint are
     # argument errors, found before any sieving
@@ -152,7 +155,7 @@ def partitioned_scan(
         checkpoint_dir = os.path.dirname(checkpoint) or "."
         if not (os.path.isdir(checkpoint_dir) and os.access(checkpoint_dir, os.W_OK)):
             raise ValueError(f"{checkpoint}: {checkpoint_dir} is not a writable directory")
-        loaded = _load_checkpoint(checkpoint, params)
+        loaded = _load_checkpoint(checkpoint, params, list(report.details))
         if loaded is not None:
             start, state = loaded
             report = replace(report, **state)
@@ -177,7 +180,6 @@ def partitioned_scan(
                                   completed_hi=completed_hi)
     if checkpoint is not None and not report.aborted and os.path.exists(checkpoint):
         os.unlink(checkpoint)
-    _finish_claims(report)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -216,12 +218,16 @@ def _fold_claims(report: CampaignReport, part: TwinScanResult) -> None:
     outside = [v for v in m_values if v not in ALLOWED_M_VALUES]
     for i in np.flatnonzero(np.isin(m, outside)):
         found.append(_counterexample(int(ps[i]), "m in {0,3,5,7,9,11,13,15,17}", int(m[i])))
-    for v in m_values:
-        if v not in d["first_occurrence"]:
-            d["first_occurrence"][v] = int(ps[np.argmax(m == v)])
-    # Corollary 1: max_diff 4 only at p = 3 (checked by _finish_claims), >= 6 elsewhere
-    d["max_diff_4_at"] += ps[max_diff == 4].tolist()
-    others = ps != 3
+    first = d["first_occurrence"]
+    first.update({v: int(ps[np.argmax(m == v)]) for v in m_values if v not in first})
+    d["first_occurrence"] = dict(sorted(first.items()))
+    # Corollary 1: max_diff is 4 at p = 3 and >= 6 at every other pair. A pair
+    # stopped at its first excess carries its prefix max_diff, which is then
+    # > 6: that settles 4 versus >= 6 without walking to a distant merge.
+    at3 = ps == 3
+    for i in np.flatnonzero(at3 & (max_diff != 4)):
+        found.append(_counterexample(3, "max_diff == 4", int(max_diff[i])))
+    others = ~at3
     for i in np.flatnonzero(others & (max_diff < 6)):
         found.append(_counterexample(int(ps[i]), "max_diff >= 6", int(max_diff[i])))
     if others.any():
@@ -236,22 +242,6 @@ def _fold_claims(report: CampaignReport, part: TwinScanResult) -> None:
                                          {"m": int(m[i]), "pattern": bool(matches[i])}))
         d[f"count_m{m_val}"] += int(np.count_nonzero(is_m))
         d[f"count_m{m_val}_outside_mod30_29"] += int(np.count_nonzero(is_m & ~cls29))
-
-
-def _finish_claims(report: CampaignReport) -> None:
-    """Sort the first occurrences of each m, and check that max-diff 4 occurs
-    at p = 3 alone. A stop-mode pair that exceeds the threshold carries a
-    prefix max_diff > 6, which decides the 4-versus->=6 dichotomy without
-    simulating to the (possibly very distant) merge."""
-    d = report.details
-    d["first_occurrence"] = dict(sorted(d["first_occurrence"].items()))
-    d["observed_m_values"] = sorted(d["first_occurrence"])
-    at4 = d.pop("max_diff_4_at")
-    # an aborted scan checked p = 3 only if its completed prefix reached it
-    scanned_to = d["completed_hi"] if report.aborted else report.hi
-    if scanned_to >= 3 and at4 != [3]:
-        report.counterexamples.insert(
-            0, {"expected": "max_diff 4 exactly at p=3", "observed": at4})
 
 
 def probe_conjecture1(prime_count: int, bound: int = DEFAULT_BOUND) -> CampaignReport:

@@ -101,8 +101,8 @@ def test_criterion_8_corollary_1():
     t0 = time.perf_counter()
     report = partitioned_scan(10**6)
     elapsed = time.perf_counter() - t0
-    # verified includes "max_diff 4 exactly at p=3" and "max_diff >= 6" for
-    # every other p
+    # verified includes max_diff 4 at p = 3 and max_diff >= 6 at every
+    # other p
     assert report.verified, report.counterexamples[:3]
     assert report.pairs_examined == 8169  # pi_2(10^6), OEIS A007508
     assert report.details["min_max_diff_excluding_p3"] == 6

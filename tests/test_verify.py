@@ -82,14 +82,14 @@ def test_theorem1_rare_residue():
 def test_theorem2_value_set():
     report = partitioned_scan(500)
     assert report.verified
-    observed = set(report.details["observed_m_values"])
+    observed = set(report.details["first_occurrence"])
     assert observed <= ALLOWED_M_VALUES
     assert {0, 13, 9, 11, 5, 3, 15, 7} <= observed
 
 
 def test_theorem2_tiny_range():
     report = partitioned_scan(10)
-    assert set(report.details["observed_m_values"]) == {0, 13}
+    assert set(report.details["first_occurrence"]) == {0, 13}
 
 
 def test_theorem2_first_occurrences_reported():
@@ -136,19 +136,23 @@ def test_corollaries_pattern_equivalence_range():
 
 
 def test_partitioned_scan_finishes_every_campaign(monkeypatch):
-    # p = 3 planted with max_diff 6: the corollaries' finish reports that no
-    # pair has max_diff 4, and keeps no list of the pairs that do
+    # p = 3 planted with max_diff 6: the fold of the chunk that holds p = 3
+    # reports it, with replay traces, as Corollary 1's counterexample
+    from twinconst.hseq import h_sequence
+
     monkeypatch.setattr(sys.modules[__name__], "_plants", [("max_diff", 3, 6)])
     monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
     report = partitioned_scan(10_000)
-    assert "max_diff_4_at" not in report.details
-    assert report.counterexamples == [
-        {"expected": "max_diff 4 exactly at p=3", "observed": []}]
+    assert [(ce["p"], ce["expected"], ce["observed"]) for ce in report.counterexamples] == [
+        (3, "max_diff == 4", 6)]
+    ce = report.counterexamples[0]
+    assert ce["upper_trace"] == list(h_sequence(5, 40))
+    assert ce["lower_trace"] == list(h_sequence(3, 40))
     # 100-value chunks fold m values out of order: 0 and 13 come first
     monkeypatch.setattr(sweeps, "CHUNK", 100)
     report = partitioned_scan(2_000)
     first = report.details["first_occurrence"]
-    assert list(first) == report.details["observed_m_values"] == sorted(first)
+    assert list(first) == sorted(first)
     assert len(first) > 3
 
 
@@ -390,7 +394,7 @@ def test_report_1e6_pinned():
     assert d["c_count"] == 115 and d["c_mod10_eq_1"] == [11, 165701]
     assert d["first_occurrence"] == {0: 3, 3: 137, 5: 107, 7: 191, 9: 41, 11: 71,
                                      13: 5, 15: 149, 17: 30089}
-    assert d["observed_m_values"] == sorted(ALLOWED_M_VALUES)
+    assert list(d["first_occurrence"]) == sorted(ALLOWED_M_VALUES)
     assert (d["count_m17"], d["count_m15"]) == (6, 3)
     assert d["count_m17_outside_mod30_29"] == d["count_m15_outside_mod30_29"] == 0
     assert d["min_max_diff_excluding_p3"] == 6
@@ -450,12 +454,9 @@ def test_planted_counterexamples(monkeypatch, plants, expected):
         else:
             assert all(ce["expected"] == expected and ce["observed"] == 4
                        for ce in with_p)
+        assert len(with_p) == len(report.counterexamples)
         if expected == "max_diff >= 6":
-            assert [ce for ce in report.counterexamples if "p" not in ce] == [
-                {"expected": "max_diff 4 exactly at p=3", "observed": [3] + planted}]
             assert report.details["min_max_diff_excluding_p3"] == 4
-        else:
-            assert len(with_p) == len(report.counterexamples)
         if expected == _M_SET:
             assert report.details["first_occurrence"][4] == planted[0]
         # the report file: the text, then one line per counterexample
@@ -506,10 +507,7 @@ def test_one_sweep_reports_every_kind_of_planted_counterexample(monkeypatch):
     assert not report.verified
     with_p = [ce for ce in report.counterexamples if "p" in ce]
     assert sorted(ce["p"] for ce in with_p) == sorted(p for _, p, _ in plants)
-    assert report.counterexamples[0] == {
-        "expected": "max_diff 4 exactly at p=3",
-        "observed": [3] + [p for _, p, _ in PLANTS["max_diff >= 6"]]}
-    assert len(report.counterexamples) == len(with_p) + 1
+    assert len(report.counterexamples) == len(with_p)
 
 
 def test_checkpoint_cadence_and_resume_between_writes(tmp_path, monkeypatch):
@@ -558,6 +556,24 @@ def test_checkpoint_cadence_and_resume_between_writes(tmp_path, monkeypatch):
     assert writes == [60_003, 90_003]
     assert _report_lines(resumed) == _report_lines(fresh)
     assert not os.path.exists(ckpt)
+
+
+def test_last_checkpoint_holds_the_finished_report(tmp_path, monkeypatch):
+    # the fold decides every claim, so the state the last chunk saves is the
+    # state of the report that partitioned_scan returns
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    monkeypatch.setattr(verify_mod, "CHECKPOINT_SPAN", 10_000)  # a write per chunk
+    writes = []
+    real_save = verify_mod._save_checkpoint
+
+    def recorded_save(path, params, next_lo, state):
+        writes.append(json.dumps(state))
+        real_save(path, params, next_lo, state)
+
+    monkeypatch.setattr(verify_mod, "_save_checkpoint", recorded_save)
+    report = partitioned_scan(30_002, checkpoint=str(tmp_path / "scan.ckpt"))
+    assert len(writes) == 3
+    assert writes[-1] == json.dumps({n: getattr(report, n) for n in verify_mod._STATE_FIELDS})
 
 
 def _v2_npz_checkpoint(path):
@@ -712,6 +728,31 @@ def test_checkpoint_without_report_state_is_rejected(tmp_path, monkeypatch):
                                 "params": _PARAMS, "next_lo": 20_003, "state": state}))
     with pytest.raises(ValueError, match="not a JSON checkpoint"):
         partitioned_scan(30_000, 1, checkpoint=str(ckpt))
+
+
+@pytest.mark.parametrize("extra", [None, "extra"], ids=["empty-details", "extra-key"])
+def test_checkpoint_whose_details_differ_is_rejected(tmp_path, capsys, monkeypatch, extra):
+    # details with keys other than a new report's would fail the first fold:
+    # the file is no checkpoint, refused before anything is sieved
+    from twinconst.cli import main
+
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    details = {} if extra is None else {**partitioned_scan(30_000).details, extra: 0}
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved before the checkpoint was read")
+
+    monkeypatch.setattr(primes, "sieve_segment", no_sieve)
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.write_text(json.dumps({"version": verify_mod.CHECKPOINT_VERSION, "params": _PARAMS,
+                                "next_lo": 20_003, "state": {**_STATE, "details": details}}))
+    before = ckpt.read_bytes()
+    report = tmp_path / "t1.report"
+    code = main(["verify", "t1", "--limit", "30000", "--checkpoint", str(ckpt),
+                 "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2 and f"error: {ckpt}: not a JSON checkpoint" in err
+    assert ckpt.read_bytes() == before and not report.exists()
 
 
 def test_planted_m_outside_mod30_29_is_counted_not_reported(monkeypatch):
