@@ -4,9 +4,9 @@ pair_stats_kernel advances every twin pair of a chunk together, one trace
 index at a time, and stops each pair at its merge or its first excess: at
 index n all pairs take the same kind of step (to the next prime or the next
 composite), so each index costs a few array operations over the pairs still
-walking. walk_pairs takes the pairs it gives up on, and every run-to-merge
-walk (sweeps.merge_walks), to their merge or a bound in rank space, one
-prime index at a time, in one process; it reads the
+walking, on the chunk's odd-value flags. walk_pairs takes the pairs it gives
+up on, and every run-to-merge walk (sweeps.merge_walks), to their merge or a
+bound in rank space, one prime index at a time, in one process; it reads the
 differences at the prime indices and expands a composite run to its indices
 only where the run can raise a pair's max. A block of its steps with at most
 _FEW_TRACES traces (the few stragglers a long walk ends with) steps each trace
@@ -52,14 +52,16 @@ _INDEX_SPAN = 1 << 16  # prime indices are listed this many indices at a time
 
 
 def pair_stats_kernel(
-    twin_ks: np.ndarray,
-    flags: np.ndarray,
+    twin_is: np.ndarray,
+    odd: np.ndarray,
 ):
-    """Simulate the greedy pair recurrence for each twin lesser flags[k], flags[k+2]
-    to its merge or its first excess, whichever comes first.
+    """Simulate the greedy pair recurrence for each twin lesser o0 + 2 * twin_is[i]
+    to its merge or its first excess, whichever comes first, on the flags
+    odd[i] <=> o0 + 2i is prime (odd o0 >= 3), each trace held as v - o0.
 
-    twin_ks must be ascending. Per pair i (b at offset twin_ks[i], a = b + 2)
-    returns:
+    twin_is must be ascending. A prime step reads packed words (_prime_step),
+    so no list of the window's primes is built; offsets from the sentinel
+    2 * odd.size - 1 on are off the bitmap. Per pair i returns:
       m_out        least index n with diff > DEFAULT_THRESHOLD, 0 if none
                    before merge
       maxdiff_out  max diff over simulated indices (exact once merged)
@@ -69,36 +71,32 @@ def pair_stats_kernel(
                    exhausted; caller must redo that pair with walk_pairs (its
                    other outputs cover only the indices simulated)
     """
-    npairs = twin_ks.size
+    npairs = twin_is.size
     m_out = np.zeros(npairs, np.int64)
     maxdiff_out = np.full(npairs, 2, np.int64)
     maxdiff_n_out = np.full(npairs, 2, np.int64)
     merge_out = np.zeros(npairs, np.int64)
     ok_out = np.ones(npairs, np.bool_)
 
-    size = flags.size
-    # Prime positions with a sentinel that reads as "off the bitmap".
-    prime_ks = np.append(np.flatnonzero(flags), size)
-
-    # Live state: original pair index, [ka; kb] offsets, running max diff.
-    # Traces are monotone in their start, so ka stays ascending across pairs.
+    sentinel = 2 * odd.size - 1
+    words = _odd_words(odd)
+    # Live state: original pair index, [xa; xb] offsets, running max diff.
+    # Traces are monotone in their start, so xa stays ascending across pairs.
     live = np.arange(npairs)
-    k = np.stack((twin_ks + 2, twin_ks)).astype(np.int64)
+    k = 2 * np.stack((twin_is + 1, twin_is)).astype(np.int64)
     maxd = maxdiff_out.copy()
     index_is_prime = primes.prime_flags_between(0, IDX_LIMIT - 1)
     for n in range(3, IDX_LIMIT):
         if not live.size:
             break
         if index_is_prime[n]:
-            k = prime_ks[prime_ks.searchsorted(k, "right")]
+            k = _prime_step(words, k.ravel(), sentinel).reshape(k.shape)
         else:
-            # From a value v >= 3 the next composite is v + 1, or v + 2 when
-            # v + 1 is prime (then v + 2 is even and >= 6). A trace at the
-            # bitmap's last offset steps off it either way.
-            k = k + 1 + flags.take(k + 1, mode="clip")
-        if k[0, -1] >= size:
+            # v + 1, or v + 2 when v is even and v + 1 prime (v >= 3)
+            k = k + 1 + (k & 1) * odd[(k + 1) >> 1]
+        if k[0, -1] >= sentinel:
             # Pairs whose step left the bitmap keep their stats so far.
-            off = k[0] >= size
+            off = k[0] >= sentinel
             ok_out[live[off]] = False
             maxdiff_out[live[off]] = maxd[off]
             keep = ~off
@@ -126,6 +124,29 @@ def pair_stats_kernel(
     ok_out[live] = False
     maxdiff_out[live] = maxd
     return m_out, maxdiff_out, maxdiff_n_out, merge_out, ok_out
+
+
+def _odd_words(odd: np.ndarray) -> np.ndarray:
+    """odd[j] as bit j & 63 of uint64 word j >> 6, clear past odd.size and one word on."""
+    return np.packbits(np.pad(odd, (0, 128 - odd.size % 64)), bitorder="little").view("<u8")
+
+
+def _prime_step(words: np.ndarray, x: np.ndarray, sentinel: int) -> np.ndarray:
+    """2j for the least set flag j > x >> 1 of the odd flags words packs, per
+    offset x below the sentinel 2 * odd.size - 1, else the sentinel. The 64
+    flags from s = (x >> 1) + 1 are one read of two words, their lowest set
+    bit popcount(w ^ (w - 1)) - 1; a trace in a longer gap reads on."""
+    out = np.full_like(x, sentinel)
+    todo, s = np.arange(x.size), (x >> 1) + 1
+    while todo.size:
+        b = (s & 63).astype(np.uint64)
+        # numpy shifts a uint64 left by 64 to 0, so b = 0 reads word s >> 6 alone
+        w = (words[s >> 6] >> b) | (words[(s >> 6) + 1] << (np.uint64(64) - b))
+        hit = w != 0
+        out[todo[hit]] = 2 * (s + np.bitwise_count(w ^ (w - np.uint64(1))) - 1)[hit]
+        more = ~hit & (s < (sentinel >> 1) - 63)  # flags from odd.size on are clear
+        todo, s = todo[more], s[more] + 64
+    return out
 
 
 def _index_primes(bound: int):
@@ -328,15 +349,16 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
     return m_out, maxdiff_out, maxdiff_n_out, merge_out
 
 
-def gap_words(ks: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """One uint32 per base offset k into a primality bitmap: bit i is
-    flags[k + 2i], for i = 0..MAX_SPAN // 2.
+def gap_words(idx: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """One uint32 per base p = o0 + 2 * idx[i] of the odd flags odd[j] <=>
+    o0 + 2j is prime: bit j is odd[idx[i] + j], the primality of p + 2j, for
+    j = 0..MAX_SPAN // 2.
 
-    Callers guarantee ks + MAX_SPAN stays inside flags.
+    Callers guarantee idx + MAX_SPAN // 2 stays inside odd.
     """
-    words = np.zeros(ks.size, np.uint32)
-    for i in range(MAX_SPAN // 2 + 1):
-        words |= flags[ks + 2 * i].astype(np.uint32) << i
+    words = np.zeros(idx.size, np.uint32)
+    for j in range(MAX_SPAN // 2 + 1):
+        words |= odd[idx + j].astype(np.uint32) << j
     return words
 
 

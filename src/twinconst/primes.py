@@ -10,11 +10,11 @@ In a batch each prime's first odd multiple is one int64 remainder, and pass
 j crosses off the j-th next multiple of every prime below count / j (count
 is the window's odd count) in one scatter, into a bitmap with one spare
 slot for the misses: most of these primes exceed count and take pass 0
-only. The odd-value flags are expanded to one flag per value at the end.
-The base primes come from a grow-only per-process cache, which the same
-odd-only core builds DEFAULT_SEGMENT_SIZE odd values at a time, taking its
-root primes from itself. This core is the only way primes are built: the
-import-time table of flags up to 2^20 is one sieve_segment window.
+only. A Segment holds these odd-value flags, and builds per-value flags only
+when read. The base primes come from a grow-only per-process cache, which
+the same odd-only core builds DEFAULT_SEGMENT_SIZE odd values at a time,
+taking its root primes from itself. This core is the only way primes are
+built: the import-time table of flags up to 2^20 is one sieve_segment window.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -220,11 +221,21 @@ def consecutive_primes_from(p: int, k: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Segment:
-    """Primality bitmap for the inclusive value range [lo, hi]."""
+    """Primality of the inclusive value range [lo, hi], held as the flags of
+    its odd values: odd[i] <=> o0 + 2i is prime, for o0 = lo | 1."""
 
     lo: int
     hi: int
-    flags: np.ndarray  # flags[k] <=> (lo + k) is prime
+    odd: np.ndarray
+
+    @cached_property
+    def flags(self) -> np.ndarray:
+        """flags[k] <=> lo + k is prime: one flag per value, built on first read."""
+        flags = np.zeros(self.hi - self.lo + 1, dtype=bool)
+        flags[(self.lo | 1) - self.lo :: 2] = self.odd
+        if self.lo <= 2 <= self.hi:
+            flags[2 - self.lo] = True
+        return flags
 
 
 def sieve_segment(lo: int, hi: int) -> Segment:
@@ -237,12 +248,7 @@ def sieve_segment(lo: int, hi: int) -> Segment:
     if n > MAX_SEGMENT_SIZE:
         raise ValueError(f"segment width {n} exceeds max {MAX_SEGMENT_SIZE}")
     o0 = lo | 1
-    odd = _sieve_odd(o0, (hi - o0) // 2 + 1, _base_primes(math.isqrt(hi)))
-    flags = np.zeros(n, dtype=bool)
-    flags[o0 - lo :: 2] = odd
-    if lo <= 2 <= hi:
-        flags[2 - lo] = True
-    return Segment(lo, hi, flags)
+    return Segment(lo, hi, _sieve_odd(o0, (hi - o0) // 2 + 1, _base_primes(math.isqrt(hi))))
 
 
 _SMALL_FLAGS = sieve_segment(0, _SMALL_LIMIT).flags
@@ -261,8 +267,9 @@ def twin_lessers(limit: int) -> Iterator[int]:
     start, width = 3, 1 << 14
     while start <= limit:
         window_hi = min(start + width - 1, limit)
-        f = sieve_segment(start, window_hi + 2).flags
-        yield from (np.flatnonzero(f[:-2] & f[2:]) + start).tolist()
+        odd = sieve_segment(start, window_hi + 2).odd
+        # odd[:-1] are the odd values (start | 1) + 2i <= window_hi
+        yield from (2 * np.flatnonzero(odd[:-1] & odd[1:]) + (start | 1)).tolist()
         start = window_hi + 1
         width = min(2 * width, DEFAULT_SEGMENT_SIZE)
 

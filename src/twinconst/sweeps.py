@@ -3,13 +3,15 @@
 A sweep takes one chunk width, chunk_width(hi): CHUNK, doubled while a chunk
 has fewer odd values than there are base primes up to sqrt(hi), so that its
 sieve pays per value rather than per base prime (from about 6e13 up). Each
-chunk is sieved independently (share-nothing workers) and simulated by
-the lockstep kernel in kernels.py, which advances all of the chunk's pairs
-together and stops each at its merge or its first excess; a pair that
-outruns the kernel's bitmap or its index table is walked again in rank space
-by kernels.walk_pairs, on windows it sieves as the traces advance, up to
-DEFAULT_BOUND. Chunk results are merged in ascending range order, so reports
-do not depend on worker count; the c and m sequences are read off them.
+chunk is sieved independently (share-nothing workers) and runs on the
+sieve's odd-value flags from start to end: the twin lessers, the lockstep
+kernel in kernels.py, which advances all of the chunk's pairs together and
+stops each at its merge or its first excess, and the gap words the matchers
+read, with no flag per value built; a pair that outruns the kernel's bitmap
+or its index table is walked again in rank space by kernels.walk_pairs, on
+windows it sieves as the traces advance, up to DEFAULT_BOUND. Chunk results
+are merged in ascending range order, so reports do not depend on worker
+count; the c and m sequences are read off them.
 Run-to-merge statistics come from one walk_pairs call in merge_walks, as
 hseq.pair_trace's reports: of single pairs for pair_report (twinconst trace),
 of twin pairs for scan maxdiff, and of the pairs of consecutive odd primes
@@ -123,21 +125,21 @@ def chunk_width(hi: int) -> int:
 
 def _scan_chunk(args) -> TwinScanResult:
     lo, hi, predict, corollary_check = args
-    flags = primes.sieve_segment(lo, hi + _margin()).flags
-    width = hi - lo + 1
-    twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
-    m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_ks, flags)
+    odd = primes.sieve_segment(lo, hi + _margin()).odd  # odd[i] <=> (lo | 1) + 2i prime
+    n = (hi + 1) // 2 - lo // 2  # the odd values up to hi
+    twin_is = np.flatnonzero(odd[:n] & odd[1 : n + 1])
+    ps = (lo | 1) + 2 * twin_is
+    m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_is, odd)
     redo = np.flatnonzero(~ok)
     if redo.size:
-        ps = lo + twin_ks[redo]
         m[redo], maxd[redo], maxd_n[redo], merge_n[redo] = walk_pairs(
-            ps + 2, ps, DEFAULT_THRESHOLD, True, DEFAULT_BOUND)
+            ps[redo] + 2, ps[redo], DEFAULT_THRESHOLD, True, DEFAULT_BOUND)
     near = (merge_n > 0) & (maxd <= DEFAULT_THRESHOLD)
     predicted = cor17 = cor15 = None
     if predict or corollary_check:
-        words = gap_words(twin_ks, flags)
+        words = gap_words(twin_is, odd)
     if predict:
-        predicted = predict_near_bulk(words, lo + twin_ks)
+        predicted = predict_near_bulk(words, ps)
     if corollary_check:
         cor17, cor15 = (
             np.any([match_offsets_bulk(words, pattern)
@@ -146,7 +148,7 @@ def _scan_chunk(args) -> TwinScanResult:
     return TwinScanResult(
         lo=lo,
         hi=hi,
-        ps=(lo + twin_ks),
+        ps=ps,
         m=m,
         max_diff=maxd,
         max_diff_n=maxd_n,

@@ -98,25 +98,36 @@ def _save_checkpoint(path: str, params: dict, next_lo: int, state: Optional[dict
         raise
 
 
-def _load_checkpoint(path: str, params: dict, detail_keys: list):
+def _state(report: CampaignReport) -> dict:
+    return {name: getattr(report, name) for name in _STATE_FIELDS}
+
+
+def _types(fields: dict) -> list:
+    """(key, value type) per field; a None min_max_diff_excluding_p3 counts as int."""
+    return [(k, int if v is None and k == "min_max_diff_excluding_p3" else type(v))
+            for k, v in fields.items()]
+
+
+def _load_checkpoint(path: str, params: dict, fresh: dict):
     """Return (next_lo, report state), or None when there is no file at path
     or its version or params differ; raise ValueError, naming path, for a
-    file that cannot be read or is not a JSON checkpoint: one whose state
-    fields are not _STATE_FIELDS, or whose details keys are not detail_keys."""
+    file that cannot be read or is not a JSON checkpoint: one whose state, or
+    its details, differs from fresh, a new report's state, in a key, their
+    order or a value's type."""
     if not os.path.exists(path):
         return None
     # OSError: unreadable, as a directory or a file without read permission;
-    # ValueError: not UTF-8 or not JSON; KeyError, TypeError: not a checkpoint
+    # ValueError: not UTF-8 or not JSON; the rest: not a checkpoint
     try:
         with open(path, "rb") as fh:
             meta = json.loads(fh.read(), object_pairs_hook=_int_keys)
         if meta["version"] != CHECKPOINT_VERSION or meta["params"] != params:
             return None
         state = meta["state"]
-        if set(state) != set(_STATE_FIELDS) or list(state["details"]) != detail_keys:
-            raise KeyError("state")
+        if _types(state) + _types(state["details"]) != _types(fresh) + _types(fresh["details"]):
+            raise TypeError("state")
         return int(meta["next_lo"]), state
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: not a JSON checkpoint ({exc!r})") from None
 
 
@@ -155,7 +166,7 @@ def partitioned_scan(
         checkpoint_dir = os.path.dirname(checkpoint) or "."
         if not (os.path.isdir(checkpoint_dir) and os.access(checkpoint_dir, os.W_OK)):
             raise ValueError(f"{checkpoint}: {checkpoint_dir} is not a writable directory")
-        loaded = _load_checkpoint(checkpoint, params, list(report.details))
+        loaded = _load_checkpoint(checkpoint, params, _state(report))
         if loaded is not None:
             start, state = loaded
             report = replace(report, **state)
@@ -166,8 +177,7 @@ def partitioned_scan(
         _fold_claims(report, part)
         completed_hi = part.hi
         if checkpoint is not None and part.hi - saved_hi >= CHECKPOINT_SPAN:
-            _save_checkpoint(checkpoint, params, part.hi + 1,
-                             {name: getattr(report, name) for name in _STATE_FIELDS})
+            _save_checkpoint(checkpoint, params, part.hi + 1, _state(report))
             saved_hi = part.hi
 
     if start <= limit:

@@ -109,14 +109,14 @@ def test_predicts_near_matches_simulation_small():
 
 
 def test_predict_near_bulk_matches_scalar():
-    lo = 3
-    seg = primes.sieve_segment(lo, 50_000)
-    flags = seg.flags
-    width = 40_000
-    twin_ks = np.flatnonzero(flags[:width] & flags[2 : width + 2]).astype(np.int64)
-    bulk = predict_near_bulk(gap_words(twin_ks, flags), lo + twin_ks)
-    for k, got in zip(twin_ks, bulk):
-        assert bool(got) == predicts_near(lo + int(k))
+    # odd[i] <=> 3 + 2i is prime; the twin lessers below 40_000
+    odd = primes.sieve_segment(3, 50_000).odd
+    n = 20_000
+    twin_is = np.flatnonzero(odd[:n] & odd[1 : n + 1])
+    ps = 3 + 2 * twin_is
+    bulk = predict_near_bulk(gap_words(twin_is, odd), ps)
+    for p, got in zip(ps.tolist(), bulk):
+        assert bool(got) == predicts_near(p)
 
 
 def test_match_offsets_bulk_matches_scalar():
@@ -125,12 +125,13 @@ def test_match_offsets_bulk_matches_scalar():
     # the middle window holds 7447049, the first base of the m=15 pattern
     # (0, 2, 8, 12, 18, 24, 30, 32); the window from 3 holds one of every other
     for lo, width in ((3, 1 << 19), (7_446_000, 1 << 12), (10**12, 1 << 12)):
-        flags = primes.sieve_segment(lo, lo + width + 40).flags
-        ks = np.flatnonzero(flags[:width])
-        words = gap_words(ks, flags)
+        # the primes below lo + width, all odd: odd[i] <=> (lo | 1) + 2i is prime
+        odd = primes.sieve_segment(lo, lo + width + 40).odd
+        idx = np.flatnonzero(odd[: width // 2])
+        words = gap_words(idx, odd)
         for i, pattern in enumerate(patterns):
             bulk = match_offsets_bulk(words, pattern)
-            scalar = [matches_pattern(lo + k, pattern) for k in ks.tolist()]
+            scalar = [matches_pattern((lo | 1) + 2 * j, pattern) for j in idx.tolist()]
             assert bulk.tolist() == scalar, (lo, pattern)
             hits[i] += np.count_nonzero(bulk)
     assert hits.all(), hits
@@ -152,10 +153,12 @@ def test_matchers_agree_with_sieved_primes(lo, hi, scalar_hi):
     odd values included. The scalar matcher's Miller-Rabin queries would take
     about a minute over the primes of (2^20, 2^22], so it checks those up to
     scalar_hi only."""
-    flags = primes.sieve_segment(lo, hi + MAX_SPAN).flags
+    seg = primes.sieve_segment(lo, hi + MAX_SPAN)
+    flags = seg.flags
     ks = np.flatnonzero(flags[: hi - lo + 1])
     windows = np.lib.stride_tricks.sliding_window_view(flags, MAX_SPAN + 1)[ks]
-    words = gap_words(ks, flags)
+    # the primes lo + ks are odd: odd index (lo + k - (lo | 1)) / 2
+    words = gap_words((lo + ks - (lo | 1)) // 2, seg.odd)
     scalar_ks = ks[lo + ks <= scalar_hi].tolist()
     for i, pattern in enumerate(PRODUCTION_PATTERNS):
         word = np.zeros(pattern.span + 1, bool)

@@ -110,6 +110,71 @@ def test_stop_on_excess_near_1e12_matches_oracle():
     _assert_matches_oracle(result)
 
 
+@pytest.mark.parametrize("height, seed", [(10**14, 14), (10**15, 15)])
+def test_chunk_at_height_matches_oracle(height, seed):
+    # one chunk of every column at a seeded window, as the 10^12 test above
+    rng = np.random.default_rng(seed)
+    lo = height + int(rng.integers(0, 10**9))
+    result = scan_twin_range(lo, lo + (1 << 16) - 1, predict=True, corollary_check=True)
+    assert result.ps.size > 50 and result.fallback_count == 0
+    _assert_matches_oracle(result)
+    assert np.array_equal(result.near, (result.merge_n > 0) & (result.max_diff <= 6))
+
+
+def test_sweep_reads_no_per_value_flags(monkeypatch):
+    # a sweep chunk runs on the sieve's odd flags from start to end
+    def refused(self):
+        raise AssertionError("per-value flags read")
+
+    monkeypatch.setattr(primes.Segment, "flags", property(refused))
+    lo = 10**9 + 12345
+    result = scan_twin_range(lo, lo + (3 << 19), predict=True, corollary_check=True)
+    assert result.ps.size > 3000 and result.fallback_count == 0
+
+
+@pytest.mark.parametrize("p, gap", [(1357201, 132), (2010733, 148)])
+@pytest.mark.parametrize("bit", [0, 1, 31, 62, 63])
+def test_prime_step_matches_next_prime_across_maximal_gaps(p, gap, bit):
+    # p sits at bit `bit` of the second 64-bit word of odd flags: at bit 63
+    # the 148-value gap clears the whole third word, so the step reads on to
+    # the fourth. The window ends 37 flags into its fifth word, and every
+    # offset past its last prime steps to the sentinel.
+    assert primes.next_prime(p) == p + gap
+    o0 = p - 2 * (64 + bit)
+    odd = primes.sieve_segment(o0, o0 + 2 * (4 * 64 + 37) - 1).odd
+    sentinel = 2 * odd.size - 1
+    last = o0 + 2 * int(np.flatnonzero(odd)[-1])
+    want = [primes.next_prime(o0 + x) - o0 if o0 + x < last else sentinel
+            for x in range(sentinel)]
+    got = kernels._prime_step(kernels._odd_words(odd), np.arange(sentinel), sentinel)
+    assert got.tolist() == want
+    assert want[2 * (64 + bit)] == 2 * (64 + bit) + gap and want[-1] == sentinel
+
+
+def test_pairs_near_the_bitmap_end_are_not_ok():
+    # windows [3, hi]: a pair is ok exactly when its upper trace stays at or
+    # below the window's last odd value up to the pair's stop index, as the
+    # even value after it is the sentinel offset 2 * odd.size - 1, off the
+    # bitmap; the ok pairs' statistics are the oracle's
+    off = 0
+    for hi in range(150, 300):
+        odd = primes.sieve_segment(3, hi).odd
+        last = 3 + 2 * (odd.size - 1)
+        twin_is = np.flatnonzero(odd[:-1] & odd[1:])
+        ps = 3 + 2 * twin_is
+        out = pair_stats_kernel(twin_is, odd)
+        ok = out[4]
+        want = []
+        for p in ps.tolist():
+            rep = pair_trace(p + 2, p, DEFAULT_THRESHOLD, DEFAULT_BOUND)
+            want.append(h_sequence(p + 2, rep.first_excess or rep.merge_index)[-1] <= last)
+        assert ok.tolist() == want, hi
+        off += want.count(False)
+        _assert_matches_oracle(TwinScanResult(3, hi, ps[ok], *(col[ok] for col in out[:4]),
+                                              None, None))
+    assert off > 100
+
+
 def test_pairs_off_the_bitmap_reach_the_fallback(monkeypatch):
     # near 10^12 a trace passes some 30 values per prime index, so the pairs
     # near the end of a 64-value chunk leave its bitmap (16 values past it,
@@ -149,7 +214,7 @@ def test_chunk_width_is_capped_near_the_range_limit(monkeypatch):
 
 
 def test_sweep_limit_is_checked_before_chunk_width(monkeypatch):
-    # a zero bitmap stands in for the sieve, so nothing is sieved: the last
+    # zero odd flags stand in for the sieve, so nothing is sieved: the last
     # accepted limit has its chunk's margin end at 2^63 exactly, and one past
     # it is an argument error before chunk_width reads the base-prime cache
     top = primes.RANGE_LIMIT - max(kernels.WALK_WINDOW, MAX_SPAN)
@@ -157,7 +222,7 @@ def test_sweep_limit_is_checked_before_chunk_width(monkeypatch):
 
     def no_primes(lo, hi):
         sieved.append(hi)
-        return primes.Segment(lo, hi, np.zeros(hi - lo + 1, dtype=bool))
+        return primes.Segment(lo, hi, odd=np.zeros((hi - (lo | 1)) // 2 + 1, dtype=bool))
 
     monkeypatch.setattr(sweeps, "chunk_width", lambda hi: widths.append(hi) or 64)
     monkeypatch.setattr(primes, "sieve_segment", no_primes)

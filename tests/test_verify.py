@@ -755,6 +755,43 @@ def test_checkpoint_whose_details_differ_is_rejected(tmp_path, capsys, monkeypat
     assert ckpt.read_bytes() == before and not report.exists()
 
 
+@pytest.mark.parametrize("field, key, value", [
+    ("details", "c_prefix", 5),
+    ("details", "first_occurrence", []),
+    ("details", "count_m17", True),
+    ("details", "min_max_diff_excluding_p3", "6"),
+    ("pairs_examined", None, 10.0),
+    ("m_value_histogram", None, [[3, 1]]),
+], ids=["c_prefix-int", "first_occurrence-list", "count-bool", "min-str",
+        "pairs-float", "histogram-list"])
+def test_checkpoint_whose_value_types_differ_is_rejected(tmp_path, capsys, monkeypatch,
+                                                         field, key, value):
+    # a real report's state, resumable at 20_003, with one value of another
+    # type: folding into it would fail half-way through a chunk, so the file
+    # is no checkpoint, refused before anything is sieved
+    from twinconst.cli import main
+
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    state = {n: getattr(partitioned_scan(20_002), n) for n in verify_mod._STATE_FIELDS}
+    assert isinstance(state["details"]["min_max_diff_excluding_p3"], int)
+    if key is None:
+        state[field] = value
+    else:
+        state[field][key] = value
+    sieved = []
+    monkeypatch.setattr(primes, "sieve_segment", lambda lo, hi: sieved.append(lo))
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.write_text(json.dumps({"version": verify_mod.CHECKPOINT_VERSION, "params": _PARAMS,
+                                "next_lo": 20_003, "state": state}))
+    before = ckpt.read_bytes()
+    report = tmp_path / "t1.report"
+    code = main(["verify", "t1", "--limit", "30000", "--checkpoint", str(ckpt),
+                 "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2 and f"error: {ckpt}: not a JSON checkpoint" in err
+    assert sieved == [] and ckpt.read_bytes() == before and not report.exists()
+
+
 def test_planted_m_outside_mod30_29_is_counted_not_reported(monkeypatch):
     # the corollaries' equivalences are stated for 30t+29 lessers only
     plants = [("m", 500_111, 17), ("m", 2_097_257, 15)]  # lessers 30t+11 and 30t+17
