@@ -10,8 +10,9 @@ stops each at its merge or its first excess, and the gap words the matchers
 read, with no flag per value built; a pair that outruns the kernel's bitmap
 or its index table is walked again in rank space by kernels.walk_pairs, on
 windows it sieves as the traces advance, up to DEFAULT_BOUND. Chunk results
-are merged in ascending range order, so reports do not depend on worker
-count; the c and m sequences are read off them.
+are merged in ascending range order, also when forked workers run them
+(_forked), so reports do not depend on worker count; the c and m sequences
+are read off them.
 Run-to-merge statistics come from one walk_pairs call in merge_walks, as
 hseq.pair_trace's reports: of single pairs for pair_report (twinconst trace),
 of twin pairs for scan maxdiff, and of the pairs of consecutive odd primes
@@ -21,11 +22,13 @@ of small prime starts (prime_pair_merges, behind scan merge).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-from collections import deque
+import os
+import pickle
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,17 +45,11 @@ from .hseq import (
 )
 from .kernels import UNMERGED, gap_words, match_offsets_bulk, pair_stats_kernel, walk_pairs
 
-if TYPE_CHECKING:  # the pool's modules are imported only when a pool starts
-    from concurrent.futures import ProcessPoolExecutor
-
 # Values per sweep chunk below about 6e13, read at each scan: the checkpoint
 # cadence, ~1e6 scanned values. Higher up, chunk_width doubles it until a chunk
 # holds an odd value per base prime; with the values _scan_chunk sieves past
 # it, a chunk of any width fits one sieve segment.
 CHUNK = 1 << 20
-# A pooled scan keeps at most this many chunks per worker submitted and not
-# yet taken, so a long sweep queues a few futures, not one per chunk.
-_IN_FLIGHT_PER_WORKER = 2
 
 
 @dataclass
@@ -115,7 +112,7 @@ def chunk_width(hi: int) -> int:
     CHUNK with at least as many odd values (width / 2) as there are base primes
     up to isqrt(hi), capped so that a chunk and its margin fit one sieve
     segment. The count comes from the base-prime cache, which the sweep's
-    first window reads anyway and forked pool workers inherit."""
+    first window reads anyway and forked workers inherit."""
     count = primes._base_primes(math.isqrt(hi)).size
     width = CHUNK
     while width // 2 < count and 2 * width + _margin() <= primes.MAX_SEGMENT_SIZE:
@@ -228,21 +225,76 @@ def prime_pair_merges(count: int, bound: int = DEFAULT_BOUND) -> list[tuple]:
     return out[:count]
 
 
-def _in_order(pool, items, depth: int):
-    """_scan_chunk(item) for each item, in order, run on pool with at most
-    depth items submitted and not yet yielded. A failed item, or closing the
-    generator, cancels the submitted items that no worker has started."""
-    pending: deque = deque()
+def _child(starts: range, span: Callable, fds: list[int]) -> None:
+    """A forked worker: send each chunk's (ok, result or exception) pickled on
+    pipe fds[-2], each after the first for a credit byte from fds[-1]. It
+    leaves only by os._exit, so no buffer or atexit handler runs twice."""
+    code = 1
     try:
-        for item in items:
-            pending.append(pool.submit(_scan_chunk, item))
-            if len(pending) == depth:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        *callers, results, credits = fds
+        for fd in callers:  # the caller's pipe ends
+            os.close(fd)
+        with open(results, "wb") as out:
+            for k, start in enumerate(starts):
+                if k and not os.read(credits, 1):
+                    break  # EOF: the caller closed the sweep
+                try:
+                    msg = pickle.dumps((True, _scan_chunk(span(start))))
+                except Exception as exc:
+                    msg = pickle.dumps((False, exc))
+                out.write(msg)
+                out.flush()
+        code = 0
     finally:
-        for future in pending:
-            future.cancel()
+        os._exit(code)
+
+
+def _forked(span: Callable, starts: range, workers: int):
+    """_scan_chunk(span(start)) for each of starts, in order: the caller runs
+    chunk i when i % workers == 0, and forked child w streams chunks w,
+    w + workers, ... back, one chunk ahead at most: it starts the next for a
+    credit the caller sends as it takes a result. A chunk's exception is raised
+    at its turn, a child's death as a RuntimeError; on return, raise or
+    close, every child is killed and reaped."""
+    import signal
+
+    pids: list[int] = []
+    fds: list[int] = []  # per child, the caller's ends: results, credits
+    try:
+        for w in range(1, workers):
+            results, child_results = os.pipe()
+            child_credits, credits = os.pipe()
+            fds += [results, credits, child_results, child_credits]
+            pid = os.fork()
+            if pid == 0:
+                _child(starts[w::workers], span, fds)  # leaves by os._exit
+            pids.append(pid)
+            os.close(fds.pop())
+            os.close(fds.pop())
+        readers = [open(fd, "rb", closefd=False) for fd in fds[::2]]
+        credit_fds = fds[1::2]
+        for i, start in enumerate(starts):
+            w = i % workers
+            if w == 0:
+                yield _scan_chunk(span(start))
+                continue
+            try:
+                ok, out = pickle.load(readers[w - 1])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"sweep worker {pids[w - 1]} died before sending "
+                                   f"the chunk at {start}") from None
+            if not ok:
+                raise out
+            # a child past its last chunk, or dead, has closed its credit pipe
+            with contextlib.suppress(BrokenPipeError):
+                os.write(credit_fds[w - 1], b"\0")
+            yield out
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def scan_twin_range(
@@ -253,15 +305,14 @@ def scan_twin_range(
     corollary_check: bool = False,
     workers: int = 1,
     on_chunk: Optional[Callable[[TwinScanResult], None]] = None,
-    executor: Optional[ProcessPoolExecutor] = None,
 ) -> Optional[TwinScanResult]:
     """Sweep all twin lessers in [lo, hi] in chunk_width(hi)-value chunks at
     DEFAULT_THRESHOLD, each pair to its merge or its first excess. Run-to-merge
-    statistics past an excess come from kernels.walk_pairs instead.
+    statistics past an excess come from kernels.walk_pairs instead, on up to
+    workers processes (_forked), the caller among them.
 
     Returns the chunks' results concatenated; on_chunk instead takes each
-    chunk's result in order, none is kept, and the call returns None. Pass an
-    executor to reuse a worker pool across many scans.
+    chunk's result in order, none is kept, and the call returns None.
     """
     _check_limit(hi)
     lo = max(lo, 3)
@@ -272,28 +323,21 @@ def scan_twin_range(
         return replace(_scan_chunk((lo, lo - 1, predict, corollary_check)), hi=hi)
     width = chunk_width(hi)
     starts = range(lo, hi + 1, width)
-    spans = ((start, min(start + width - 1, hi), predict, corollary_check)
-             for start in starts)
-    pool = None
-    if workers > 1 and len(starts) > 1:
-        pool = executor
-        if pool is None:
-            from concurrent.futures import ProcessPoolExecutor
+    workers = min(workers, len(starts))
 
-            pool = ProcessPoolExecutor(max_workers=min(workers, len(starts)))
-    depth = _IN_FLIGHT_PER_WORKER * min(workers, len(starts))
-    chunks = _in_order(pool, spans, depth) if pool else map(_scan_chunk, spans)
+    def span(start: int) -> tuple:
+        return start, min(start + width - 1, hi), predict, corollary_check
+
+    chunks = (_forked(span, starts, workers) if workers > 1
+              else map(_scan_chunk, map(span, starts)))
     parts: list[TwinScanResult] = []
     take = on_chunk or parts.append
     try:
         for part in chunks:
             take(part)
     finally:
-        if pool is not None:
-            # after a failure, cancel the chunks no worker has started
-            chunks.close()
-            if executor is None:
-                pool.shutdown()
+        if workers > 1:
+            chunks.close()  # after a failure, kill and reap the children
     return TwinScanResult.concat(parts) if on_chunk is None else None
 
 

@@ -113,7 +113,8 @@ def _load_checkpoint(path: str, params: dict, fresh: dict):
     or its version or params differ; raise ValueError, naming path, for a
     file that cannot be read or is not a JSON checkpoint: one whose state, or
     its details, differs from fresh, a new report's state, in a key, their
-    order or a value's type."""
+    order or a value's type, or whose int-keyed maps or int lists hold
+    anything but ints."""
     if not os.path.exists(path):
         return None
     # OSError: unreadable, as a directory or a file without read permission;
@@ -124,7 +125,11 @@ def _load_checkpoint(path: str, params: dict, fresh: dict):
         if meta["version"] != CHECKPOINT_VERSION or meta["params"] != params:
             return None
         state = meta["state"]
-        if _types(state) + _types(state["details"]) != _types(fresh) + _types(fresh["details"]):
+        d = state["details"]
+        maps = (state["m_value_histogram"], state["residue_counts"], d["first_occurrence"])
+        ints = [*d["c_prefix"], *d["c_mod10_eq_1"], *(x for m in maps for x in (*m, *m.values()))]
+        if (_types(state) + _types(d) != _types(fresh) + _types(fresh["details"])
+                or any(type(x) is not int for x in ints)):
             raise TypeError("state")
         return int(meta["next_lo"]), state
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:

@@ -2,7 +2,6 @@
 module (which runs them at >= 1000 cases each)."""
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -74,21 +73,19 @@ def run_merge_persistence(n_cases: int, seed: int = 2) -> int:
 def run_parallel_determinism(n_cases: int, seed: int = 3) -> int:
     """Scan results are identical for any worker count and chunking."""
     rng = random.Random(seed)
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        for _ in range(n_cases):
-            limit = rng.randint(10, 4096)
-            chunk = rng.randint(256, 1024)
-            default_chunk, sweeps.CHUNK = sweeps.CHUNK, chunk
-            try:
-                serial = scan_twin_range(3, limit, predict=True, workers=1)
-                parallel = scan_twin_range(3, limit, predict=True, workers=2,
-                                           executor=pool)
-            finally:
-                sweeps.CHUNK = default_chunk
-            for name in ("ps", "m", "max_diff", "max_diff_n", "merge_n",
-                         "near", "predicted"):
-                assert np.array_equal(getattr(serial, name),
-                                      getattr(parallel, name)), (limit, chunk, name)
+    for _ in range(n_cases):
+        limit = rng.randint(10, 4096)
+        chunk = rng.randint(256, 1024)
+        default_chunk, sweeps.CHUNK = sweeps.CHUNK, chunk
+        try:
+            serial = scan_twin_range(3, limit, predict=True, workers=1)
+            parallel = scan_twin_range(3, limit, predict=True, workers=2)
+        finally:
+            sweeps.CHUNK = default_chunk
+        for name in ("ps", "m", "max_diff", "max_diff_n", "merge_n",
+                     "near", "predicted"):
+            assert np.array_equal(getattr(serial, name),
+                                  getattr(parallel, name)), (limit, chunk, name)
     return n_cases
 
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import itertools
 import os
 
@@ -310,22 +309,26 @@ def test_output_worker_invariance(capsys, monkeypatch):
     assert code1 == code2 == 0
     assert out1 == out2
     # the 10000th twin lesser, 1260989, puts two 2^20-value chunks in the
-    # scan: two workers start a pool of two, and so do four
-    pools = []
+    # scan: on two workers the caller runs one and forks a child for the
+    # other, and so on four
+    forks = []
+    real_fork = os.fork
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    def counting_fork():
+        pid = real_fork()
+        if pid:  # in the caller
+            forks[-1] += 1
+        return pid
 
-    # the sweep imports the pool class from concurrent.futures as it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    code1, out1, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "1")
-    code2, out2, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "2")
-    code4, out4, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", "4")
-    assert code1 == code2 == code4 == 0
-    assert out1 == out2 == out4
-    assert pools == [2, 2]
+    monkeypatch.setattr(os, "fork", counting_fork)
+    outs = []
+    for workers in ("1", "2", "4"):
+        forks.append(0)
+        code, out, _ = run(capsys, "scan", "m", "--count", "10000", "--workers", workers)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert forks == [0, 1, 1]
 
 
 SLICE = cli._PRINT_SLICE

@@ -6,7 +6,6 @@ import sys
 import tempfile
 import time
 import weakref
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,15 +21,29 @@ C_PREFIX = [3, 11, 17, 29, 59, 227, 269, 1277, 1289, 1607, 2129, 2789, 3527, 391
 
 _real_scan_chunk = sweeps._scan_chunk
 _FAILING_LO = 20_003  # the third 10_000-value chunk
+_KILLED_LO = 30_003  # the fourth, a child's on two workers
 _chunk_log = None  # directory where the chunk functions below record each chunk they start
+_caller = None  # the test process's pid, for _killed_in_child
 
 
-# module level, so a pool can send these to forked workers by reference
+def _no_child_left():
+    """Every process a sweep forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# forked sweep workers find these through sweeps._scan_chunk, set before the fork
 def _logged_chunk(args):
     lo = args[0]
     (_chunk_log / str(lo)).touch()
     if lo > _FAILING_LO:
-        time.sleep(0.05)  # later chunks are slow, so a pool still running them shows
+        time.sleep(0.05)  # later chunks are slow, so a worker still running them shows
+    return _real_scan_chunk(args)
+
+
+def _killed_in_child(args):
+    if args[0] == _KILLED_LO and os.getpid() != _caller:
+        os._exit(3)
     return _real_scan_chunk(args)
 
 
@@ -254,10 +267,11 @@ def test_partitioned_scan_worker_failure_two_workers(monkeypatch, tmp_path):
     assert not report.verified
     assert "injected worker failure" in report.details["error"]
     assert report.details["completed_hi"] == 20_002
-    # of the 40 queued chunks, only those a worker had already taken may run
-    # after the failure; the rest are cancelled
+    # the failing third chunk is the caller's own; of the 40 chunks, only
+    # those a worker had already started may have run
     started = len(list(tmp_path.iterdir()))
     assert 3 <= started < 20
+    _no_child_left()
 
 
 def test_partitioned_scan_checkpoint_failure_two_workers(monkeypatch, tmp_path):
@@ -281,12 +295,13 @@ def test_partitioned_scan_checkpoint_failure_two_workers(monkeypatch, tmp_path):
     assert "OSError: injected checkpoint failure" in report.details["error"]
     assert report.details["completed_hi"] == 30_002
     assert os.path.exists(ckpt)
-    # a failing on_chunk callback cancels the queued chunks, as a failing chunk does
+    # a failing on_chunk callback stops the later chunks, as a failing chunk does
     started = len(list(log.iterdir()))
     assert 3 <= started < 20
+    _no_child_left()
 
 
-def test_callback_failure_cancels_queued_chunks_of_callers_pool(monkeypatch, tmp_path):
+def test_callback_failure_stops_the_forked_chunks(monkeypatch, tmp_path):
     monkeypatch.setattr(sys.modules[__name__], "_chunk_log", tmp_path)
     monkeypatch.setattr(sweeps, "_scan_chunk", _logged_chunk)
     monkeypatch.setattr(sweeps, "CHUNK", 10_000)
@@ -295,31 +310,74 @@ def test_callback_failure_cancels_queued_chunks_of_callers_pool(monkeypatch, tmp
         if part.lo == _FAILING_LO:
             raise OSError("injected callback failure")
 
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        # excinfo keeps the traceback, and with it the sweep's map iterator,
-        # alive until the pool shuts down: only an explicit cancel stops the
-        # queued chunks
-        with pytest.raises(OSError, match="injected callback failure") as excinfo:
-            scan_twin_range(3, 400_000, workers=2, executor=pool, on_chunk=fail_third)
+    # excinfo keeps the traceback, and with it the sweep's generator, alive:
+    # the sweep itself must stop and reap its workers
+    with pytest.raises(OSError, match="injected callback failure") as excinfo:
+        scan_twin_range(3, 400_000, workers=2, on_chunk=fail_third)
+    _no_child_left()
     started = len(list(tmp_path.iterdir()))
     assert 3 <= started < 20
 
 
-def test_pooled_scan_bounds_the_chunks_in_flight(monkeypatch):
+def test_forked_scan_bounds_the_chunks_in_flight(monkeypatch, tmp_path):
+    # every worker logs each chunk as it starts it, and on_chunk is slow, so
+    # children free to run ahead would; each is one chunk ahead at most
+    monkeypatch.setattr(sweeps, "_scan_chunk", _logged_chunk)
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    for workers in (2, 3):
+        log = tmp_path / str(workers)
+        log.mkdir()
+        monkeypatch.setattr(sys.modules[__name__], "_chunk_log", log)
+        taken, ahead = [], []
+
+        def take(part):
+            time.sleep(0.005)
+            taken.append(part.lo)
+            ahead.append(len(list(log.iterdir())) - len(taken))
+
+        scan_twin_range(3, 200_000, workers=workers, on_chunk=take)
+        assert taken == [3 + 10_000 * i for i in range(20)]
+        assert 1 <= max(ahead) <= workers - 1, (workers, ahead)
+        _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_failing_chunk_is_raised_at_its_turn_and_reaps_the_workers(monkeypatch, tmp_path,
+                                                                   workers):
+    # the failing third chunk is the caller's own at 2 workers, a child's at 3
+    monkeypatch.setattr(sys.modules[__name__], "_chunk_log", tmp_path)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _fail_third_chunk)
     monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     taken = []
-    outstanding = []  # chunks submitted and not yet taken, at each submit
+    with pytest.raises(RuntimeError, match="injected worker failure"):
+        scan_twin_range(3, 400_000, workers=workers, on_chunk=taken.append)
+    assert [part.lo for part in taken] == [3, 10_003]
+    _no_child_left()
 
-    class CountingPool(ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            outstanding.append(len(outstanding) + 1 - len(taken))
-            return super().submit(fn, *args)
 
-    with CountingPool(max_workers=2) as pool:
-        scan_twin_range(3, 400_000, workers=2, executor=pool, on_chunk=taken.append)
-    assert len(outstanding) == 40
-    assert max(outstanding) == sweeps._IN_FLIGHT_PER_WORKER * 2
-    assert [part.lo for part in taken] == [3 + 10_000 * i for i in range(40)]
+def test_killed_worker_aborts_the_campaign(monkeypatch):
+    # the fourth chunk's child exits without sending it: the campaign reports
+    # the three chunks before it, and names the worker and the chunk
+    monkeypatch.setattr(sys.modules[__name__], "_caller", os.getpid())
+    monkeypatch.setattr(sweeps, "_scan_chunk", _killed_in_child)
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    report = partitioned_scan(100_000, 2)
+    assert report.aborted and not report.verified
+    assert len(forked) == 1
+    assert report.details["error"] == (f"RuntimeError: sweep worker {forked[0]} died "
+                                       f"before sending the chunk at {_KILLED_LO}")
+    assert report.details["completed_hi"] == _KILLED_LO - 1
+    assert report.pairs_examined == partitioned_scan(30_002).pairs_examined
+    _no_child_left()
 
 
 def test_checkpoint_resume(tmp_path, monkeypatch):
@@ -762,13 +820,21 @@ def test_checkpoint_whose_details_differ_is_rejected(tmp_path, capsys, monkeypat
     ("details", "min_max_diff_excluding_p3", "6"),
     ("pairs_examined", None, 10.0),
     ("m_value_histogram", None, [[3, 1]]),
+    ("m_value_histogram", 3, "1"),
+    ("m_value_histogram", 3, True),
+    ("residue_counts", "x", 1),
+    ("details", "c_prefix", [3, 11.0]),
+    ("details", "c_mod10_eq_1", [None]),
+    ("details", "first_occurrence", {"3": "137"}),
 ], ids=["c_prefix-int", "first_occurrence-list", "count-bool", "min-str",
-        "pairs-float", "histogram-list"])
+        "pairs-float", "histogram-list", "histogram-count-str", "histogram-count-bool",
+        "residue-key-str", "c_prefix-float", "c_mod10-null", "first_occurrence-str"])
 def test_checkpoint_whose_value_types_differ_is_rejected(tmp_path, capsys, monkeypatch,
                                                          field, key, value):
-    # a real report's state, resumable at 20_003, with one value of another
-    # type: folding into it would fail half-way through a chunk, so the file
-    # is no checkpoint, refused before anything is sieved
+    # a real report's state, resumable at 20_003, with one value, or one
+    # element of a map or list, of another type: folding into it would fail
+    # half-way through a chunk, or write a report that cannot be sorted, so
+    # the file is no checkpoint, refused before anything is sieved
     from twinconst.cli import main
 
     monkeypatch.setattr(sweeps, "CHUNK", 10_000)
