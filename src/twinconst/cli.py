@@ -32,6 +32,22 @@ def _default_workers() -> int:
         return 1
 
 
+def _int_arg(text: str) -> int:
+    """A decimal integer, or <int>e<int> when that is an exact integer: 1e8 is
+    10^8 and 12e-1 is refused. Anything else is an argument error (exit 2)."""
+    mant, e, exp = text.lower().partition("e")
+    try:
+        value, scale = int(mant), int(exp) if e else 0
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if abs(scale) > 100:  # every limit past 2^63 is refused anyway; 10^scale stays cheap
+        raise argparse.ArgumentTypeError(f"exponent out of range: {text!r}")
+    value, rest = divmod(value * 10**max(scale, 0), 10**max(-scale, 0))
+    if rest:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return value
+
+
 def _print_record(record: SequenceRecord, fmt: str) -> None:
     """Write the terms space-separated on one line, or as a b-file, a slice
     of _PRINT_SLICE terms at a time, so that only one slice's text is held."""
@@ -204,23 +220,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--bound", type=_int_arg, default=DEFAULT_BOUND)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("scan", help="bulk sequence scans")
     p.add_argument("kind", choices=("c", "m", "maxdiff", "merge"))
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--limit", type=_int_arg, default=None)
+    p.add_argument("--count", type=_int_arg, default=None)
+    p.add_argument("--bound", type=_int_arg, default=DEFAULT_BOUND)
     p.add_argument("--format", choices=("terms", "bfile"), default="terms")
     p.add_argument("--workers", type=int, default=_default_workers())
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="verification campaigns")
     p.add_argument("target", choices=("t1", "t2", "cor", "conj1"))
-    p.add_argument("--limit", type=int, default=10**6)
+    p.add_argument("--limit", type=_int_arg, default=10**6)
     p.add_argument("--primes", type=int, default=10, help="conj1: pair pool size")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND, help="conj1: merge bound")
+    p.add_argument("--bound", type=_int_arg, default=DEFAULT_BOUND, help="conj1: merge bound")
     p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--report", type=str, default=None)
     p.add_argument("--checkpoint", type=str, default=None)

@@ -128,7 +128,8 @@ def pair_stats_kernel(
 
 def _odd_words(odd: np.ndarray) -> np.ndarray:
     """odd[j] as bit j & 63 of uint64 word j >> 6, clear past odd.size and one word on."""
-    return np.packbits(np.pad(odd, (0, 128 - odd.size % 64)), bitorder="little").view("<u8")
+    packed = np.packbits(odd, bitorder="little")  # its last byte zero-padded
+    return np.pad(packed, (0, 8 * (odd.size // 64 + 2) - packed.size)).view("<u8")
 
 
 def _prime_step(words: np.ndarray, x: np.ndarray, sentinel: int) -> np.ndarray:

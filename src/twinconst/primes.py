@@ -11,10 +11,12 @@ j crosses off the j-th next multiple of every prime below count / j (count
 is the window's odd count) in one scatter, into a bitmap with one spare
 slot for the misses: most of these primes exceed count and take pass 0
 only. A Segment holds these odd-value flags, and builds per-value flags only
-when read. The base primes come from a grow-only per-process cache, which
-the same odd-only core builds DEFAULT_SEGMENT_SIZE odd values at a time,
-taking its root primes from itself. This core is the only way primes are
-built: the import-time table of flags up to 2^20 is one sieve_segment window.
+when read. The base primes come from a grow-only per-process table of 2 bytes
+per prime: those from 2^12 up are uint16 half-offsets from an anchor per 4096
+primes, decoded a batch at a time. One builder writes it with the same
+odd-only core, DEFAULT_SEGMENT_SIZE odd values at a time, taking its root
+primes from a smaller table. This core is the only way primes are built: the
+import-time table of flags up to 2^20 is one sieve_segment window.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,7 +47,7 @@ _SMALL_LIMIT = 1 << 20
 # together, in batches of _LARGE_PRIME_BATCH primes.
 _LARGE_PRIME_MIN = 1 << 12
 _LARGE_PRIME_BATCH = 1 << 16
-_BASE_PRIME_MAX = math.isqrt(RANGE_LIMIT)  # < 2^32, so uint32 holds every base prime
+_BASE_PRIME_MAX = math.isqrt(RANGE_LIMIT)  # < 2^32
 
 
 # The pre-sieve: _PRESIEVE[j] is True iff the odd value 1 + 2j has no factor
@@ -56,42 +58,46 @@ _PRESIEVE = np.gcd(np.arange(1, 2 * _PRESIEVE_PERIOD, 2), _PRESIEVE_PERIOD) == 1
 _PRESIEVE.setflags(write=False)
 
 
-def _sieve_odd(o0: int, count: int, base: np.ndarray) -> np.ndarray:
+def _sieve_odd(o0: int, count: int, small: np.ndarray,
+               large: Iterable[np.ndarray]) -> np.ndarray:
     """Flags odd[i] True iff o0 + 2i is prime, for odd o0 and 0 <= i < count.
 
-    base holds, ascending, every prime up to the square root of the last
-    value; those up to 13 are not read, the pre-sieve has removed their
-    multiples.
+    small holds, ascending, the primes below _LARGE_PRIME_MIN up to the
+    square root of the last value, and large the larger ones up to it as
+    ascending int64 batches; those up to 13 are not read, the pre-sieve has
+    removed their multiples.
     """
     # one spare slot past the last odd index catches the misses of the scatter
     odd = np.resize(np.roll(_PRESIEVE, -(o0 // 2 % _PRESIEVE_PERIOD)), count + 1)
     for v in (1,) + _PRESIEVE_PRIMES:
         if o0 <= v < o0 + 2 * count:
             odd[(v - o0) // 2] = v != 1
-    # keys of base's dtype, so that a uint32 base is not cast to int64 whole
-    first, split = base.searchsorted(
-        np.array([_PRESIEVE_PRIMES[-1] + 1, _LARGE_PRIME_MIN], base.dtype))
     # p itself sits at odd index (p - o0) / 2 and its odd multiples at the
     # indices congruent to that modulo p; none below p * p is crossed off
-    p = base[first:split].astype(np.int64)
+    p = small[small.searchsorted(_PRESIEVE_PRIMES[-1] + 1):].astype(np.int64)
     start = ((p >> 1) - (o0 >> 1)) % p
     if o0 < _LARGE_PRIME_MIN**2:  # else o0 passes every p * p here
         start = np.maximum(start, (p * p - o0) >> 1)
     # an odd multiple k * p steps to the next one 2p on, one odd index p on
     for q, s in zip(p.tolist(), start.tolist()):
         odd[s::q] = False
-    for b in range(split, base.size, _LARGE_PRIME_BATCH):
-        p = base[b : b + _LARGE_PRIME_BATCH].astype(np.int64)
-        start = ((p >> 1) - (o0 >> 1)) % p
+    buf = None
+    for p in large:
+        if buf is None:  # the first batch is the largest
+            buf = np.empty((2, p.size), np.int64)
+        start, idx = buf[:, : p.size]
+        np.right_shift(p, 1, out=start)
+        start -= o0 >> 1
+        start %= p
         if o0 <= int(p[-1]) ** 2:
-            start = np.maximum(start, (p * p - o0) >> 1)
+            np.maximum(start, (p * p - o0) >> 1, out=start)
         # Pass j crosses off odd index start + j * p for the primes p below
         # count / j, the only ones it can reach, in one scatter whose misses
         # land on the spare slot. Only pass 0 takes the primes >= count, which
         # hit the window at most once.
         h, j = p.size, 0
         while h:
-            odd[np.minimum(start[:h], count)] = False
+            odd[np.minimum(start[:h], count, out=idx[:h])] = False
             j += 1
             h = p.searchsorted(-(-count // j))
             start[:h] += p[:h]
@@ -106,46 +112,111 @@ def prime_flags_between(lo: int, hi: int) -> np.ndarray:
     return sieve_segment(lo, hi).flags
 
 
-# (limit, primes <= limit as read-only uint32), grown on demand by _base_primes
-_base_cache = (0, np.zeros(0, np.uint32))
+# The base-prime table of the primes <= limit, (limit, small, anchors, halves):
+# small holds those below _LARGE_PRIME_MIN as uint32, and halves each larger
+# prime p as the uint16 half-offset (p - a) / 2 from a = anchors[i // _ANCHOR_RUN],
+# the first of its run of _ANCHOR_RUN consecutive large primes (int64). Near
+# 2^32 such a run spans about 91 000 values, within the 2^17 that fit.
+_ANCHOR_RUN = 1 << 12
+_EMPTY_TABLE = (0, np.zeros(0, np.uint32), np.zeros(0, np.int64), np.zeros(0, np.uint16))
+# grown on demand by _base_primes; every array in it is read-only
+_base_cache = _EMPTY_TABLE
 
 
-def _base_primes(limit: int) -> np.ndarray:
-    """Primes <= limit (limit <= isqrt(2^63)), served from the per-process cache.
+def _base_primes(limit: int) -> tuple[np.ndarray, int]:
+    """The primes <= limit (limit <= isqrt(2^63)) from the per-process table:
+    those below _LARGE_PRIME_MIN, and the count of the larger ones, which
+    _large_batches(_base_cache, count) decodes.
 
-    The cache is rebuilt an eighth past a limit it does not cover, so the next
+    The table is rebuilt an eighth past a limit it does not cover, so the next
     windows of an ascending sweep reuse it.
     """
     global _base_cache
-    top, cached = _base_cache
-    if limit > top:
-        top = min(max(limit + limit // 8, 1 << 16), _BASE_PRIME_MAX)
-        cached = _segmented_primes_upto(top)
-        cached.setflags(write=False)
-        _base_cache = (top, cached)
-    return cached[: cached.searchsorted(np.uint32(limit), "right")]
+    if limit > _base_cache[0]:
+        table = _build_table(min(max(limit + limit // 8, 1 << 16), _BASE_PRIME_MAX))
+        for a in table[1:]:
+            a.setflags(write=False)
+        _base_cache = table
+    return _table_upto(_base_cache, limit)
 
 
-def _segmented_primes_upto(limit: int) -> np.ndarray:
-    """The primes <= limit, ascending, as uint32 (2 <= limit < 2^32), sieved
-    DEFAULT_SEGMENT_SIZE odd values at a time, each segment's primes written
-    straight into a uint32 array sized by pi(x) < 1.25506 x / ln x (Rosser and
-    Schoenfeld 1962), whose unused tail is never touched. The root primes come
-    from this function itself, at most 4 calls deep (2^32, 2^16, 2^8, 2^4):
-    below 17^2 the pre-sieve alone leaves only primes, so none are needed."""
-    root = (_segmented_primes_upto(math.isqrt(limit)) if limit >= 17**2
-            else np.zeros(0, np.uint32))
-    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, np.uint32)
-    out[0], n = 2, 1
+def _table_upto(table: tuple, limit: int) -> tuple[np.ndarray, int]:
+    """(the small primes <= limit, the count of large primes <= limit) of table."""
+    _, small, anchors, halves = table
+    r = int(anchors.searchsorted(limit, "right")) - 1  # the run holding the last
+    if r < 0:
+        return small[: small.searchsorted(limit, "right")], 0
+    run = halves[r * _ANCHOR_RUN : (r + 1) * _ANCHOR_RUN]
+    # p <= limit iff (p - a) / 2 <= (limit - a) // 2, as p - a is even
+    key = np.uint16(min((limit - int(anchors[r])) >> 1, 0xFFFF))
+    return small, r * _ANCHOR_RUN + int(run.searchsorted(key, "right"))
+
+
+def _large_batches(table: tuple, count: int) -> Iterator[np.ndarray]:
+    """The first count large primes of table, ascending, as int64 batches of
+    _LARGE_PRIME_BATCH: one widening copy of the half-offsets, one shift and
+    one broadcast add of their anchors each. All batches share one buffer, so a
+    batch is valid only until the next one is read."""
+    _, _, anchors, halves = table
+    buf = np.empty(min(count, _LARGE_PRIME_BATCH), np.int64)
+    for b in range(0, count, _LARGE_PRIME_BATCH):
+        p = buf[: min(_LARGE_PRIME_BATCH, count - b)]
+        p[:] = halves[b : b + p.size]
+        p <<= 1
+        full = p.size - p.size % _ANCHOR_RUN  # b is a multiple of _ANCHOR_RUN
+        runs = p[:full].reshape(-1, _ANCHOR_RUN)
+        runs += anchors[b // _ANCHOR_RUN : (b + full) // _ANCHOR_RUN, None]
+        if full < p.size:
+            p[full:] += anchors[(b + full) // _ANCHOR_RUN]
+        yield p
+
+
+def _encode(vals: np.ndarray, anchors: np.ndarray, halves: np.ndarray, n: int) -> int:
+    """Store the ascending large primes vals as table entries n, n + 1, ...,
+    each run of _ANCHOR_RUN entries anchored at its first value, and return
+    the new entry count. A half-offset that does not fit 16 bits raises
+    OverflowError: wrapped, it would silently corrupt every later sieve."""
+    i0 = n
+    while n < i0 + vals.size:
+        r, k = divmod(n, _ANCHOR_RUN)  # entry n is the k-th of run r
+        run = vals[n - i0 : n - i0 + _ANCHOR_RUN - k]
+        if not k:
+            anchors[r] = run[0]
+        d = run - anchors[r]
+        if d[-1] >> 17:
+            raise OverflowError(f"the {_ANCHOR_RUN} primes from {anchors[r]} span 2^17 "
+                                "values or more: no uint16 half-offset holds them")
+        d >>= 1
+        halves[n : n + d.size] = d
+        n += d.size
+    return n
+
+
+def _build_table(limit: int) -> tuple:
+    """The base-prime table of the primes <= limit (2 <= limit < 2^32), sieved
+    DEFAULT_SEGMENT_SIZE odd values at a time, each segment's large primes
+    encoded straight into a uint16 array sized by pi(x) < 1.25506 x / ln x
+    (Rosser and Schoenfeld 1962), whose unused tail is never touched. The root
+    primes come from the table for isqrt(limit), at most 4 levels deep (2^32,
+    2^16, 2^8, 2^4): below 17^2 the pre-sieve alone leaves only primes, so
+    none are needed."""
+    root = _build_table(math.isqrt(limit)) if limit >= 17**2 else _EMPTY_TABLE
+    size = int(1.25506 * limit / math.log(limit)) + 1
+    halves = np.empty(size, np.uint16)
+    anchors = np.empty(size // _ANCHOR_RUN + 1, np.int64)
+    small, n = np.array([2], np.uint32), 0
     for o0 in range(1, limit + 1, 2 * DEFAULT_SEGMENT_SIZE):
         count = min(DEFAULT_SEGMENT_SIZE, (limit - o0) // 2 + 1)
-        base = root[: root.searchsorted(math.isqrt(o0 + 2 * count - 2), "right")]
-        odd = np.flatnonzero(_sieve_odd(o0, count, base))
-        seg = out[n : n + odd.size]
-        np.multiply(odd, 2, out=seg, casting="unsafe")
-        seg += np.uint32(o0)
-        n += odd.size
-    return out[:n]
+        rsmall, rn = _table_upto(root, math.isqrt(o0 + 2 * count - 2))
+        vals = np.flatnonzero(_sieve_odd(o0, count, rsmall, _large_batches(root, rn)))
+        vals *= 2
+        vals += o0
+        if o0 < _LARGE_PRIME_MIN:  # the first segment holds every small prime
+            split = vals.searchsorted(_LARGE_PRIME_MIN)
+            small = np.concatenate((small, vals[:split].astype(np.uint32)))
+            vals = vals[split:]
+        n = _encode(vals, anchors, halves, n)
+    return limit, small, anchors[: -(-n // _ANCHOR_RUN)], halves[:n]
 
 
 def _miller_rabin(n: int) -> bool:
@@ -248,7 +319,9 @@ def sieve_segment(lo: int, hi: int) -> Segment:
     if n > MAX_SEGMENT_SIZE:
         raise ValueError(f"segment width {n} exceeds max {MAX_SEGMENT_SIZE}")
     o0 = lo | 1
-    return Segment(lo, hi, _sieve_odd(o0, (hi - o0) // 2 + 1, _base_primes(math.isqrt(hi))))
+    small, large = _base_primes(math.isqrt(hi))
+    odd = _sieve_odd(o0, (hi - o0) // 2 + 1, small, _large_batches(_base_cache, large))
+    return Segment(lo, hi, odd)
 
 
 _SMALL_FLAGS = sieve_segment(0, _SMALL_LIMIT).flags

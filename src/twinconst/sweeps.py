@@ -23,7 +23,6 @@ of small prime starts (prime_pair_merges, behind scan merge).
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import pickle
@@ -111,11 +110,11 @@ def chunk_width(hi: int) -> int:
     """Values per chunk of a sweep up to hi: the least power-of-two multiple of
     CHUNK with at least as many odd values (width / 2) as there are base primes
     up to isqrt(hi), capped so that a chunk and its margin fit one sieve
-    segment. The count comes from the base-prime cache, which the sweep's
+    segment. The count comes from the base-prime table, which the sweep's
     first window reads anyway and forked workers inherit."""
-    count = primes._base_primes(math.isqrt(hi)).size
+    small, large = primes._base_primes(math.isqrt(hi))
     width = CHUNK
-    while width // 2 < count and 2 * width + _margin() <= primes.MAX_SEGMENT_SIZE:
+    while width // 2 < small.size + large and 2 * width + _margin() <= primes.MAX_SEGMENT_SIZE:
         width *= 2
     return width
 
@@ -349,13 +348,27 @@ def scan_c_sequence(limit: int, workers: int = 1) -> list[int]:
     return terms
 
 
+class _Enough(Exception):
+    """Raised by a sweep's on_chunk to end the sweep after that chunk."""
+
+
 def scan_m_sequence(count: int, workers: int = 1) -> list[int]:
-    """First-excess indices for the first count twin pairs (0 = never exceeds)."""
+    """First-excess indices for the first count twin pairs (0 = never exceeds),
+    swept from 3 in ranges that double from one CHUNK, each one
+    scan_twin_range call, until the chunk that holds the count-th pair: past
+    it only the chunks the other workers have in hand are sieved."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    # the count-th twin lesser ends the sweep; no list of the lessers is kept
-    last = next(itertools.islice(primes.twin_lessers(primes.STEP_HEADROOM), count - 1, None))
     terms: list[int] = []
-    scan_twin_range(3, last, workers=workers,
-                    on_chunk=lambda part: terms.extend(part.m.tolist()))
-    return terms
+
+    def take(part: TwinScanResult) -> None:
+        terms.extend(part.m.tolist())
+        if len(terms) >= count:
+            raise _Enough
+
+    lo, span = 3, CHUNK
+    with contextlib.suppress(_Enough):
+        while True:
+            scan_twin_range(lo, lo + span - 1, workers=workers, on_chunk=take)
+            lo, span = lo + span, 2 * span
+    return terms[:count]

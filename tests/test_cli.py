@@ -1,7 +1,6 @@
 import itertools
 import os
 
-import numpy as np
 import pytest
 
 from twinconst import cli
@@ -137,6 +136,31 @@ def test_scan_maxdiff_bound_below_two(capsys):
     assert out == "" and "bound must be >= 2, got 1" in err
 
 
+def test_limit_and_count_in_e_notation_are_the_same_integers(capsys, tmp_path):
+    # the spellings the README uses: the report of --limit 1e5 is that of
+    # --limit 100000 but for its wall time, and --count 1e1 is --count 10
+    reports = []
+    for limit in ("1e5", "100000"):
+        path = tmp_path / f"{limit}.report"
+        code, _, _ = run(capsys, "verify", "t1", "--limit", limit, "--report", str(path))
+        assert code == 0
+        reports.append([ln for ln in path.read_text().splitlines() if "wall_time_s" not in ln])
+    assert reports[0] == reports[1] and "pairs_examined: 1224" in reports[0]
+    assert run(capsys, "scan", "maxdiff", "--count", "1e1") == run(
+        capsys, "scan", "maxdiff", "--count", "10")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "t1", "--limit", "1.5e3"], ["verify", "t1", "--limit", "1e"],
+    ["scan", "m", "--count", "e5"], ["scan", "maxdiff", "--count", "12e-1"],
+    ["trace", "7", "5", "--bound", "1e1000"], ["scan", "c", "--limit", "1e5.0"]])
+def test_malformed_integer_arguments_are_argument_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
 def test_scan_merge(capsys):
     code, out, _ = run(capsys, "scan", "merge", "--count", "15")
     assert code == 0
@@ -244,7 +268,7 @@ def test_sweep_limit_past_the_range_is_an_argument_error(capsys, tmp_path, monke
     # refused before any sieving: the base-prime cache is left as it was
     from twinconst import primes
 
-    cache = (0, np.zeros(0, np.uint32))
+    cache = primes._EMPTY_TABLE
     monkeypatch.setattr(primes, "_base_cache", cache)
     report = tmp_path / "x.report"
     extra = ["--report", str(report)] if argv[0] == "verify" else []

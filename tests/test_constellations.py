@@ -211,6 +211,31 @@ def test_scan_m_sequence():
         scan_m_sequence(0)
 
 
+def test_scan_m_sequence_sieves_within_one_chunk_of_the_last_pair(monkeypatch):
+    # the 10^4-th twin lesser, 1 260 989, is in the second 2^20-value chunk
+    # from 3: the scan stops after that chunk, sieves each value up to its end
+    # once, with each chunk's margin, and never lists the twin lessers first
+    from twinconst import primes, sweeps
+
+    count = 10**4
+    last = primes.first_twin_lessers(count)[-1]
+    want = sweeps.scan_twin_range(3, last).m.tolist()
+    sieved = []
+    sieve = primes.sieve_segment
+    monkeypatch.setattr(primes, "sieve_segment",
+                        lambda lo, hi: sieved.append((lo, hi)) or sieve(lo, hi))
+    assert scan_m_sequence(count) == want
+    chunk = sweeps.CHUNK
+    assert 2 + chunk < last < 2 + 2 * chunk
+    assert max(hi for _, hi in sieved) == 2 + 2 * chunk + sweeps._margin()
+    assert sum(hi - lo + 1 for lo, hi in sieved) <= last + chunk + len(sieved) * sweeps._margin()
+
+
+def test_scan_m_sequence_does_not_depend_on_the_worker_count():
+    # two workers stop with the chunk in the other worker's hands unused
+    assert scan_m_sequence(20_000, workers=2) == scan_m_sequence(20_000)
+
+
 def test_scans_keep_only_their_terms(monkeypatch):
     # the c- and m-scans take each chunk's terms as it comes and never
     # concatenate the columns of the whole range

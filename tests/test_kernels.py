@@ -151,6 +151,17 @@ def test_prime_step_matches_next_prime_across_maximal_gaps(p, gap, bit):
     assert want[2 * (64 + bit)] == 2 * (64 + bit) + gap and want[-1] == sentinel
 
 
+def test_odd_words_equal_packed_padded_flags_for_every_size_mod_64():
+    # packing first and padding the packed bytes gives the words that padding
+    # the flags by 128 - size % 64 and then packing gives
+    rng = np.random.default_rng(64)
+    for size in range(1, 3 * 64 + 1):
+        odd = rng.random(size) < 0.3
+        want = np.packbits(np.pad(odd, (0, 128 - odd.size % 64)), bitorder="little").view("<u8")
+        got = kernels._odd_words(odd)
+        assert got.dtype == want.dtype and np.array_equal(got, want), size
+
+
 def test_pairs_near_the_bitmap_end_are_not_ok():
     # windows [3, hi]: a pair is ok exactly when its upper trace stays at or
     # below the window's last odd value up to the pair's stop index, as the
@@ -201,13 +212,13 @@ def test_chunk_width_rule():
 
 
 def test_chunk_width_is_capped_near_the_range_limit(monkeypatch):
-    # a base-prime list as long as pi(isqrt(2^63)) may be, read-only and
-    # zero-strided, stands in for the cache, so nothing is sieved; the rule
+    # a count of large base primes as high as pi(isqrt(2^63)) may be stands
+    # in for the cache, so nothing is sieved; the rule
     # asks for 2^29 values and stops at the widest chunk whose margin still
     # fits one sieve segment
     hi = primes.RANGE_LIMIT - 1
-    stub = np.broadcast_to(np.uint32(0), (_pi_upper(math.isqrt(hi)),))
-    monkeypatch.setattr(primes, "_base_primes", lambda limit: stub)
+    count = _pi_upper(math.isqrt(hi))
+    monkeypatch.setattr(primes, "_base_primes", lambda limit: (np.zeros(0, np.uint32), count))
     width = sweeps.chunk_width(hi)
     assert width == primes.MAX_SEGMENT_SIZE // 2
     assert width + max(kernels.WALK_WINDOW, MAX_SPAN) <= primes.MAX_SEGMENT_SIZE

@@ -319,20 +319,31 @@ def test_sieve_segment_random_windows_match_per_prime_loop(lo, width):
     _assert_sieve_matches_per_prime_loop(lo, lo + width)
 
 
-def test_segmented_primes_upto_matches_trial_division_and_plain_sieve():
+def _decoded(small: np.ndarray, n: int, table: tuple) -> np.ndarray:
+    """small and the first n large primes of table, ascending, as int64."""
+    return np.concatenate([small.astype(np.int64)]
+                          + [b.copy() for b in primes._large_batches(table, n)])
+
+
+def test_base_prime_table_matches_trial_division_and_plain_sieve():
     # every limit across the recursion floor: from 17^2 = 289 on the root
-    # primes come from a nested call, below it the pre-sieve alone leaves
+    # primes come from a nested table, below it the pre-sieve alone leaves
     # only primes
     small = [x for x in range(1001) if trial_division(x)]
     for n in [*range(2, 301), 1000]:
-        got = primes._segmented_primes_upto(n)
-        assert got.dtype == np.uint32, n
-        assert got.tolist() == [x for x in small if x <= n], n
-    assert (got.size, got[-1]) == (168, 997)  # n = 1000
-    # 4200^2: base primes from 4099 take the batched path
+        table = primes._build_table(n)
+        assert table[0] == n
+        assert (table[1].dtype, table[2].dtype, table[3].dtype) == (
+            np.uint32, np.int64, np.uint16), n
+        assert _decoded(*primes._table_upto(table, n), table).tolist() == [
+            x for x in small if x <= n], n
+    assert table[1].size == 168 and table[3].size == 0  # n = 1000
+    # 4200^2: base primes from 4099 take the batched path, and the large ones
+    # fill 276 anchor runs across 9 segments
     for n in (1 << 20, 4200**2):
         want = np.flatnonzero(_plain_prime_flags(n))
-        assert np.array_equal(primes._segmented_primes_upto(n), want), n
+        table = primes._build_table(n)
+        assert np.array_equal(_decoded(*primes._table_upto(table, n), table), want), n
 
 
 def test_sieve_segment_crosses_off_by_every_batched_base_prime():
@@ -406,15 +417,18 @@ def test_sieve_segment_window_below_squares_of_large_base_primes():
 
 
 def test_sieve_segment_base_prime_cache_grows_and_slices_down(monkeypatch):
-    monkeypatch.setattr(primes, "_base_cache", (0, np.zeros(0, np.uint32)))
+    monkeypatch.setattr(primes, "_base_cache", primes._EMPTY_TABLE)
     for lo in (10**14, 10**6, 10**12):
         _assert_window_matches_point_queries(lo, lo + 2000)
-    top, cached = primes._base_cache
+    top, small, anchors, halves = primes._base_cache
     assert top >= math.isqrt(10**14 + 2000)
-    assert cached.dtype == np.uint32 and not cached.flags.writeable
+    assert (small.dtype, anchors.dtype, halves.dtype) == (np.uint32, np.int64, np.uint16)
+    assert not any(a.flags.writeable for a in (small, anchors, halves))
+    # 2 bytes per large base prime, and 8 per anchor run of 4096
+    assert halves.nbytes + anchors.nbytes < 2.01 * halves.size
 
 
-def test_segmented_base_prime_cache_matches_plain_sieve():
+def test_base_prime_table_matches_plain_sieve_at_segment_edges():
     # just below, at and just above the segment boundaries 2 k S +- 1 (the
     # last odd value of segment k - 1 and the first of segment k), and at the
     # cache limit of a window near 10^14
@@ -422,23 +436,74 @@ def test_segmented_base_prime_cache_matches_plain_sieve():
     limits = [2 * k * s + d for k in (1, 2) for d in (-2, -1, 0, 1, 2)] + [11_250_000]
     want = np.flatnonzero(_plain_prime_flags(max(limits)))
     for limit in limits:
-        got = primes._segmented_primes_upto(limit)
-        assert got.dtype == np.uint32, limit
+        table = primes._build_table(limit)
+        got = _decoded(*primes._table_upto(table, limit), table)
         assert np.array_equal(got, want[: want.searchsorted(limit, "right")]), limit
 
 
+def _edge_limits() -> list[int]:
+    """_LARGE_PRIME_MIN +- 1, and the primes that end and start an anchor run
+    and a batch of large primes, each +- 1."""
+    base = _reference_base_primes()
+    first = int(base.searchsorted(primes._LARGE_PRIME_MIN))
+    run, batch = primes._ANCHOR_RUN, primes._LARGE_PRIME_BATCH
+    limits = [primes._LARGE_PRIME_MIN + d for d in (-1, 0, 1)]
+    for rank in (run, 2 * run, batch, batch + run, 2 * batch):
+        for i in (rank - 1, rank):
+            p = int(base[first + i])
+            limits += [p - 1, p, p + 1]
+    return limits
+
+
+def test_base_primes_decode_to_plain_sieve_at_anchor_and_batch_edges():
+    # the count of large primes <= limit lands on, just before and just after
+    # a multiple of 4096 (an anchor edge) and of 2^16 (a batch edge)
+    want = _reference_base_primes()
+    for limit in _edge_limits():
+        got = _decoded(*primes._base_primes(limit), primes._base_cache)
+        assert np.array_equal(got, want[: want.searchsorted(limit, "right")]), limit
+
+
+def test_table_encoding_refuses_a_run_past_16_bit_half_offsets():
+    # hand-made ascending runs, no sieve: 4096 values 32 apart span 131 040
+    # < 2^17 and decode back; 34 apart they span 139 230 and are refused
+    run = primes._ANCHOR_RUN
+    halves, anchors = np.zeros(2 * run, np.uint16), np.zeros(2, np.int64)
+    ok = 4099 + 32 * np.arange(run + 5, dtype=np.int64)
+    # two calls: the second one finishes the first run and opens the next
+    n = primes._encode(ok[:100], anchors, halves, 0)
+    n = primes._encode(ok[100:], anchors, halves, n)
+    assert n == ok.size and halves[run - 1] == 0xFFF0
+    table = (int(ok[-1]), np.zeros(0, np.uint32), anchors, halves[:n])
+    assert np.array_equal(next(primes._large_batches(table, n)), ok)
+    with pytest.raises(OverflowError, match="2\\^17"):
+        primes._encode(4099 + 34 * np.arange(run, dtype=np.int64), anchors, halves, 0)
+    # only the run's last value is past 2^17 from its anchor, and it comes
+    # in a later call
+    bad = ok[:run].copy()
+    bad[-1] = bad[0] + (1 << 17) + 2
+    n = primes._encode(bad[:-1], anchors, halves, 0)
+    with pytest.raises(OverflowError):
+        primes._encode(bad[-1:], anchors, halves, n)
+
+
 def test_sieve_segment_offsets_exact_near_range_limit(monkeypatch):
-    # with a stub base-prime list the sieve crosses off exactly the multiples
-    # of the stub primes, so a window at the top of the range checks the
-    # offset arithmetic without sieving by all primes below 3e9; the stub
-    # holds 5..13 because the pre-sieve removes their multiples regardless
+    # with stub base primes the sieve crosses off exactly the multiples of the
+    # stub primes, so a window at the top of the range checks the offset
+    # arithmetic without sieving by all primes below 3e9; the stub holds
+    # 5..13 because the pre-sieve removes their multiples regardless, and its
+    # large primes come as one batch, which no uint16 half-offset could hold
     top = primes.RANGE_LIMIT
     big = [q for q in range(math.isqrt(top) - 300, math.isqrt(top) + 1) if primes.is_prime(q)]
-    stub = np.array([2, 3, 5, 7, 11, 13, 4099, 65537] + big, dtype=np.uint32)
-    monkeypatch.setattr(primes, "_base_primes", lambda limit: stub[stub <= limit])
+    small = np.array([2, 3, 5, 7, 11, 13], dtype=np.uint32)
+    large = np.array([4099, 65537] + big, dtype=np.int64)
+    monkeypatch.setattr(primes, "_base_primes", lambda limit: (
+        small[small <= limit], int(np.count_nonzero(large <= limit))))
+    monkeypatch.setattr(primes, "_large_batches", lambda table, n: iter([large[:n]]))
     lo = top - 10**5
     seg = primes.sieve_segment(lo, top)
-    want = [all((lo + k) % int(q) for q in stub) for k in range(top - lo + 1)]
+    stub = [*small.tolist(), *large.tolist()]
+    want = [all((lo + k) % q for q in stub) for k in range(top - lo + 1)]
     assert seg.flags.tolist() == want
     assert not primes.sieve_segment(top, top).flags[0]
 
