@@ -1,25 +1,8 @@
-"""OEIS-style b-file records and embedded regression fixtures."""
+"""Embedded regression fixtures: published sequence prefixes, by name and
+OEIS alias, for the `compare` command and regression tests."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class SequenceRecord:
-    """Named integer sequence with an explicit starting index."""
-
-    name: str
-    offset: int
-    terms: tuple[int, ...]
-
-    def emit(self) -> str:
-        """b-file text: one 'index value' pair per line."""
-        lines = [f"{self.offset + i} {t}" for i, t in enumerate(self.terms)]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-# Published prefixes used by the `compare` command and regression tests.
 # Merge positions for pairs (a, b) over the first odd primes, grouped by a:
 # (5,3); (7,3),(7,5); (11,3),(11,5),(11,7); (13,*); (17,*).
 MERGE_POSITIONS_PREFIX = (
@@ -43,11 +26,12 @@ M_SEQUENCE_PREFIX = (
     0, 13, 0, 0, 0, 9, 0, 11, 11, 5, 3, 15, 3, 7, 3, 0, 3, 0, 3, 5, 7, 3, 11,
 )
 
-FIXTURES: dict[str, SequenceRecord] = {
-    "merge-positions": SequenceRecord("merge-positions", 1, MERGE_POSITIONS_PREFIX),
-    "max-diffs": SequenceRecord("max-diffs", 1, MAX_DIFFS_PREFIX),
-    "c-sequence": SequenceRecord("c-sequence", 1, C_SEQUENCE_PREFIX),
-    "m-sequence": SequenceRecord("m-sequence", 1, M_SEQUENCE_PREFIX),
+# The fixtures by name; each prefix starts at index 1.
+FIXTURES: dict[str, tuple[int, ...]] = {
+    "merge-positions": MERGE_POSITIONS_PREFIX,
+    "max-diffs": MAX_DIFFS_PREFIX,
+    "c-sequence": C_SEQUENCE_PREFIX,
+    "m-sequence": M_SEQUENCE_PREFIX,
 }
 
 # OEIS aliases for the fixtures that have published identifiers.
@@ -58,10 +42,12 @@ FIXTURE_ALIASES = {
 }
 
 
-def get_fixture(name: str) -> SequenceRecord:
+def get_fixture(name: str) -> tuple[str, tuple[int, ...]]:
+    """(fixture name, terms) of a fixture named by its name or OEIS alias, in
+    any case; KeyError for an unknown one."""
     key = name.lower()
     key = FIXTURE_ALIASES.get(key, key)
     if key not in FIXTURES:
         known = sorted(set(FIXTURES) | set(FIXTURE_ALIASES))
         raise KeyError(f"unknown fixture {name!r}; known: {', '.join(known)}")
-    return FIXTURES[key]
+    return key, FIXTURES[key]

@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import primes, verify
-from .bfile import SequenceRecord, get_fixture
+from .bfile import get_fixture
 from .hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, check_walk, h_sequence
 from .sweeps import (merge_walks, pair_report, prime_pair_merges, scan_c_sequence,
                      scan_m_sequence)
@@ -48,14 +48,14 @@ def _int_arg(text: str) -> int:
     return value
 
 
-def _print_record(record: SequenceRecord, fmt: str) -> None:
-    """Write the terms space-separated on one line, or as a b-file, a slice
-    of _PRINT_SLICE terms at a time, so that only one slice's text is held."""
-    terms = record.terms
+def _print_terms(terms, offset: int, fmt: str) -> None:
+    """Write the terms space-separated on one line, or as an OEIS b-file, one
+    'index term' line per term from index offset, a slice of _PRINT_SLICE
+    terms at a time, so that only one slice's text is held."""
     for i in range(0, len(terms), _PRINT_SLICE):
         part = terms[i : i + _PRINT_SLICE]
         if fmt == "bfile":
-            sys.stdout.write(SequenceRecord(record.name, record.offset + i, part).emit())
+            sys.stdout.write("".join(f"{offset + i + k} {t}\n" for k, t in enumerate(part)))
         else:
             sys.stdout.write((" " if i else "") + " ".join(map(str, part)))
     if fmt != "bfile":
@@ -68,7 +68,7 @@ def _cmd_hseq(args) -> int:
     except ValueError as exc:  # also a start outside is_prime's range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARG
-    _print_record(SequenceRecord("hseq", 2, terms), args.format)
+    _print_terms(terms, 2, args.format)
     return EXIT_OK
 
 
@@ -89,11 +89,6 @@ def _cmd_trace(args) -> int:
     return EXIT_OK if report.merged else EXIT_BOUND
 
 
-def _merge_sequence_terms(count: int, bound: int):
-    """Flattened merge positions for pairs (a, b), grouped by a ascending."""
-    return [pos for _, _, pos in prime_pair_merges(count, bound)]
-
-
 def _maxdiff_terms(count: int, bound: int = DEFAULT_BOUND):
     """Max differences of the first count twin pairs over indices 2..bound
     (exact for a pair that merges within bound), and whether any did not;
@@ -102,6 +97,24 @@ def _maxdiff_terms(count: int, bound: int = DEFAULT_BOUND):
     ps = primes.first_twin_lessers(count)
     reports = merge_walks([p + 2 for p in ps], ps, bound)
     return tuple(r.max_diff for r in reports), not all(r.merged for r in reports)
+
+
+def _sequence(kind: str, n: int, bound: int, workers: int):
+    """(terms, unmerged) of a scan kind: the c-sequence up to n, or the first
+    n terms of the m-sequence, the max differences or the merge positions,
+    each walk to bound. unmerged says that some pair did not merge within it:
+    its max difference is then a lower bound, and its merge position is left
+    out. A sweep limit past the range, or a bound below 2, raises ValueError."""
+    if kind == "c":
+        return scan_c_sequence(n, workers=workers), False
+    if kind == "m":
+        return scan_m_sequence(n, workers=workers), False
+    if kind == "maxdiff":
+        return _maxdiff_terms(n, bound)
+    # merge positions for pairs (a, b), grouped by a ascending
+    merges = [pos for _, _, pos in prime_pair_merges(n, bound)]
+    terms = [t for t in merges if t is not None]
+    return terms, len(terms) < len(merges)
 
 
 def _cmd_scan(args) -> int:
@@ -114,25 +127,15 @@ def _cmd_scan(args) -> int:
     if args.kind != "c" and args.count < 1:
         print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
         return EXIT_ARG
-    unmerged = False  # only maxdiff and merge walk pairs to a bound
-    try:  # a sweep limit past the range, or a walk bound below 2
-        if args.kind == "c":
-            name, terms = "c-sequence", scan_c_sequence(args.limit, workers=args.workers)
-        elif args.kind == "m":
-            name, terms = "m-sequence", scan_m_sequence(args.count, workers=args.workers)
-        elif args.kind == "maxdiff":
-            name, note = "max-diffs", "their terms are lower bounds"
-            terms, unmerged = _maxdiff_terms(args.count, args.bound)
-        else:  # merge: the positions of the pairs that merge within the bound
-            name, note = "merge-positions", "partial output"
-            merges = _merge_sequence_terms(args.count, args.bound)
-            terms = [t for t in merges if t is not None]
-            unmerged = len(terms) < len(merges)
+    n = args.limit if args.kind == "c" else args.count
+    try:
+        terms, unmerged = _sequence(args.kind, n, args.bound, args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARG
-    _print_record(SequenceRecord(name, 1, tuple(terms)), args.format)
+    _print_terms(terms, 1, args.format)
     if unmerged:
+        note = "their terms are lower bounds" if args.kind == "maxdiff" else "partial output"
         print(f"warning: some pairs did not merge within bound {args.bound}; {note}",
               file=sys.stderr)
         return EXIT_BOUND
@@ -169,36 +172,29 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not report.aborted else EXIT_MISMATCH
 
 
-def _recompute_fixture(fixture: SequenceRecord) -> tuple[int, ...]:
-    count = len(fixture.terms)
-    if fixture.name == "merge-positions":
-        terms = _merge_sequence_terms(count, DEFAULT_BOUND)
-        return tuple(-1 if t is None else t for t in terms)
-    if fixture.name == "max-diffs":
-        return _maxdiff_terms(count)[0]
-    if fixture.name == "c-sequence":
-        return tuple(scan_c_sequence(max(fixture.terms)))
-    # m-sequence
-    return tuple(scan_m_sequence(count))
+# the scan kind that recomputes each fixture
+_FIXTURE_KINDS = {"merge-positions": "merge", "max-diffs": "maxdiff",
+                  "c-sequence": "c", "m-sequence": "m"}
 
 
 def _cmd_compare(args) -> int:
     try:
-        fixture = get_fixture(args.fixture)
+        name, want = get_fixture(args.fixture)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_ARG
-    computed = _recompute_fixture(fixture)
-    if computed == fixture.terms:
-        print(f"{fixture.name}: {len(fixture.terms)} terms match")
+    kind = _FIXTURE_KINDS[name]
+    # the c-sequence is swept up to its largest term, the others to their length
+    terms, _ = _sequence(kind, max(want) if kind == "c" else len(want), DEFAULT_BOUND, 1)
+    got = tuple(terms)
+    if got == want:
+        print(f"{name}: {len(want)} terms match")
         return EXIT_OK
-    for i, (got, want) in enumerate(zip(computed, fixture.terms)):
-        if got != want:
-            print(f"{fixture.name}: first divergence at index {fixture.offset + i}: "
-                  f"computed {got}, fixture {want}")
+    for i, (a, b) in enumerate(zip(got, want)):
+        if a != b:
+            print(f"{name}: first divergence at index {1 + i}: computed {a}, fixture {b}")
             return EXIT_MISMATCH
-    print(f"{fixture.name}: length mismatch "
-          f"(computed {len(computed)}, fixture {len(fixture.terms)})")
+    print(f"{name}: length mismatch (computed {len(got)}, fixture {len(want)})")
     return EXIT_MISMATCH
 
 

@@ -328,6 +328,18 @@ _SMALL_FLAGS = sieve_segment(0, _SMALL_LIMIT).flags
 _SMALL_FLAGS.setflags(write=False)
 
 
+def twin_indices(odd: np.ndarray, n: int) -> np.ndarray:
+    """The indices i < n with odd[i] and odd[i + 1], ascending: the twin
+    lessers among odd-value flags such as Segment.odd, which must hold n + 1
+    flags. They are read DEFAULT_SEGMENT_SIZE flags at a time, so no
+    temporary as wide as a sweep chunk's flags is made."""
+    parts = [np.zeros(0, np.intp)]
+    for i in range(0, n, DEFAULT_SEGMENT_SIZE):
+        j = min(i + DEFAULT_SEGMENT_SIZE, n)
+        parts.append(np.flatnonzero(odd[i:j] & odd[i + 1 : j + 1]) + i)
+    return np.concatenate(parts)
+
+
 def twin_lessers(limit: int) -> Iterator[int]:
     """All p <= limit with p and p+2 both prime, ascending.
 
@@ -342,7 +354,7 @@ def twin_lessers(limit: int) -> Iterator[int]:
         window_hi = min(start + width - 1, limit)
         odd = sieve_segment(start, window_hi + 2).odd
         # odd[:-1] are the odd values (start | 1) + 2i <= window_hi
-        yield from (2 * np.flatnonzero(odd[:-1] & odd[1:]) + (start | 1)).tolist()
+        yield from (2 * twin_indices(odd, odd.size - 1) + (start | 1)).tolist()
         start = window_hi + 1
         width = min(2 * width, DEFAULT_SEGMENT_SIZE)
 

@@ -4,15 +4,18 @@ A sweep takes one chunk width, chunk_width(hi): CHUNK, doubled while a chunk
 has fewer odd values than there are base primes up to sqrt(hi), so that its
 sieve pays per value rather than per base prime (from about 6e13 up). Each
 chunk is sieved independently (share-nothing workers) and runs on the
-sieve's odd-value flags from start to end: the twin lessers, the lockstep
-kernel in kernels.py, which advances all of the chunk's pairs together and
-stops each at its merge or its first excess, and the gap words the matchers
-read, with no flag per value built; a pair that outruns the kernel's bitmap
-or its index table is walked again in rank space by kernels.walk_pairs, on
-windows it sieves as the traces advance, up to DEFAULT_BOUND. Chunk results
-are merged in ascending range order, also when forked workers run them
-(_forked), so reports do not depend on worker count; the c and m sequences
-are read off them.
+sieve's odd-value flags from start to end: the twin lessers
+(primes.twin_indices), the lockstep kernel in kernels.py, which advances all
+of the chunk's pairs together and stops each at its merge or its first
+excess, and the gap words the matchers read, with no flag per value built;
+a pair that outruns the kernel's bitmap or its index table is walked again in
+rank space by kernels.walk_pairs, on windows it sieves as the traces advance,
+up to DEFAULT_BOUND. Chunk results are merged in ascending range order by one
+chunk loop, _forked, which runs every sweep: with one worker it forks
+nothing, and with more the caller runs its share of the chunks and forked
+workers stream theirs back, so reports do not depend on worker count. A
+sweep's on_chunk ends it early by returning a true value; the c and m
+sequences are read off the chunks.
 Run-to-merge statistics come from one walk_pairs call in merge_walks, as
 hseq.pair_trace's reports: of single pairs for pair_report (twinconst trace),
 of twin pairs for scan maxdiff, and of the pairs of consecutive odd primes
@@ -122,8 +125,7 @@ def chunk_width(hi: int) -> int:
 def _scan_chunk(args) -> TwinScanResult:
     lo, hi, predict, corollary_check = args
     odd = primes.sieve_segment(lo, hi + _margin()).odd  # odd[i] <=> (lo | 1) + 2i prime
-    n = (hi + 1) // 2 - lo // 2  # the odd values up to hi
-    twin_is = np.flatnonzero(odd[:n] & odd[1 : n + 1])
+    twin_is = primes.twin_indices(odd, (hi + 1) // 2 - lo // 2)  # lessers <= hi
     ps = (lo | 1) + 2 * twin_is
     m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_is, odd)
     redo = np.flatnonzero(~ok)
@@ -249,12 +251,14 @@ def _child(starts: range, span: Callable, fds: list[int]) -> None:
 
 
 def _forked(span: Callable, starts: range, workers: int):
-    """_scan_chunk(span(start)) for each of starts, in order: the caller runs
-    chunk i when i % workers == 0, and forked child w streams chunks w,
-    w + workers, ... back, one chunk ahead at most: it starts the next for a
-    credit the caller sends as it takes a result. A chunk's exception is raised
-    at its turn, a child's death as a RuntimeError; on return, raise or
-    close, every child is killed and reaped."""
+    """_scan_chunk(span(start)) for each of starts, in order, the one chunk
+    loop of every sweep: the caller runs chunk i when i % workers == 0, so
+    with one worker it runs every chunk and forks nothing, and forked child w
+    streams chunks w, w + workers, ... back, one chunk ahead at most: it
+    starts the next for a credit the caller sends as it takes a result. A
+    chunk's exception is raised at its turn, a child's death as a
+    RuntimeError; on return, raise or close, every child is killed and
+    reaped."""
     import signal
 
     pids: list[int] = []
@@ -303,7 +307,7 @@ def scan_twin_range(
     predict: bool = False,
     corollary_check: bool = False,
     workers: int = 1,
-    on_chunk: Optional[Callable[[TwinScanResult], None]] = None,
+    on_chunk: Optional[Callable[[TwinScanResult], object]] = None,
 ) -> Optional[TwinScanResult]:
     """Sweep all twin lessers in [lo, hi] in chunk_width(hi)-value chunks at
     DEFAULT_THRESHOLD, each pair to its merge or its first excess. Run-to-merge
@@ -311,7 +315,8 @@ def scan_twin_range(
     workers processes (_forked), the caller among them.
 
     Returns the chunks' results concatenated; on_chunk instead takes each
-    chunk's result in order, none is kept, and the call returns None.
+    chunk's result in order, none is kept, and the call returns None. The
+    sweep ends after a chunk for which on_chunk returns a true value.
     """
     _check_limit(hi)
     lo = max(lo, 3)
@@ -327,16 +332,13 @@ def scan_twin_range(
     def span(start: int) -> tuple:
         return start, min(start + width - 1, hi), predict, corollary_check
 
-    chunks = (_forked(span, starts, workers) if workers > 1
-              else map(_scan_chunk, map(span, starts)))
     parts: list[TwinScanResult] = []
     take = on_chunk or parts.append
-    try:
+    # closing kills and reaps any children after a return, a raise or a stop
+    with contextlib.closing(_forked(span, starts, workers)) as chunks:
         for part in chunks:
-            take(part)
-    finally:
-        if workers > 1:
-            chunks.close()  # after a failure, kill and reap the children
+            if take(part):
+                break
     return TwinScanResult.concat(parts) if on_chunk is None else None
 
 
@@ -348,10 +350,6 @@ def scan_c_sequence(limit: int, workers: int = 1) -> list[int]:
     return terms
 
 
-class _Enough(Exception):
-    """Raised by a sweep's on_chunk to end the sweep after that chunk."""
-
-
 def scan_m_sequence(count: int, workers: int = 1) -> list[int]:
     """First-excess indices for the first count twin pairs (0 = never exceeds),
     swept from 3 in ranges that double from one CHUNK, each one
@@ -361,14 +359,12 @@ def scan_m_sequence(count: int, workers: int = 1) -> list[int]:
         raise ValueError(f"count must be >= 1, got {count}")
     terms: list[int] = []
 
-    def take(part: TwinScanResult) -> None:
+    def take(part: TwinScanResult) -> bool:
         terms.extend(part.m.tolist())
-        if len(terms) >= count:
-            raise _Enough
+        return len(terms) >= count
 
     lo, span = 3, CHUNK
-    with contextlib.suppress(_Enough):
-        while True:
-            scan_twin_range(lo, lo + span - 1, workers=workers, on_chunk=take)
-            lo, span = lo + span, 2 * span
+    while len(terms) < count:
+        scan_twin_range(lo, lo + span - 1, workers=workers, on_chunk=take)
+        lo, span = lo + span, 2 * span
     return terms[:count]

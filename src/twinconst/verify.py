@@ -24,7 +24,10 @@ from .sweeps import TwinScanResult, _adjacent_merges, _check_limit, scan_twin_ra
 
 ALLOWED_M_VALUES = frozenset({0, 3, 5, 7, 9, 11, 13, 15, 17})
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
+# the entries a report keeps of the c-sequence (c_prefix) and of its terms
+# = 1 mod 10 (c_mod10_eq_1), whose counts are c_count and residue_counts[1]
+PREFIX_LEN = 50
 # A checkpoint is written after a chunk that ends at least this many values
 # past the last one written: about 1 ms a write, at most one per 8 default chunks.
 CHECKPOINT_SPAN = 1 << 23
@@ -113,8 +116,9 @@ def _load_checkpoint(path: str, params: dict, fresh: dict):
     or its version or params differ; raise ValueError, naming path, for a
     file that cannot be read or is not a JSON checkpoint: one whose state, or
     its details, differs from fresh, a new report's state, in a key, their
-    order or a value's type, or whose int-keyed maps or int lists hold
-    anything but ints."""
+    order or a value's type, whose int-keyed maps or int lists hold
+    anything but ints, or whose c_prefix or c_mod10_eq_1 is not as long as
+    its count allows, up to PREFIX_LEN."""
     if not os.path.exists(path):
         return None
     # OSError: unreadable, as a directory or a file without read permission;
@@ -129,7 +133,9 @@ def _load_checkpoint(path: str, params: dict, fresh: dict):
         maps = (state["m_value_histogram"], state["residue_counts"], d["first_occurrence"])
         ints = [*d["c_prefix"], *d["c_mod10_eq_1"], *(x for m in maps for x in (*m, *m.values()))]
         if (_types(state) + _types(d) != _types(fresh) + _types(fresh["details"])
-                or any(type(x) is not int for x in ints)):
+                or any(type(x) is not int for x in ints)
+                or len(d["c_prefix"]) != min(PREFIX_LEN, d["c_count"])
+                or len(d["c_mod10_eq_1"]) != min(PREFIX_LEN, state["residue_counts"].get(1, 0))):
             raise TypeError("state")
         return int(meta["next_lo"]), state
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -227,8 +233,8 @@ def _fold_claims(report: CampaignReport, part: TwinScanResult) -> None:
         found.append(_counterexample(int(ps[i]), bool(part.predicted[i]), bool(part.near[i])))
     near = ps[part.near]
     d["c_count"] += int(near.size)
-    d["c_prefix"] += near[:50 - len(d["c_prefix"])].tolist()
-    d["c_mod10_eq_1"] += near[near % 10 == 1].tolist()
+    d["c_prefix"] += near[: PREFIX_LEN - len(d["c_prefix"])].tolist()
+    d["c_mod10_eq_1"] += near[near % 10 == 1][: PREFIX_LEN - len(d["c_mod10_eq_1"])].tolist()
     # Theorem 2: every m lies in ALLOWED_M_VALUES
     outside = [v for v in m_values if v not in ALLOWED_M_VALUES]
     for i in np.flatnonzero(np.isin(m, outside)):

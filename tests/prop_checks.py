@@ -1,12 +1,14 @@
 """Randomized property suites shared by test_properties and the acceptance
 module (which runs them at >= 1000 cases each)."""
 
+import contextlib
+import io
 import random
 
 import numpy as np
 
 from twinconst import primes, sweeps
-from twinconst.bfile import SequenceRecord
+from twinconst.cli import _print_terms
 from twinconst.hseq import h_sequence, h_step
 from twinconst.sweeps import scan_twin_range
 
@@ -95,6 +97,8 @@ def run_bfile_round_trip(n_cases: int, seed: int = 4) -> int:
         offset = rng.randint(-5, 100)
         terms = tuple(rng.randint(-(10**12), 10**12)
                       for _ in range(rng.randint(1, 40)))
-        text = SequenceRecord("rand", offset, terms).emit()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            _print_terms(terms, offset, "bfile")
+        text = out.getvalue()
         assert text == "".join(f"{offset + i} {t}\n" for i, t in enumerate(terms))
     return n_cases

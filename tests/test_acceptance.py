@@ -9,7 +9,7 @@ import time
 import pytest
 
 import prop_checks
-from twinconst.cli import _maxdiff_terms, _merge_sequence_terms
+from twinconst.cli import _maxdiff_terms, _sequence
 from twinconst.hseq import h_sequence, pair_trace
 from twinconst.sweeps import scan_c_sequence, scan_m_sequence
 from twinconst.verify import ALLOWED_M_VALUES, partitioned_scan
@@ -35,9 +35,9 @@ def sweep_1e7():
 
 def test_criterion_1_merge_positions():
     t0 = time.perf_counter()
-    terms = _merge_sequence_terms(15, 10**4)
+    terms, unmerged = _sequence("merge", 15, 10**4, 1)
     elapsed = time.perf_counter() - t0
-    assert terms == MERGE_PREFIX
+    assert (terms, unmerged) == (MERGE_PREFIX, False)
     assert elapsed < 1.0
     _report(1, "merge positions for pairs among {3..17}", elapsed)
 

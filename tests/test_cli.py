@@ -4,7 +4,7 @@ import os
 import pytest
 
 from twinconst import cli
-from twinconst.bfile import SequenceRecord, get_fixture
+from twinconst.bfile import get_fixture
 from twinconst.cli import main
 
 
@@ -292,8 +292,8 @@ def test_compare_fixtures(capsys):
     (lambda terms: terms[:-1], "m-sequence: length mismatch (computed 22, fixture 23)\n"),
 ], ids=["divergence", "short"])
 def test_compare_mismatch(capsys, monkeypatch, change, message):
-    terms = list(get_fixture("m-sequence").terms)
-    monkeypatch.setattr(cli, "scan_m_sequence", lambda count: change(terms))
+    terms = list(get_fixture("m-sequence")[1])
+    monkeypatch.setattr(cli, "scan_m_sequence", lambda count, workers: change(terms))
     code, out, _ = run(capsys, "compare", "m-sequence")
     assert (code, out) == (1, message)
 
@@ -361,14 +361,14 @@ SLICE = cli._PRINT_SLICE
 @pytest.mark.parametrize("fmt", ["terms", "bfile"])
 @pytest.mark.parametrize("size", [0, 1, SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1])
 def test_printed_record_is_written_slice_by_slice(capsys, fmt, size):
-    # the same text as the whole record joined at once: no terms, one term,
-    # and around the ends of the slices _print_record writes one at a time
-    record = SequenceRecord("demo", 2, tuple(range(10**6, 10**6 + 7 * size, 7)))
-    assert len(record.terms) == size
-    cli._print_record(record, fmt)
+    # the same text as the whole sequence joined at once: no terms, one term,
+    # and around the ends of the slices _print_terms writes one at a time
+    terms = range(10**6, 10**6 + 7 * size, 7)
+    assert len(terms) == size
+    cli._print_terms(terms, 2, fmt)
     if fmt == "bfile":
-        want = record.emit()
+        want = "".join(f"{2 + i} {t}\n" for i, t in enumerate(terms))
     else:
-        want = " ".join(str(t) for t in record.terms) + "\n"
+        want = " ".join(str(t) for t in terms) + "\n"
     # compared line by line: pytest reports the first differing line at once
     assert capsys.readouterr().out.split("\n") == want.split("\n")

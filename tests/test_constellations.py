@@ -246,6 +246,6 @@ def test_scans_keep_only_their_terms(monkeypatch):
         raise AssertionError("a scan concatenated its chunks")
 
     monkeypatch.setattr(TwinScanResult, "concat", refuse)
-    c_seq, m_seq = get_fixture("c-sequence").terms, get_fixture("m-sequence").terms
+    c_seq, m_seq = get_fixture("c-sequence")[1], get_fixture("m-sequence")[1]
     assert tuple(scan_c_sequence(max(c_seq))) == c_seq
     assert tuple(scan_m_sequence(len(m_seq))) == m_seq

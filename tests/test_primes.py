@@ -153,6 +153,21 @@ def test_twin_lessers_segment_boundaries():
     assert list(primes.twin_lessers(limit)) == np.flatnonzero(f[:-2] & f[2:]).tolist()
 
 
+def test_twin_indices_read_in_slices(monkeypatch):
+    # with 8-flag slices: no flags, one, around one and two slice ends, and a
+    # pair whose lesser ends a slice and whose greater starts the next
+    size = 8
+    monkeypatch.setattr(primes, "DEFAULT_SEGMENT_SIZE", size)
+    odd = np.random.default_rng(30).random(4 * size) < 0.6
+    for n in (0, 1, size - 1, size, size + 1, 2 * size + 1):
+        got = primes.twin_indices(odd, n)
+        assert got.dtype == np.intp
+        assert got.tolist() == np.flatnonzero(odd[:n] & odd[1 : n + 1]).tolist(), n
+    edge = np.zeros(2 * size + 1, bool)
+    edge[size - 1 : size + 1] = True
+    assert primes.twin_indices(edge, 2 * size).tolist() == [size - 1]
+
+
 def test_first_twin_lessers_sieve_few_windows(monkeypatch):
     # the first 10^5 lessers run to about 1.9 * 10^7: doubling windows take
     # them in a few dozen sieves, where 2^14-value windows took over a

@@ -341,6 +341,60 @@ def test_forked_scan_bounds_the_chunks_in_flight(monkeypatch, tmp_path):
         _no_child_left()
 
 
+def test_one_worker_sweep_forks_nothing(monkeypatch):
+    # one chunk loop runs every sweep: with one worker the caller runs every
+    # chunk, and its chunks are those of 2 and 3 workers, column for column
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:  # in the caller
+            forks[-1] += 1
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    sweeps_by_workers = []
+    for workers in (1, 2, 3):
+        forks.append(0)
+        parts = []
+        scan_twin_range(3, 100_000, predict=True, corollary_check=True, workers=workers,
+                        on_chunk=parts.append)
+        sweeps_by_workers.append(parts)
+        _no_child_left()
+    assert forks == [0, 1, 2]
+    one, *more = sweeps_by_workers
+    assert [part.lo for part in one] == [3 + 10_000 * i for i in range(10)]
+    for parts in more:
+        assert len(parts) == len(one)
+        for a, b in zip(one, parts):
+            for f in dataclasses.fields(a):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_on_chunk_returning_true_ends_the_sweep(monkeypatch, tmp_path, workers):
+    # the third chunk's on_chunk returns True: no later chunk is delivered,
+    # every child is reaped, and only the chunks the children had in hand,
+    # one each at most, were started past it
+    monkeypatch.setattr(sys.modules[__name__], "_chunk_log", tmp_path)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _logged_chunk)
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    taken = []
+
+    def take(part):
+        taken.append(part.lo)
+        return part.lo == _FAILING_LO
+
+    assert scan_twin_range(3, 400_000, workers=workers, on_chunk=take) is None
+    assert taken == [3, 10_003, _FAILING_LO]
+    _no_child_left()
+    past = [lo for lo in map(int, (p.name for p in tmp_path.iterdir())) if lo > _FAILING_LO]
+    assert len(past) <= workers - 1, past
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_failing_chunk_is_raised_at_its_turn_and_reaps_the_workers(monkeypatch, tmp_path,
                                                                    workers):
@@ -826,15 +880,22 @@ def test_checkpoint_whose_details_differ_is_rejected(tmp_path, capsys, monkeypat
     ("details", "c_prefix", [3, 11.0]),
     ("details", "c_mod10_eq_1", [None]),
     ("details", "first_occurrence", {"3": "137"}),
+    ("details", "c_prefix", [11] * 60),
+    ("details", "c_mod10_eq_1", [11] * 60),
+    ("details", "c_prefix", [3]),
+    ("details", "c_mod10_eq_1", []),
 ], ids=["c_prefix-int", "first_occurrence-list", "count-bool", "min-str",
         "pairs-float", "histogram-list", "histogram-count-str", "histogram-count-bool",
-        "residue-key-str", "c_prefix-float", "c_mod10-null", "first_occurrence-str"])
+        "residue-key-str", "c_prefix-float", "c_mod10-null", "first_occurrence-str",
+        "c_prefix-long", "c_mod10-long", "c_prefix-short", "c_mod10-short"])
 def test_checkpoint_whose_value_types_differ_is_rejected(tmp_path, capsys, monkeypatch,
                                                          field, key, value):
     # a real report's state, resumable at 20_003, with one value, or one
-    # element of a map or list, of another type: folding into it would fail
-    # half-way through a chunk, or write a report that cannot be sorted, so
-    # the file is no checkpoint, refused before anything is sieved
+    # element of a map or list, of another type, or with a c_prefix or
+    # c_mod10_eq_1 that is not the first min(PREFIX_LEN, count) entries:
+    # folding into it would fail half-way through a chunk, write a report
+    # that cannot be sorted, or append past the prefix or after a gap in it,
+    # so the file is no checkpoint, refused before anything is sieved
     from twinconst.cli import main
 
     monkeypatch.setattr(sweeps, "CHUNK", 10_000)
@@ -856,6 +917,16 @@ def test_checkpoint_whose_value_types_differ_is_rejected(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert code == 2 and f"error: {ckpt}: not a JSON checkpoint" in err
     assert sieved == [] and ckpt.read_bytes() == before and not report.exists()
+
+
+def test_c_mod10_eq_1_is_a_prefix_as_c_prefix_is(monkeypatch):
+    # with a prefix of 1, each list keeps its first entry, and the counts
+    # of the whole range stay in c_count and residue_counts[1]
+    monkeypatch.setattr(verify_mod, "PREFIX_LEN", 1)
+    report = partitioned_scan(10**6)
+    d = report.details
+    assert d["c_prefix"] == [3] and d["c_mod10_eq_1"] == [11]
+    assert d["c_count"] == 115 and report.residue_counts[1] == 2
 
 
 def test_planted_m_outside_mod30_29_is_counted_not_reported(monkeypatch):
