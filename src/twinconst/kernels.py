@@ -4,14 +4,13 @@ pair_stats_kernel advances every twin pair of a chunk together, one trace
 index at a time, and stops each pair at its merge or its first excess: at
 index n all pairs take the same kind of step (to the next prime or the next
 composite), so each index costs a few array operations over the pairs still
-walking, on the chunk's odd-value flags. walk_pairs takes the pairs it gives
-up on, and every run-to-merge walk (sweeps.merge_walks), to their merge or a
-bound in rank space, one prime index at a time, in one process; it reads the
-differences at the prime indices and expands a composite run to its indices
-only where the run can raise a pair's max. A block of its steps with at most
-_FEW_TRACES traces (the few stragglers a long walk ends with) steps each trace
-alone with scalar reads; a larger block steps all traces with one gather per
-prime index.
+walking, on the chunk's odd-value flags. walk_pairs takes every run-to-merge
+walk (sweeps.merge_walks) to its merge or a bound in rank space, one prime
+index at a time, in one process; it reads the differences at the prime
+indices and expands a composite run to its indices only where the run can
+raise a pair's max. A block of its steps with at most _FEW_TRACES traces (the
+few stragglers a long walk ends with) steps each trace alone with scalar
+reads; a larger block steps all traces with one gather per prime index.
 gap_words packs the primality of the even offsets 0..MAX_SPAN past each twin
 lesser into one word, and match_offsets_bulk tests a gap pattern against many
 words with one masked compare.
@@ -27,15 +26,14 @@ from .hseq import DEFAULT_THRESHOLD
 
 UNMERGED = -1  # merge_n marker: not merged within the walk's bound
 
-# Values sieved past those a trace holds: past each sweep chunk for this
-# module's kernel and matcher, and past each trace when the walk sieves, doubled
-# only when the first block on a fresh window leaves it, so that a block that
-# outruns a window still ends; 2^17 added 2 MB to scan maxdiff's peak RSS.
+# Values walk_pairs sieves past each trace, doubled only when the first block
+# on a fresh window leaves it, so that a block that outruns a window still
+# ends; 2^17 added 2 MB to scan maxdiff's peak RSS.
 WALK_WINDOW = 1 << 15
-# Indices pair_stats_kernel steps through. Its pairs stop at the first excess
-# and resolve by index 17 (Theorem 2's m <= 17); a pair still walking here is
-# left to walk_pairs.
-IDX_LIMIT = 1 << 12
+# Indices pair_stats_kernel steps through: one past the largest index at which
+# a twin pair p > 5 stops (17, tests/test_certificate.py); p = 3 merges at 11
+# and p = 5 stops at 13.
+IDX_LIMIT = 17 + 1
 WALK_BLOCK = 512  # prime indices per statistics block of the walk
 # A block with at most this many traces steps them one at a time with scalar
 # reads of F; a larger one steps all of them with one ndarray.take per prime
@@ -68,8 +66,9 @@ def pair_stats_kernel(
       maxdiff_n    first index attaining maxdiff_out
       merge_out    merge index, 0 if not reached (excess stop or overrun)
       ok_out       False when the bitmap or the IDX_LIMIT indices were
-                   exhausted; caller must redo that pair with walk_pairs (its
-                   other outputs cover only the indices simulated)
+                   exhausted before the pair stopped (its other outputs
+                   cover only the indices simulated); sweeps refuse such a
+                   pair
     """
     npairs = twin_is.size
     m_out = np.zeros(npairs, np.int64)
@@ -206,15 +205,14 @@ def _rank_line(values: np.ndarray, width: int):
     return C, F, R, last
 
 
-def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
+def walk_pairs(a, b, threshold: int, bound: int):
     """The greedy pair recurrence for starts a > b (odd primes, arrays), from
-    index 2 to the merge, to index bound or, with stop_on_excess, to the
-    first index where the difference exceeds threshold.
+    index 2 to the merge or to index bound.
 
-    Returns m, max_diff, max_diff_n and merge_n as pair_stats_kernel does for
-    the pairs it resolves, except that merge_n is UNMERGED for a pair that
-    walked to bound without merging or stopping; its max_diff, max_diff_n and
-    m then cover indices 2..bound.
+    Returns per pair m (the first index where the difference exceeds
+    threshold, 0 if none), max_diff, max_diff_n (its first index) and merge_n,
+    which is UNMERGED for a pair that walked to bound without merging; its
+    max_diff, max_diff_n and m then cover indices 2..bound.
 
     Each trace is held at a prime index as the rank R of its value (see
     _rank_line). The L composite indices up to the next prime index take the
@@ -236,7 +234,7 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
     maxdiff_out = diff2.copy()
     maxdiff_n_out = np.full(a.size, 2, np.int64)
     merge_out = np.zeros(a.size, np.int64)
-    live = np.flatnonzero(m_out == 0) if stop_on_excess else np.arange(a.size)
+    live = np.arange(a.size)
     index_chunks = _index_primes(bound)
     qs = next(index_chunks)
     j = 0  # qs[j] is the prime index the live traces are at
@@ -326,8 +324,7 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
         np.minimum.at(e, t[d > threshold], n[d > threshold])
         merged = z < never
         new_m = (m_out[live] == 0) & (e < never)
-        end = np.where(new_m, e, z) if stop_on_excess else z  # an excess comes first
-        upto = n <= end[t]
+        upto = n <= z[t]
         best = maxd.copy()
         np.maximum.at(best, t[upto], d[upto])
         up = best > maxd
@@ -337,12 +334,10 @@ def walk_pairs(a, b, threshold: int, stop_on_excess: bool, bound: int):
         maxdiff_out[live[up]] = best[up]
         maxdiff_n_out[live[up]] = first[up]
         m_out[live[new_m]] = e[new_m]
-        done = merged | new_m if stop_on_excess else merged
-        met = merged & ~new_m if stop_on_excess else merged
-        merge_out[live[met]] = z[met]
+        merge_out[live[merged]] = z[merged]
         j += K
-        if done.any():
-            keep = ~done
+        if merged.any():
+            keep = ~merged
             live, R, last = live[keep], R[:, keep], last[:, keep]
         # sieve again before a block like this one could leave the window
         resieve = live.size > 0 and np.min(last - R) < advance

@@ -7,14 +7,13 @@ chunk is sieved independently (share-nothing workers) and runs on the
 sieve's odd-value flags from start to end: the twin lessers
 (primes.twin_indices), the lockstep kernel in kernels.py, which advances all
 of the chunk's pairs together and stops each at its merge or its first
-excess, and the gap words the matchers read, with no flag per value built;
-a pair that outruns the kernel's bitmap or its index table is walked again in
-rank space by kernels.walk_pairs, on windows it sieves as the traces advance,
-up to DEFAULT_BOUND. Chunk results are merged in ascending range order by one
-chunk loop, _forked, which runs every sweep: with one worker it forks
-nothing, and with more the caller runs its share of the chunks and forked
-workers stream theirs back, so reports do not depend on worker count. A
-sweep's on_chunk ends it early by returning a true value; the c and m
+excess, and the gap words the matchers read, with no flag per value built.
+Every pair stops within the chunk's MARGIN and the kernel's IDX_LIMIT, so the
+kernel is a sweep's one engine. Chunk results are merged in ascending range
+order by one chunk loop, _forked, which runs every sweep: with one worker it
+forks nothing, and with more the caller runs its share of the chunks and
+forked workers stream theirs back, so reports do not depend on worker count.
+A sweep's on_chunk ends it early by returning a true value; the c and m
 sequences are read off the chunks.
 Run-to-merge statistics come from one walk_pairs call in merge_walks, as
 hseq.pair_trace's reports: of single pairs for pair_report (twinconst trace),
@@ -34,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels, primes
+from . import primes
 from .constellations import MAX_SPAN, corollary_patterns, predict_near_bulk
 from .hseq import (
     DEFAULT_BOUND,
@@ -49,9 +48,14 @@ from .kernels import UNMERGED, gap_words, match_offsets_bulk, pair_stats_kernel,
 
 # Values per sweep chunk below about 6e13, read at each scan: the checkpoint
 # cadence, ~1e6 scanned values. Higher up, chunk_width doubles it until a chunk
-# holds an odd value per base prime; with the values _scan_chunk sieves past
-# it, a chunk of any width fits one sieve segment.
+# holds an odd value per base prime; with the MARGIN values _scan_chunk sieves
+# past it, a chunk of any width fits one sieve segment.
 CHUNK = 1 << 20
+# Values sieved past each chunk: the matchers read MAX_SPAN past a twin lesser
+# p, the kernel p + 36 and then the prime a first excess steps to, one prime gap
+# on (tests/test_certificate.py); gaps below 4e18 are at most 1476 (Oliveira e
+# Silva, Herzog and Pardi, Math. Comp. 2014), and a wider one would raise.
+MARGIN = 1 << 12
 
 
 @dataclass
@@ -59,12 +63,12 @@ class TwinScanResult:
     """Per-twin-pair statistics over [lo, hi], ascending by lesser member p.
 
     Every sweep stops a pair at its first excess: m is that index and merge_n
-    is 0 then (merge not needed). merge_n is UNMERGED when the pair neither
-    merged nor exceeded DEFAULT_THRESHOLD within DEFAULT_BOUND indices. near
-    means "merged with max difference <= DEFAULT_THRESHOLD"; fallback marks
-    the pairs the lockstep kernel handed to the rank-space walker. predicted
-    is None unless the scan_twin_range option predict was set, and cor17 and
-    cor15 unless corollary_check was.
+    is 0 then (merge not needed); otherwise merge_n is the merge index. near
+    means "merged with max difference <= DEFAULT_THRESHOLD". fallback is
+    all False: the lockstep kernel resolves every pair of a sweep, and the
+    column is kept for readers of fallback_count. predicted is None unless
+    the scan_twin_range option predict was set, and cor17 and cor15 unless
+    corollary_check was.
     """
 
     lo: int
@@ -95,17 +99,12 @@ class TwinScanResult:
         return cls(parts[0].lo, parts[-1].hi, **cols)
 
 
-def _margin() -> int:
-    # the kernel walks on WALK_WINDOW values past a chunk; the matchers read MAX_SPAN
-    return max(kernels.WALK_WINDOW, MAX_SPAN)
-
-
 def _check_limit(hi: int) -> None:
     """Refuse a sweep up to hi whose chunks would sieve past RANGE_LIMIT, as an
     argument error raised before chunk_width builds the base-prime cache."""
-    top = primes.RANGE_LIMIT - _margin()
+    top = primes.RANGE_LIMIT - MARGIN
     if hi > top:
-        raise ValueError(f"limit {hi} above {top}: a sweep sieves {_margin()} "
+        raise ValueError(f"limit {hi} above {top}: a sweep sieves {MARGIN} "
                          "values past its limit, which must stay within 2^63")
 
 
@@ -117,21 +116,21 @@ def chunk_width(hi: int) -> int:
     first window reads anyway and forked workers inherit."""
     small, large = primes._base_primes(math.isqrt(hi))
     width = CHUNK
-    while width // 2 < small.size + large and 2 * width + _margin() <= primes.MAX_SEGMENT_SIZE:
+    while width // 2 < small.size + large and 2 * width + MARGIN <= primes.MAX_SEGMENT_SIZE:
         width *= 2
     return width
 
 
 def _scan_chunk(args) -> TwinScanResult:
     lo, hi, predict, corollary_check = args
-    odd = primes.sieve_segment(lo, hi + _margin()).odd  # odd[i] <=> (lo | 1) + 2i prime
+    odd = primes.sieve_segment(lo, hi + MARGIN).odd  # odd[i] <=> (lo | 1) + 2i prime
     twin_is = primes.twin_indices(odd, (hi + 1) // 2 - lo // 2)  # lessers <= hi
     ps = (lo | 1) + 2 * twin_is
     m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_is, odd)
-    redo = np.flatnonzero(~ok)
-    if redo.size:
-        m[redo], maxd[redo], maxd_n[redo], merge_n[redo] = walk_pairs(
-            ps[redo] + 2, ps[redo], DEFAULT_THRESHOLD, True, DEFAULT_BOUND)
+    if not ok.all():
+        p = ps[np.argmin(ok)]
+        raise RuntimeError(f"twin pair ({p + 2}, {p}) did not stop within its chunk's "
+                           "margin and the kernel's index table")
     near = (merge_n > 0) & (maxd <= DEFAULT_THRESHOLD)
     predicted = cor17 = cor15 = None
     if predict or corollary_check:
@@ -166,7 +165,7 @@ def merge_walks(a, b, bound: int = DEFAULT_BOUND,
     raises check_walk's ValueError before any trace is stepped."""
     check_walk(threshold, bound)
     past = NotMergedWithin(bound)
-    cols = (col.tolist() for col in walk_pairs(a, b, threshold, False, bound))
+    cols = (col.tolist() for col in walk_pairs(a, b, threshold, bound))
     return [PairReport(a=int(x), b=int(y), threshold=threshold, bound=bound,
                        merge_index=past if n == UNMERGED else n, max_diff=d,
                        max_diff_first_index=d_n, first_excess=m)
@@ -310,9 +309,9 @@ def scan_twin_range(
     on_chunk: Optional[Callable[[TwinScanResult], object]] = None,
 ) -> Optional[TwinScanResult]:
     """Sweep all twin lessers in [lo, hi] in chunk_width(hi)-value chunks at
-    DEFAULT_THRESHOLD, each pair to its merge or its first excess. Run-to-merge
-    statistics past an excess come from kernels.walk_pairs instead, on up to
-    workers processes (_forked), the caller among them.
+    DEFAULT_THRESHOLD, each pair to its merge or its first excess, on up to
+    workers processes (_forked), the caller among them. A pair that outruns
+    its chunk's MARGIN or the kernel's IDX_LIMIT raises RuntimeError.
 
     Returns the chunks' results concatenated; on_chunk instead takes each
     chunk's result in order, none is kept, and the call returns None. The

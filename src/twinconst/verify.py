@@ -114,11 +114,12 @@ def _types(fields: dict) -> list:
 def _load_checkpoint(path: str, params: dict, fresh: dict):
     """Return (next_lo, report state), or None when there is no file at path
     or its version or params differ; raise ValueError, naming path, for a
-    file that cannot be read or is not a JSON checkpoint: one whose state, or
-    its details, differs from fresh, a new report's state, in a key, their
-    order or a value's type, whose int-keyed maps or int lists hold
-    anything but ints, or whose c_prefix or c_mod10_eq_1 is not as long as
-    its count allows, up to PREFIX_LEN."""
+    file that cannot be read or is not a JSON checkpoint: one whose next_lo
+    is not an int in [3, params["limit"] + 1], whose state, or its details,
+    differs from fresh, a new report's state, in a key, their order or a
+    value's type, whose int-keyed maps or int lists hold anything but ints,
+    or whose c_prefix or c_mod10_eq_1 is not as long as its count allows, up
+    to PREFIX_LEN."""
     if not os.path.exists(path):
         return None
     # OSError: unreadable, as a directory or a file without read permission;
@@ -128,7 +129,9 @@ def _load_checkpoint(path: str, params: dict, fresh: dict):
             meta = json.loads(fh.read(), object_pairs_hook=_int_keys)
         if meta["version"] != CHECKPOINT_VERSION or meta["params"] != params:
             return None
-        state = meta["state"]
+        next_lo, state = meta["next_lo"], meta["state"]
+        if type(next_lo) is not int or not 3 <= next_lo <= params["limit"] + 1:
+            raise TypeError(f"next_lo {next_lo!r}")
         d = state["details"]
         maps = (state["m_value_histogram"], state["residue_counts"], d["first_occurrence"])
         ints = [*d["c_prefix"], *d["c_mod10_eq_1"], *(x for m in maps for x in (*m, *m.values()))]
@@ -137,7 +140,7 @@ def _load_checkpoint(path: str, params: dict, fresh: dict):
                 or len(d["c_prefix"]) != min(PREFIX_LEN, d["c_count"])
                 or len(d["c_mod10_eq_1"]) != min(PREFIX_LEN, state["residue_counts"].get(1, 0))):
             raise TypeError("state")
-        return int(meta["next_lo"]), state
+        return next_lo, state
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: not a JSON checkpoint ({exc!r})") from None
 

@@ -227,8 +227,8 @@ def test_scan_m_sequence_sieves_within_one_chunk_of_the_last_pair(monkeypatch):
     assert scan_m_sequence(count) == want
     chunk = sweeps.CHUNK
     assert 2 + chunk < last < 2 + 2 * chunk
-    assert max(hi for _, hi in sieved) == 2 + 2 * chunk + sweeps._margin()
-    assert sum(hi - lo + 1 for lo, hi in sieved) <= last + chunk + len(sieved) * sweeps._margin()
+    assert max(hi for _, hi in sieved) == 2 + 2 * chunk + sweeps.MARGIN
+    assert sum(hi - lo + 1 for lo, hi in sieved) <= last + chunk + len(sieved) * sweeps.MARGIN
 
 
 def test_scan_m_sequence_does_not_depend_on_the_worker_count():

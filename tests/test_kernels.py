@@ -21,7 +21,7 @@ from twinconst.hseq import (DEFAULT_BOUND, DEFAULT_THRESHOLD, NotMergedWithin, h
 from twinconst.kernels import UNMERGED, pair_stats_kernel, walk_pairs
 from twinconst.sweeps import (TwinScanResult, merge_walks, pair_report, prime_pair_merges,
                                scan_twin_range)
-from twinconst.verify import probe_conjecture1
+from twinconst.verify import _save_checkpoint, _state, partitioned_scan, probe_conjecture1
 
 
 def _assert_matches_oracle(result):
@@ -36,13 +36,10 @@ def _assert_matches_oracle(result):
         assert merge_n == (rep.merge_index if rep.merged else 0), p
 
 
-def _oracle(a, b, threshold, stop_on_excess, bound):
+def _oracle(a, b, threshold, bound):
     """walk_pairs' (m, max_diff, max_diff_n, merge_n) for one pair, from
     pair_trace."""
     rep = pair_trace(a, b, threshold, bound)
-    if stop_on_excess and rep.first_excess:
-        rep = pair_trace(a, b, threshold, rep.first_excess)
-        return rep.first_excess, rep.max_diff, rep.max_diff_first_index, 0
     merge = rep.merge_index if rep.merged else UNMERGED
     return rep.first_excess, rep.max_diff, rep.max_diff_first_index, merge
 
@@ -62,9 +59,9 @@ def _walk_each_loop(*args):
     return outs
 
 
-def _assert_walk_matches_oracle(a, b, threshold, stop_on_excess, bound):
-    want = [_oracle(*pair, threshold, stop_on_excess, bound) for pair in zip(a, b)]
-    for loop, out in _walk_each_loop(a, b, threshold, stop_on_excess, bound).items():
+def _assert_walk_matches_oracle(a, b, threshold, bound):
+    want = [_oracle(*pair, threshold, bound) for pair in zip(a, b)]
+    for loop, out in _walk_each_loop(a, b, threshold, bound).items():
         for i, pair in enumerate(zip(a, b)):
             got = tuple(int(col[i]) for col in out)
             assert got == want[i], (pair, bound, loop)
@@ -186,17 +183,32 @@ def test_pairs_near_the_bitmap_end_are_not_ok():
     assert off > 100
 
 
-def test_pairs_off_the_bitmap_reach_the_fallback(monkeypatch):
-    # near 10^12 a trace passes some 30 values per prime index, so the pairs
-    # near the end of a 64-value chunk leave its bitmap (16 values past it,
-    # widened to the matchers' MAX_SPAN) before index 17
-    monkeypatch.setattr(kernels, "WALK_WINDOW", 16)
+def test_pairs_off_the_bitmap_end_the_sweep(monkeypatch, tmp_path):
+    # near 10^12 a trace passes some 30 values per prime index, so with a
+    # margin of the matchers' MAX_SPAN alone some pairs near the end of a
+    # 64-value chunk leave its bitmap before they stop: the sweep raises,
+    # naming the first of them, and a campaign reports an abort
+    monkeypatch.setattr(sweeps, "MARGIN", MAX_SPAN)
     # the width the sweep reads, pinned: near 10^12 chunk_width would widen
     # a 64-value chunk to hold an odd value per base prime
     monkeypatch.setattr(sweeps, "chunk_width", lambda hi: 64)
-    result = scan_twin_range(10**12, 10**12 + (1 << 14) - 1)
-    assert result.fallback_count >= 3
-    _assert_matches_oracle(result)
+    lo, hi = 10**12, 10**12 + (1 << 14) - 1
+
+    def off(p):
+        rep = pair_trace(p + 2, p)
+        sieved = lo + (p - lo) // 64 * 64 + 63 + MAX_SPAN  # its chunk's last value
+        return h_sequence(p + 2, rep.first_excess or rep.merge_index)[-1] > sieved
+
+    twins = [p for p in range(lo + 1, hi + 1, 2) if primes.is_prime(p) and primes.is_prime(p + 2)]
+    first = next(p for p in twins if off(p))
+    with pytest.raises(RuntimeError, match=rf"^twin pair \({first + 2}, {first}\) did not stop"):
+        scan_twin_range(lo, hi)
+    # the same sweep resumed at lo from a checkpoint of a new report
+    ckpt = str(tmp_path / "scan.ckpt")
+    _save_checkpoint(ckpt, {"limit": hi}, lo, _state(partitioned_scan(2)))
+    report = partitioned_scan(hi, checkpoint=ckpt)
+    assert report.aborted and report.pairs_examined > 0
+    assert report.details["error"].startswith(f"RuntimeError: twin pair ({first + 2}, {first})")
 
 
 def _pi_upper(x: int) -> int:
@@ -221,14 +233,14 @@ def test_chunk_width_is_capped_near_the_range_limit(monkeypatch):
     monkeypatch.setattr(primes, "_base_primes", lambda limit: (np.zeros(0, np.uint32), count))
     width = sweeps.chunk_width(hi)
     assert width == primes.MAX_SEGMENT_SIZE // 2
-    assert width + max(kernels.WALK_WINDOW, MAX_SPAN) <= primes.MAX_SEGMENT_SIZE
+    assert width + sweeps.MARGIN <= primes.MAX_SEGMENT_SIZE
 
 
 def test_sweep_limit_is_checked_before_chunk_width(monkeypatch):
     # zero odd flags stand in for the sieve, so nothing is sieved: the last
     # accepted limit has its chunk's margin end at 2^63 exactly, and one past
     # it is an argument error before chunk_width reads the base-prime cache
-    top = primes.RANGE_LIMIT - max(kernels.WALK_WINDOW, MAX_SPAN)
+    top = primes.RANGE_LIMIT - sweeps.MARGIN
     widths, sieved = [], []
 
     def no_primes(lo, hi):
@@ -248,7 +260,7 @@ def test_sweep_limit_is_checked_before_chunk_width(monkeypatch):
                                       (10**15 + 2 ** 21 + 54321, 10 << 20)])
 def test_widened_chunks_give_the_chunk_width_scan(lo, span, monkeypatch):
     # two and a half widened chunks equal the same range in CHUNK-value
-    # chunks, in every column but which pairs took the fallback
+    # chunks, in every column
     hi = lo + span - 1
     columns = dict(predict=True, corollary_check=True)
     assert sweeps.chunk_width(hi) == span * 2 // 5
@@ -257,38 +269,36 @@ def test_widened_chunks_give_the_chunk_width_scan(lo, span, monkeypatch):
     narrow = scan_twin_range(lo, hi, **columns)
     assert wide.ps.size > 1000
     for f in fields(TwinScanResult):
-        if f.name != "fallback":
-            assert np.array_equal(getattr(wide, f.name), getattr(narrow, f.name)), f.name
+        assert np.array_equal(getattr(wide, f.name), getattr(narrow, f.name)), f.name
 
 
 @pytest.mark.parametrize("lo", [10**6, 10**12])
 def test_small_chunks_and_margin_give_the_default_scan(lo, monkeypatch):
-    # a kernel that steps no index hands every pair to the walker, which must
-    # then report what the kernel reports; with a 16-value window the
-    # matchers still read the MAX_SPAN values past each chunk
+    # 32-value chunks, each with its MARGIN values past it, give the scan of
+    # the default chunks; a kernel that steps no index stops no pair, and
+    # the sweep raises
     hi = lo + (1 << 14) - 1
     columns = dict(predict=True, corollary_check=True)
     default = scan_twin_range(lo, hi, **columns)
-    monkeypatch.setattr(kernels, "IDX_LIMIT", 3)
-    monkeypatch.setattr(kernels, "WALK_WINDOW", 16)
     monkeypatch.setattr(sweeps, "chunk_width", lambda hi: 32)
     small = scan_twin_range(lo, hi, **columns)
-    assert small.fallback_count > small.ps.size // 2
+    assert small.ps.size > 20
     for f in fields(TwinScanResult):
-        if f.name != "fallback":
-            assert np.array_equal(getattr(small, f.name), getattr(default, f.name)), f.name
+        assert np.array_equal(getattr(small, f.name), getattr(default, f.name)), f.name
+    monkeypatch.setattr(kernels, "IDX_LIMIT", 3)
+    with pytest.raises(RuntimeError, match=rf"twin pair \({default.ps[0] + 2}, {default.ps[0]}\)"):
+        scan_twin_range(lo, hi, **columns)
 
 
 @pytest.mark.parametrize("threshold", [1, 6])
-@pytest.mark.parametrize("stop_on_excess", [True, False])
-def test_walk_matches_oracle_at_small_bounds(threshold, stop_on_excess):
+def test_walk_matches_oracle_at_small_bounds(threshold):
     # twin and non-twin starts; 1009 - 3 and 10^6 + 3 - 7 are far enough
     # apart for each trace to get a window of its own. Bounds 9, 50 and 1000
     # end inside composite runs, 3, 11 and 47 on prime indices.
     a = [5, 7, 13, 19, 43, 1009, 10**6 + 3, 1019, 17]
     b = [3, 5, 11, 17, 41, 3, 7, 1013, 3]
     for bound in (2, 3, 4, 9, 11, 47, 50, 1000, 20000):
-        _assert_walk_matches_oracle(a, b, threshold, stop_on_excess, bound)
+        _assert_walk_matches_oracle(a, b, threshold, bound)
 
 
 def test_bound_inside_a_composite_run_before_the_merge():
@@ -399,13 +409,13 @@ def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
     a = [p + 2 for p in ps]
     # under both step loops; a block that leaves a window, redone after, has
     # traces clipped to the sentinel
-    for loop, out in _walk_each_loop(a, ps, DEFAULT_THRESHOLD, False, DEFAULT_BOUND).items():
+    for loop, out in _walk_each_loop(a, ps, DEFAULT_THRESHOLD, DEFAULT_BOUND).items():
         merge_n, w = out[3], widths[STEP_LOOPS[loop]]
         longest = int(np.argmax(merge_n))
         assert ps[longest] == 10**12 + 5647 and merge_n[longest] == 3181, loop
         assert len(w) >= 3 and max(w) > window, loop
         assert len(w) - len(set(w)) >= 1, loop  # sieved again at one width
-    _assert_walk_matches_oracle(a, ps, DEFAULT_THRESHOLD, False, DEFAULT_BOUND)
+    _assert_walk_matches_oracle(a, ps, DEFAULT_THRESHOLD, DEFAULT_BOUND)
 
 
 @pytest.mark.parametrize("segment", [1 << 16, 1 << 17])
@@ -429,7 +439,7 @@ def test_walk_over_a_cluster_longer_than_one_sieve_segment(x, step, segment, mon
     monkeypatch.setattr(kernels, "_rank_line", checked)
     b = [primes.next_prime(x + i * step) for i in range(40)]
     a = [primes.next_prime(p) for p in b]
-    _assert_walk_matches_oracle(a, b, DEFAULT_THRESHOLD, False, 2000)
+    _assert_walk_matches_oracle(a, b, DEFAULT_THRESHOLD, 2000)
     assert spans[0] > 4 * segment
 
 
@@ -471,7 +481,7 @@ def test_chunk_without_twin_pairs():
     empty = np.zeros(0, np.int64)
     out = pair_stats_kernel(empty, np.ones(64, bool))
     assert [a.size for a in out] == [0] * 5
-    assert [a.size for a in walk_pairs(empty, empty, 6, False, DEFAULT_BOUND)] == [0] * 4
+    assert [a.size for a in walk_pairs(empty, empty, 6, DEFAULT_BOUND)] == [0] * 4
 
 
 @pytest.mark.parametrize("predict", [False, True])
@@ -502,24 +512,22 @@ def test_first_of_tied_maxima_is_reported(a, b, first, walk_block):
     rep = pair_trace(a, b, DEFAULT_THRESHOLD, DEFAULT_BOUND)
     diffs = _differences(a, b, rep.merge_index)
     assert diffs.count(rep.max_diff) >= 2 and diffs.index(rep.max_diff) + 2 == first
-    assert walk_pairs([a], [b], DEFAULT_THRESHOLD, False, DEFAULT_BOUND)[2].tolist() == [first]
-    _assert_walk_matches_oracle([a], [b], DEFAULT_THRESHOLD, False, DEFAULT_BOUND)
+    assert walk_pairs([a], [b], DEFAULT_THRESHOLD, DEFAULT_BOUND)[2].tolist() == [first]
+    _assert_walk_matches_oracle([a], [b], DEFAULT_THRESHOLD, DEFAULT_BOUND)
 
 
-@pytest.mark.parametrize("stop_on_excess", [True, False])
-def test_first_excess_inside_a_composite_run(stop_on_excess, walk_block):
+def test_first_excess_inside_a_composite_run(walk_block):
     # at threshold 19 the traces of 17 and 7 differ by 19 at index 52 and by
     # 18 at index 54, the first of the composite run 54..58, and first exceed
     # 19 at its last index: a run that starts at or below the max before it
     diffs = _differences(17, 7, 58)
     assert not any(primes.is_prime(n) for n in range(54, 59))
     assert max(diffs[: 54 - 2]) == 19 and diffs[54 - 2] == 18 and diffs[58 - 2] == 20
-    assert walk_pairs([17], [7], 19, stop_on_excess, DEFAULT_BOUND)[0].tolist() == [58]
-    _assert_walk_matches_oracle([17], [7], 19, stop_on_excess, DEFAULT_BOUND)
+    assert walk_pairs([17], [7], 19, DEFAULT_BOUND)[0].tolist() == [58]
+    _assert_walk_matches_oracle([17], [7], 19, DEFAULT_BOUND)
 
 
-@pytest.mark.parametrize("stop_on_excess", [True, False])
-def test_walk_of_many_pairs(stop_on_excess):
+def test_walk_of_many_pairs():
     # 333 pairs of nearby primes at three heights, so that a block holds
     # only _BLOCK_CELLS // 666 = 24 prime indices
     a, b = [], []
@@ -528,15 +536,14 @@ def test_walk_of_many_pairs(stop_on_excess):
         a += ps[1:111] + ps[2:3]
         b += ps[:110] + ps[:1]
     assert len(a) >= 300 and kernels._BLOCK_CELLS // (2 * len(a)) < 32
-    _assert_walk_matches_oracle(a, b, DEFAULT_THRESHOLD, stop_on_excess, 3000)
+    _assert_walk_matches_oracle(a, b, DEFAULT_THRESHOLD, 3000)
 
 
-@pytest.mark.parametrize("stop_on_excess", [True, False])
-def test_walk_matches_oracle_on_random_pairs(stop_on_excess, walk_block):
+def test_walk_matches_oracle_on_random_pairs(walk_block):
     # pairs of primes a few primes apart near 3, 10^3, 10^6, 10^9 and
     # 10^12; random thresholds; bounds one below, at and one above a prime
     # index, so that a walk ends just before, on and just after one
-    rng = np.random.default_rng(1217 + stop_on_excess)
+    rng = np.random.default_rng(1217)
     index_primes = primes.consecutive_primes_from(3, 300)
     for _ in range(6):
         a, b = [], []
@@ -550,4 +557,4 @@ def test_walk_matches_oracle_on_random_pairs(stop_on_excess, walk_block):
         threshold = int(rng.integers(1, 41))
         q = index_primes[int(rng.integers(0, len(index_primes)))]
         for bound in (q - 1, q, q + 1):
-            _assert_walk_matches_oracle(a, b, threshold, stop_on_excess, bound)
+            _assert_walk_matches_oracle(a, b, threshold, bound)

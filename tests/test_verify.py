@@ -436,8 +436,9 @@ def test_killed_worker_aborts_the_campaign(monkeypatch):
 
 def test_checkpoint_resume(tmp_path, monkeypatch):
     ckpt = str(tmp_path / "scan.ckpt")
-    # every chunk sends its first pair to the fallback, so the fallback
-    # count must survive the checkpoint (the real stragglers cost seconds)
+    # every chunk marks its first pair as a fallback, so the fallback count
+    # must survive the checkpoint (a real sweep marks none: its kernel
+    # resolves every pair)
     monkeypatch.setattr(sweeps, "_scan_chunk", _first_pair_falls_back)
     monkeypatch.setattr(sweeps, "CHUNK", 20_000)
     monkeypatch.setattr(verify_mod, "CHECKPOINT_SPAN", 20_000)  # a write per chunk
@@ -917,6 +918,50 @@ def test_checkpoint_whose_value_types_differ_is_rejected(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert code == 2 and f"error: {ckpt}: not a JSON checkpoint" in err
     assert sieved == [] and ckpt.read_bytes() == before and not report.exists()
+
+
+@pytest.mark.parametrize("next_lo", [2, 30_002, 10**9, "20003", 20_003.0, True, None],
+                         ids=["below-3", "past-limit", "far-past-limit", "str", "float",
+                              "bool", "null"])
+def test_checkpoint_whose_next_lo_is_out_of_range_is_rejected(tmp_path, capsys, monkeypatch,
+                                                              next_lo):
+    # a new report's state with a next_lo that is no int in [3, limit + 1]:
+    # past the limit it would report a verified range with no pair examined,
+    # so the file is no checkpoint, refused before anything is sieved
+    from twinconst.cli import main
+
+    state = verify_mod._state(partitioned_scan(2))
+    sieved = []
+    monkeypatch.setattr(primes, "sieve_segment", lambda lo, hi: sieved.append(lo))
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.write_text(json.dumps({"version": verify_mod.CHECKPOINT_VERSION, "params": _PARAMS,
+                                "next_lo": next_lo, "state": state}))
+    before = ckpt.read_bytes()
+    report = tmp_path / "t1.report"
+    code = main(["verify", "t1", "--limit", "30000", "--checkpoint", str(ckpt),
+                 "--report", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2 and f"error: {ckpt}: not a JSON checkpoint" in err
+    assert sieved == [] and ckpt.read_bytes() == before and not report.exists()
+
+
+@pytest.mark.parametrize("next_lo", [3, 30_001])
+def test_checkpoint_at_either_end_of_the_range_resumes(tmp_path, monkeypatch, next_lo):
+    # next_lo 3 resumes a new report from the start, and limit + 1 a
+    # finished one with nothing left to sieve
+    monkeypatch.setattr(sweeps, "CHUNK", 10_000)
+    fresh = partitioned_scan(30_000)
+    done = next_lo > 30_000
+    state = verify_mod._state(fresh if done else partitioned_scan(2))
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.write_text(json.dumps({"version": verify_mod.CHECKPOINT_VERSION, "params": _PARAMS,
+                                "next_lo": next_lo, "state": state}))
+    sieved = []
+    sieve = primes.sieve_segment
+    monkeypatch.setattr(primes, "sieve_segment", lambda lo, hi: sieved.append(lo) or sieve(lo, hi))
+    report = partitioned_scan(30_000, 1, checkpoint=str(ckpt))
+    assert _report_lines(report) == _report_lines(fresh)
+    assert (sieved == []) == done and not ckpt.exists()
 
 
 def test_c_mod10_eq_1_is_a_prefix_as_c_prefix_is(monkeypatch):
