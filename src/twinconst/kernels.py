@@ -18,6 +18,8 @@ words with one masked compare.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import primes
@@ -34,6 +36,8 @@ WALK_WINDOW = 1 << 15
 # a twin pair p > 5 stops (17, tests/test_certificate.py); p = 3 merges at 11
 # and p = 5 stops at 13.
 IDX_LIMIT = 17 + 1
+# the prime indices below IDX_LIMIT, at which pair_stats_kernel takes prime steps
+_INDEX_PRIMES = frozenset(primes.primes_between(0, IDX_LIMIT - 1).tolist())
 WALK_BLOCK = 512  # prime indices per statistics block of the walk
 # A block with at most this many traces steps them one at a time with scalar
 # reads of F; a larger one steps all of them with one ndarray.take per prime
@@ -84,11 +88,10 @@ def pair_stats_kernel(
     live = np.arange(npairs)
     k = 2 * np.stack((twin_is + 1, twin_is)).astype(np.int64)
     maxd = maxdiff_out.copy()
-    index_is_prime = primes.prime_flags_between(0, IDX_LIMIT - 1)
     for n in range(3, IDX_LIMIT):
         if not live.size:
             break
-        if index_is_prime[n]:
+        if n in _INDEX_PRIMES:
             k = _prime_step(words, k.ravel(), sentinel).reshape(k.shape)
         else:
             # v + 1, or v + 2 when v is even and v + 1 prime (v >= 3)
@@ -152,14 +155,11 @@ def _prime_step(words: np.ndarray, x: np.ndarray, sentinel: int) -> np.ndarray:
 def _index_primes(bound: int):
     """Ascending arrays of the prime indices 2, 3, 5, ... through the first
     prime index >= bound."""
-    start = 0
-    while True:
-        end = start + _INDEX_SPAN - 1
-        qs = start + np.flatnonzero(primes.prime_flags_between(start, end))
+    for start in itertools.count(0, _INDEX_SPAN):
+        qs = primes.primes_between(start, start + _INDEX_SPAN - 1)
         yield qs
         if qs.size and qs[-1] >= bound:
             return
-        start = end + 1
 
 
 def _rank_line(values: np.ndarray, width: int):

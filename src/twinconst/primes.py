@@ -16,7 +16,8 @@ per prime: those from 2^12 up are uint16 half-offsets from an anchor per 4096
 primes, decoded a batch at a time. One builder writes it with the same
 odd-only core, DEFAULT_SEGMENT_SIZE odd values at a time, taking its root
 primes from a smaller table. This core is the only way primes are built: the
-import-time table of flags up to 2^20 is one sieve_segment window.
+import-time table, one byte per odd value up to 2^20 + 1, is one
+sieve_segment window's odd flags.
 """
 
 from __future__ import annotations
@@ -104,12 +105,20 @@ def _sieve_odd(o0: int, count: int, small: np.ndarray,
     return odd[:count]
 
 
-def prime_flags_between(lo: int, hi: int) -> np.ndarray:
-    """Flags f[k] True iff lo + k is prime, for 0 <= lo <= lo + k <= hi: a
-    read-only view of the import-time table when it covers hi, else a sieve."""
-    if hi <= _SMALL_LIMIT:
-        return _SMALL_FLAGS[lo : hi + 1]
-    return sieve_segment(lo, hi).flags
+def primes_between(lo: int, hi: int) -> np.ndarray:
+    """The primes p with lo <= p <= hi (0 <= lo), ascending; none when lo > hi.
+    The odd ones are read from the import-time table when it covers hi, else
+    from a sieve of [lo, hi]."""
+    if lo > hi:
+        return np.zeros(0, np.int64)
+    if hi <= _SMALL_LIMIT + 1:
+        # byte i is the odd value 2i + 1, so those in [lo, hi] are bytes
+        # lo >> 1 through (hi - 1) >> 1
+        odd = np.frombuffer(_SMALL_ODD, np.bool_)[lo >> 1 : (hi + 1) >> 1]
+    else:
+        odd = sieve_segment(lo, hi).odd
+    ps = 2 * np.flatnonzero(odd) + (lo | 1)
+    return np.insert(ps, 0, 2) if lo <= 2 <= hi else ps
 
 
 # The base-prime table of the primes <= limit, (limit, small, anchors, halves):
@@ -240,10 +249,10 @@ def _miller_rabin(n: int) -> bool:
 
 def is_prime(x: int) -> bool:
     """Exact primality for 0 <= x <= 2^63. 0 and 1 are not prime."""
+    if 0 <= x <= _SMALL_LIMIT:
+        return _SMALL_ODD[x >> 1] == 1 if x & 1 else x == 2
     if x < 0 or x > RANGE_LIMIT:
         raise ValueError(f"input out of supported range [0, 2^63]: {x}")
-    if x <= _SMALL_LIMIT:
-        return bool(_SMALL_FLAGS[x])
     if x % 2 == 0:
         return False
     for p in _MR_BASES:
@@ -324,8 +333,9 @@ def sieve_segment(lo: int, hi: int) -> Segment:
     return Segment(lo, hi, odd)
 
 
-_SMALL_FLAGS = sieve_segment(0, _SMALL_LIMIT).flags
-_SMALL_FLAGS.setflags(write=False)
+# byte i is 1 iff the odd value 2i + 1 <= _SMALL_LIMIT + 1 is prime: 512 KB,
+# immutable as bytes
+_SMALL_ODD = sieve_segment(0, _SMALL_LIMIT + 1).odd.tobytes()
 
 
 def twin_indices(odd: np.ndarray, n: int) -> np.ndarray:

@@ -129,6 +129,11 @@ def test_sweep_reads_no_per_value_flags(monkeypatch):
     assert result.ps.size > 3000 and result.fallback_count == 0
 
 
+def test_kernel_index_table_is_the_primes_below_idx_limit():
+    want = {n for n in range(kernels.IDX_LIMIT) if primes.is_prime(n)}
+    assert kernels._INDEX_PRIMES == want == {2, 3, 5, 7, 11, 13, 17}
+
+
 @pytest.mark.parametrize("p, gap", [(1357201, 132), (2010733, 148)])
 @pytest.mark.parametrize("bit", [0, 1, 31, 62, 63])
 def test_prime_step_matches_next_prime_across_maximal_gaps(p, gap, bit):

@@ -225,15 +225,42 @@ def test_oversized_segment_is_rejected_before_allocation():
     assert peak < 1 << 20
 
 
+def test_is_prime_equals_one_sieve_through_the_table_end():
+    # the import-time table ends at 2^20 + 1 and is_prime reads it up to 2^20
+    hi = (1 << 20) + 64
+    want = np.zeros(hi + 1, dtype=bool)
+    want[1::2] = primes.sieve_segment(0, hi).odd
+    want[2] = True
+    got = np.array([primes.is_prime(x) for x in range(hi + 1)])
+    assert np.array_equal(got, want)
+    assert not got[0] and not got[1] and got[2]
+    assert not got[(1 << 20) - 1]  # 3 * 5^2 * 11 * 31 * 41
+    assert not got[(1 << 20) + 1]  # 17 * 61681, the table's last byte
+    assert (np.flatnonzero(got[(1 << 20) - 16 :]) + (1 << 20) - 16).tolist() == [
+        1048571, 1048573, 1048583, 1048589, 1048601, 1048609, 1048613, 1048627, 1048633]
+
+
 @pytest.mark.parametrize("lo, hi", [
     (0, 4095), (1000, 1 << 20), ((1 << 20) - 50, (1 << 20) + 50),
     (0, 1 << 20),  # the whole import-time table
+    (0, (1 << 20) + 1), (1, (1 << 20) + 1), ((1 << 20) + 1, (1 << 20) + 1),  # its last byte
+    (0, (1 << 20) + 2), ((1 << 20) - 1, (1 << 20) + 3),  # straddling its end: a sieve
+    ((1 << 20) + 2, (1 << 20) + 4000), (2, 2), (0, 2), (3, 3), (0, 0), (0, 1),
+    (5, 4), (1 << 20, 100), ((1 << 21) + 1, 1 << 21),  # lo > hi: empty, not an error
 ])
-def test_prime_flags_between(lo, hi):
-    flags = primes.prime_flags_between(lo, hi)
-    assert np.array_equal(flags, _plain_prime_flags(hi)[lo:])
-    if hi <= 1 << 20:  # a view of the import-time table, which nothing may write
-        assert not flags.flags.writeable
+def test_primes_between(lo, hi):
+    want = np.flatnonzero(_plain_prime_flags(hi)[lo:]) + lo
+    assert primes.primes_between(lo, hi).tolist() == want.tolist()
+
+
+def test_primes_between_reads_no_per_value_flags(monkeypatch):
+    def refused(self):
+        raise AssertionError("per-value flags read")
+
+    monkeypatch.setattr(primes.Segment, "flags", property(refused))
+    lo = 10**9
+    got = primes.primes_between(lo, lo + 999)
+    assert got.tolist() == [x for x in range(lo, lo + 1000) if primes.is_prime(x)]
 
 
 def _assert_window_matches_point_queries(lo, hi):
