@@ -25,13 +25,6 @@ EXIT_BOUND = 3
 _PRINT_SLICE = 4096  # terms formatted per write of a printed sequence
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("TWINCONST_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _int_arg(text: str) -> int:
     """A decimal integer, or <int>e<int> when that is an exact integer: 1e8 is
     10^8 and 12e-1 is refused. Anything else is an argument error (exit 2)."""
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_int_arg, default=None)
     p.add_argument("--bound", type=_int_arg, default=DEFAULT_BOUND)
     p.add_argument("--format", choices=("terms", "bfile"), default="terms")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="verification campaigns")
@@ -233,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_int_arg, default=10**6)
     p.add_argument("--primes", type=int, default=10, help="conj1: pair pool size")
     p.add_argument("--bound", type=_int_arg, default=DEFAULT_BOUND, help="conj1: merge bound")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--report", type=str, default=None)
     p.add_argument("--checkpoint", type=str, default=None)
     p.set_defaults(func=_cmd_verify)

@@ -21,13 +21,6 @@ DEFAULT_THRESHOLD = 6
 
 
 @dataclass(frozen=True)
-class NotMergedWithin:
-    """Search bound exhausted before the traces met; a finding, not an error."""
-
-    bound: int
-
-
-@dataclass(frozen=True)
 class PairReport:
     """Joint statistics of the traces started at a and b (a > b)."""
 
@@ -35,14 +28,14 @@ class PairReport:
     b: int
     threshold: int
     bound: int
-    merge_index: int | NotMergedWithin
+    merge_index: int | None  # None: the traces did not meet within bound, a finding
     max_diff: int
     max_diff_first_index: int
     first_excess: int  # 0 means the difference never exceeded threshold
 
     @property
     def merged(self) -> bool:
-        return isinstance(self.merge_index, int)
+        return self.merge_index is not None
 
 
 def h_step(prev: int, index_is_prime: bool) -> int:
@@ -119,7 +112,7 @@ def pair_trace(
     max_diff = -1
     max_diff_n = 2
     first_excess = 0
-    merge: int | NotMergedWithin = NotMergedWithin(bound)
+    merge: int | None = None
     for n, va, vb in _stream_pair(a, b, bound):
         d = va - vb
         if d > max_diff:

@@ -26,8 +26,6 @@ from . import primes
 from .constellations import MAX_SPAN
 from .hseq import DEFAULT_THRESHOLD
 
-UNMERGED = -1  # merge_n marker: not merged within the walk's bound
-
 # Values walk_pairs sieves past each trace, doubled only when the first block
 # on a fresh window leaves it, so that a block that outruns a window still
 # ends; 2^17 added 2 MB to scan maxdiff's peak RSS.
@@ -186,14 +184,19 @@ def _rank_line(values: np.ndarray, width: int):
     cut = np.flatnonzero(v[1:] > ends[:-1])
     los, his = v[np.append(0, cut + 1)], ends[np.append(cut, v.size - 1)]
     size = primes.MAX_SEGMENT_SIZE
-    segs = [(s, primes.sieve_segment(s, min(s + size - 1, hi)).flags)
+    segs = [(s, min(s + size - 1, hi))
             for lo, hi in zip(los.tolist(), his.tolist()) for s in range(lo, hi + 1, size)]
-    line = np.concatenate([f for _, f in segs])
+    # where each segment starts on the line, then the line's end
+    starts = list(itertools.accumulate((e - s + 1 for s, e in segs), initial=0))
+    # A segment runs from an odd value to an even one, so its odd values sit
+    # at the even positions from its start; its even values are never prime.
+    line = np.zeros(starts[-1], np.bool_)
+    for (s, e), p, q in zip(segs, starts, starts[1:]):
+        line[p:q:2] = primes.sieve_segment(s, e).odd
     # non-prime line positions, shifted to values in place: one int64 array
     C = np.flatnonzero(~line)
-    starts = np.cumsum([0] + [f.size for _, f in segs])  # segment starts on the line
     cuts = C.searchsorted(starts).tolist()
-    for (s, _), p, i, j in zip(segs, starts.tolist(), cuts, cuts[1:]):
+    for (s, _), p, i, j in zip(segs, starts, cuts, cuts[1:]):
         C[i:j] += s - p
     prime_pos = np.flatnonzero(line)
     ranks = (prime_pos - np.arange(prime_pos.size)).astype(np.int32)
@@ -211,8 +214,9 @@ def walk_pairs(a, b, threshold: int, bound: int):
 
     Returns per pair m (the first index where the difference exceeds
     threshold, 0 if none), max_diff, max_diff_n (its first index) and merge_n,
-    which is UNMERGED for a pair that walked to bound without merging; its
-    max_diff, max_diff_n and m then cover indices 2..bound.
+    which is 0, as in pair_stats_kernel, for a pair that walked to bound
+    without merging; its max_diff, max_diff_n and m then cover indices
+    2..bound.
 
     Each trace is held at a prime index as the rank R of its value (see
     _rank_line). The L composite indices up to the next prime index take the
@@ -341,7 +345,6 @@ def walk_pairs(a, b, threshold: int, bound: int):
             live, R, last = live[keep], R[:, keep], last[:, keep]
         # sieve again before a block like this one could leave the window
         resieve = live.size > 0 and np.min(last - R) < advance
-    merge_out[live] = UNMERGED
     return m_out, maxdiff_out, maxdiff_n_out, merge_out
 
 

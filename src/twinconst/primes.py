@@ -10,14 +10,14 @@ In a batch each prime's first odd multiple is one int64 remainder, and pass
 j crosses off the j-th next multiple of every prime below count / j (count
 is the window's odd count) in one scatter, into a bitmap with one spare
 slot for the misses: most of these primes exceed count and take pass 0
-only. A Segment holds these odd-value flags, and builds per-value flags only
-when read. The base primes come from a grow-only per-process table of 2 bytes
-per prime: those from 2^12 up are uint16 half-offsets from an anchor per 4096
-primes, decoded a batch at a time. One builder writes it with the same
-odd-only core, DEFAULT_SEGMENT_SIZE odd values at a time, taking its root
-primes from a smaller table. This core is the only way primes are built: the
-import-time table, one byte per odd value up to 2^20 + 1, is one
-sieve_segment window's odd flags.
+only. A Segment holds these odd-value flags and no flag per value; every
+reader, sweeps and walks alike, runs on them. The base primes come from a
+grow-only per-process table of 2 bytes per prime: those from 2^12 up are
+uint16 half-offsets from an anchor per 4096 primes, decoded a batch at a
+time. One builder writes it with the same odd-only core, DEFAULT_SEGMENT_SIZE
+odd values at a time, taking its root primes from a smaller table. This core
+is the only way primes are built: the import-time table, one byte per odd
+value up to 2^20 + 1, is one sieve_segment window's odd flags.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -302,20 +301,12 @@ def consecutive_primes_from(p: int, k: int) -> list[int]:
 @dataclass(frozen=True)
 class Segment:
     """Primality of the inclusive value range [lo, hi], held as the flags of
-    its odd values: odd[i] <=> o0 + 2i is prime, for o0 = lo | 1."""
+    its odd values only: odd[i] <=> o0 + 2i is prime, for o0 = lo | 1. Of the
+    even values only 2 is prime."""
 
     lo: int
     hi: int
     odd: np.ndarray
-
-    @cached_property
-    def flags(self) -> np.ndarray:
-        """flags[k] <=> lo + k is prime: one flag per value, built on first read."""
-        flags = np.zeros(self.hi - self.lo + 1, dtype=bool)
-        flags[(self.lo | 1) - self.lo :: 2] = self.odd
-        if self.lo <= 2 <= self.hi:
-            flags[2 - self.lo] = True
-        return flags
 
 
 def sieve_segment(lo: int, hi: int) -> Segment:

@@ -38,13 +38,12 @@ from .constellations import MAX_SPAN, corollary_patterns, predict_near_bulk
 from .hseq import (
     DEFAULT_BOUND,
     DEFAULT_THRESHOLD,
-    NotMergedWithin,
     PairReport,
     check_pair,
     check_walk,
     pair_trace,  # noqa: F401  (unused here; perfbench/child.py wraps sweeps.pair_trace)
 )
-from .kernels import UNMERGED, gap_words, match_offsets_bulk, pair_stats_kernel, walk_pairs
+from .kernels import gap_words, match_offsets_bulk, pair_stats_kernel, walk_pairs
 
 # Values per sweep chunk below about 6e13, read at each scan: the checkpoint
 # cadence, ~1e6 scanned values. Higher up, chunk_width doubles it until a chunk
@@ -164,10 +163,9 @@ def merge_walks(a, b, bound: int = DEFAULT_BOUND,
     from one walk_pairs call that takes every pair to its merge or to bound;
     raises check_walk's ValueError before any trace is stepped."""
     check_walk(threshold, bound)
-    past = NotMergedWithin(bound)
     cols = (col.tolist() for col in walk_pairs(a, b, threshold, bound))
     return [PairReport(a=int(x), b=int(y), threshold=threshold, bound=bound,
-                       merge_index=past if n == UNMERGED else n, max_diff=d,
+                       merge_index=n or None, max_diff=d,
                        max_diff_first_index=d_n, first_excess=m)
             for x, y, m, d, d_n, n in zip(a, b, *cols)]
 
@@ -196,8 +194,7 @@ def _adjacent_merges(k: int, bound: int) -> list[tuple]:
     if k < 2:
         return []
     ps = primes.consecutive_primes_from(3, k)
-    return [(r.a, r.b, r.merge_index if r.merged else None)
-            for r in merge_walks(ps[1:], ps[:-1], bound)]
+    return [(r.a, r.b, r.merge_index) for r in merge_walks(ps[1:], ps[:-1], bound)]
 
 
 def prime_pair_merges(count: int, bound: int = DEFAULT_BOUND) -> list[tuple]:

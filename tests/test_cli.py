@@ -317,14 +317,6 @@ def test_workers_below_one(capsys, tmp_path, monkeypatch, argv, workers):
     assert not list(tmp_path.iterdir())  # no report written
 
 
-def test_worker_env_default(monkeypatch):
-    monkeypatch.setenv("TWINCONST_WORKERS", "3")
-    from twinconst.cli import _default_workers
-    assert _default_workers() == 3
-    monkeypatch.setenv("TWINCONST_WORKERS", "junk")
-    assert _default_workers() == 1
-
-
 def test_output_worker_invariance(capsys, monkeypatch):
     code1, out1, _ = run(capsys, "scan", "c", "--limit", "50000",
                          "--workers", "1")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segment_flags import value_flags
 from twinconst import primes
 from twinconst.constellations import (
     MAX_SPAN,
@@ -154,7 +155,7 @@ def test_matchers_agree_with_sieved_primes(lo, hi, scalar_hi):
     about a minute over the primes of (2^20, 2^22], so it checks those up to
     scalar_hi only."""
     seg = primes.sieve_segment(lo, hi + MAX_SPAN)
-    flags = seg.flags
+    flags = value_flags(seg)
     ks = np.flatnonzero(flags[: hi - lo + 1])
     windows = np.lib.stride_tricks.sliding_window_view(flags, MAX_SPAN + 1)[ks]
     # the primes lo + ks are odd: odd index (lo + k - (lo | 1)) / 2

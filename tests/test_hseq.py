@@ -1,7 +1,6 @@
 import pytest
 
 from twinconst.hseq import (
-    NotMergedWithin,
     h_sequence,
     h_step,
     pair_trace,
@@ -56,7 +55,7 @@ def test_merge_position_published_values():
 
 
 def test_merge_position_bound():
-    assert pair_trace(17, 3, bound=100).merge_index == NotMergedWithin(100)
+    assert pair_trace(17, 3, bound=100).merge_index is None
     assert pair_trace(17, 3, bound=683).merge_index == 683
 
 
@@ -93,7 +92,7 @@ def test_pair_trace_merge_consistency():
 def test_pair_trace_unmerged_is_reported():
     rep = pair_trace(17, 3, bound=50)
     assert not rep.merged
-    assert rep.merge_index == NotMergedWithin(50)
+    assert rep.merge_index is None
 
 
 def test_pair_trace_validation():

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segment_flags import value_flags
 import twinconst.kernels as kernels
 import twinconst.sweeps as sweeps
 from twinconst import primes
 from twinconst.cli import _maxdiff_terms, main
 from twinconst.constellations import MAX_SPAN
-from twinconst.hseq import (DEFAULT_BOUND, DEFAULT_THRESHOLD, NotMergedWithin, h_sequence,
-                            pair_trace)
-from twinconst.kernels import UNMERGED, pair_stats_kernel, walk_pairs
+from twinconst.hseq import DEFAULT_BOUND, DEFAULT_THRESHOLD, h_sequence, pair_trace
+from twinconst.kernels import pair_stats_kernel, walk_pairs
 from twinconst.sweeps import (TwinScanResult, merge_walks, pair_report, prime_pair_merges,
                                scan_twin_range)
 from twinconst.verify import _save_checkpoint, _state, partitioned_scan, probe_conjecture1
@@ -40,8 +40,7 @@ def _oracle(a, b, threshold, bound):
     """walk_pairs' (m, max_diff, max_diff_n, merge_n) for one pair, from
     pair_trace."""
     rep = pair_trace(a, b, threshold, bound)
-    merge = rep.merge_index if rep.merged else UNMERGED
-    return rep.first_excess, rep.max_diff, rep.max_diff_first_index, merge
+    return rep.first_excess, rep.max_diff, rep.max_diff_first_index, rep.merge_index or 0
 
 
 STEP_LOOPS = {"vectorized": 0, "trace-major": 1 << 30}  # loop: _FEW_TRACES
@@ -118,12 +117,9 @@ def test_chunk_at_height_matches_oracle(height, seed):
     assert np.array_equal(result.near, (result.merge_n > 0) & (result.max_diff <= 6))
 
 
-def test_sweep_reads_no_per_value_flags(monkeypatch):
-    # a sweep chunk runs on the sieve's odd flags from start to end
-    def refused(self):
-        raise AssertionError("per-value flags read")
-
-    monkeypatch.setattr(primes.Segment, "flags", property(refused))
+def test_sweep_reads_no_per_value_flags():
+    # a sweep chunk runs on the sieve's odd flags from start to end, the only
+    # flags a Segment holds
     lo = 10**9 + 12345
     result = scan_twin_range(lo, lo + (3 << 19), predict=True, corollary_check=True)
     assert result.ps.size > 3000 and result.fallback_count == 0
@@ -316,10 +312,65 @@ def test_bound_inside_a_composite_run_before_the_merge():
 
 def test_unmerged_pair_at_default_bound():
     # the traces of 14629 and 14627 do not meet within 10^6 indices: the
-    # walker reports UNMERGED, with the oracle's lower-bound statistics
+    # walker reports no merge, with the oracle's lower-bound statistics
     rep = pair_trace(14629, 14627, 6, DEFAULT_BOUND)
     assert not rep.merged
     assert pair_report(14629, 14627) == rep
+
+
+def test_open_pair_has_merge_n_0_and_merge_index_none():
+    # 17's traces merge with 3's at 683, so at bound 100 the pair is open:
+    # walk_pairs leaves its merge_n at 0, as pair_stats_kernel does for the
+    # twin pair (7, 5), which it stops at its first excess, 13, before the
+    # merge at 47
+    assert walk_pairs([17], [3], DEFAULT_THRESHOLD, 100)[3].tolist() == [0]
+    odd = primes.sieve_segment(3, 1 << 12).odd  # 5 is odd index 1 from 3
+    m, _, _, merge_n, ok = pair_stats_kernel(np.array([1]), odd)
+    assert (m.tolist(), merge_n.tolist(), ok.tolist()) == ([13], [0], [True])
+    rep = pair_trace(17, 3, DEFAULT_THRESHOLD, 100)
+    assert rep.merge_index is None and not rep.merged
+    assert merge_walks([17], [3], 100) == [rep]
+    assert pair_report(17, 3, DEFAULT_THRESHOLD, 100) == rep
+
+
+def _rank_line_from_value_flags(values, width):
+    """_rank_line's (C, F, R, last), each window [v, (v + width + 1) & ~1]
+    joined with those it meets and sieved whole into per-value flags."""
+    windows = []
+    for v in sorted(values.ravel().tolist()):
+        end = (v + width + 1) & ~1
+        if windows and v <= windows[-1][1]:
+            windows[-1][1] = end
+        else:
+            windows.append([v, end])
+    vals = np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows])
+    prime = np.concatenate([value_flags(primes.sieve_segment(lo, hi)) for lo, hi in windows])
+    below = np.cumsum(~prime) - ~prime  # non-primes before each value
+    C = vals[~prime]
+    ranks = below[prime]
+    F = np.append(ranks, C.size)[ranks.searchsorted(np.arange(C.size + 1))]
+    R = below[vals.searchsorted(values)]
+    ends = np.array([hi for _, hi in windows])
+    last = below[vals.searchsorted(ends[ends.searchsorted(values)])]
+    return C, F, R, last
+
+
+@pytest.mark.parametrize("values", [
+    # 20 pairs of consecutive primes 2^14 values apart near 10^9: one
+    # cluster of some 3.6 * 10^5 values over six 2^16-value segments
+    [[primes.next_prime(primes.next_prime(10**9 + i * (1 << 14))) for i in range(20)],
+     [primes.next_prime(10**9 + i * (1 << 14)) for i in range(20)]],
+    # two clusters far apart, the first from 3
+    [[primes.next_prime(10**15)], [3]],
+])
+def test_rank_line_equals_the_one_from_per_value_flags(values, monkeypatch):
+    values = np.array(values, np.int64)
+    want = _rank_line_from_value_flags(values, kernels.WALK_WINDOW)
+    monkeypatch.setattr(primes, "MAX_SEGMENT_SIZE", 1 << 16)
+    got = kernels._rank_line(values, kernels.WALK_WINDOW)
+    assert [x.shape for x in got[2:]] == [values.shape] * 2
+    for name, g, w in zip(("C", "F", "R", "last"), got, want):
+        assert np.array_equal(g, w), name
 
 
 @pytest.mark.parametrize("prime_count, bound", [
@@ -331,8 +382,7 @@ def test_prime_pair_merges_match_oracle(prime_count, bound):
     want = []
     for i, a in enumerate(ps):
         for b in ps[:i]:
-            pos = pair_trace(a, b, bound=bound).merge_index
-            want.append((a, b, None if isinstance(pos, NotMergedWithin) else pos))
+            want.append((a, b, pair_trace(a, b, bound=bound).merge_index))
     assert prime_pair_merges(len(want), bound) == want
 
 
@@ -349,7 +399,7 @@ def test_merge_is_the_later_of_the_adjacent_merges(starts, bound):
 
     def merge(a, b):
         pos = pair_trace(a, b, bound=bound).merge_index
-        return bound + 1 if isinstance(pos, NotMergedWithin) else pos
+        return bound + 1 if pos is None else pos
 
     assert merge(u, s) == max(merge(t, s), merge(u, t))
 
@@ -366,8 +416,7 @@ def test_prime_pair_merges_match_oracle_on_a_sample_of_80_primes():
     rng = np.random.default_rng(80)
     for i in rng.choice(len(got), 60, replace=False).tolist():
         a, b, n = got[i]
-        pos = pair_trace(a, b, bound=bound).merge_index
-        assert n == (None if isinstance(pos, NotMergedWithin) else pos), (a, b)
+        assert n == pair_trace(a, b, bound=bound).merge_index, (a, b)
 
 
 def test_prime_pair_merges_edge_arguments():

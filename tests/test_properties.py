@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segment_flags import value_flags
 from twinconst import primes
 from twinconst.hseq import h_step, pair_trace
 from twinconst.sweeps import scan_twin_range
@@ -45,7 +46,7 @@ def test_kernel_scan_agrees_with_streaming_trace(p):
 @given(st.integers(min_value=0, max_value=10**7), st.integers(min_value=0, max_value=2000))
 @settings(max_examples=50, deadline=None)
 def test_sieve_segment_matches_point_primality(lo, width):
-    seg = primes.sieve_segment(lo, lo + width)
+    flags = value_flags(primes.sieve_segment(lo, lo + width))
     ks = np.linspace(0, width, num=min(width + 1, 40), dtype=int)
     for k in ks:
-        assert bool(seg.flags[k]) == primes.is_prime(lo + int(k))
+        assert bool(flags[k]) == primes.is_prime(lo + int(k))

@@ -13,7 +13,7 @@ import pytest
 import twinconst.sweeps as sweeps
 import twinconst.verify as verify_mod
 from twinconst import primes
-from twinconst.hseq import NotMergedWithin, pair_trace
+from twinconst.hseq import pair_trace
 from twinconst.sweeps import scan_twin_range
 from twinconst.verify import ALLOWED_M_VALUES, partitioned_scan, probe_conjecture1
 
@@ -191,8 +191,7 @@ def test_probe_conjecture1_adjacent_merges_match_oracle():
     ps = primes.consecutive_primes_from(3, k)
     assert [(a, b) for a, b, _ in adjacent] == list(zip(ps[1:], ps))
     for a, b, n in adjacent:
-        pos = pair_trace(a, b, bound=bound).merge_index
-        assert n == (None if isinstance(pos, NotMergedWithin) else pos), (a, b)
+        assert n == pair_trace(a, b, bound=bound).merge_index, (a, b)
     assert report.details["unmerged"] == [(163, 157)]
     assert not report.verified  # an open adjacent pair leaves the conjecture unverified
     assert report.pairs_examined == k * (k - 1) // 2 and report.hi == ps[-1]
