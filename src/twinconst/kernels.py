@@ -167,9 +167,8 @@ def _rank_line(values: np.ndarray, width: int):
     value past the previous window end starts a cluster, sieved up to its
     last end in abutting segments of at most primes.MAX_SEGMENT_SIZE values.
     A prime's rank, the count of non-primes below it in these disjoint
-    windows, is int32: they must hold fewer than 2^31 non-primes (a sweep
-    chunk's pairs need a few times 2^26). A window reaching 2^63 is refused
-    with ValueError. Returns:
+    windows, is int32: they must hold fewer than 2^31 non-primes. A window
+    reaching 2^63 is refused with ValueError. Returns:
       C     the windows' non-prime values, strictly ascending, as int64: the
             prime of rank R is C[R] - 1
       F     F[x] is the least prime rank >= x, or the sentinel C.size at
@@ -266,17 +265,11 @@ def walk_pairs(a, b, threshold: int, bound: int):
         Rs = np.empty((K + 1,) + R.shape, R.dtype)
         Rs[0] = R
         if R.size <= _FEW_TRACES:
-            # trace by trace, one scalar read of F per step; columns to rows
+            # trace by trace, one scalar read of F per step, into the trace's column
             Fm, top = memoryview(F), F.size - 1
-            cols = []
-            for r in R.ravel().tolist():
-                col = []
-                for L in steps:
-                    x = r + L
-                    r = Fm[x if x < top else top]
-                    col.append(r)
-                cols.append(col)
-            Rs[1:] = np.array(cols, R.dtype).T.reshape((K,) + R.shape)
+            flat = Rs[1:].reshape(K, -1)
+            for t, r in enumerate(R.ravel().tolist()):
+                flat[:, t] = [r := Fm[x if (x := r + L) < top else top] for L in steps]
         else:
             # all traces per step: shifted[L].take(x, clip) is F[min(x + L, F.size - 1)]
             shifted = {L: F[min(L, F.size - 1):] for L in set(steps)}

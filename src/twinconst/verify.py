@@ -24,7 +24,7 @@ from .sweeps import TwinScanResult, _adjacent_merges, _check_limit, scan_twin_ra
 
 ALLOWED_M_VALUES = frozenset({0, 3, 5, 7, 9, 11, 13, 15, 17})
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 # the entries a report keeps of the c-sequence (c_prefix) and of its terms
 # = 1 mod 10 (c_mod10_eq_1), whose counts are c_count and residue_counts[1]
 PREFIX_LEN = 50
@@ -153,7 +153,7 @@ def partitioned_scan(
 ) -> CampaignReport:
     """Deterministic chunked sweep of all twin lessers <= limit that checks
     every sweep claim of the paper, folded into one report chunk by chunk:
-    pair, m value, near residue and fallback counts, Theorem 1's classifier
+    pair, m value and near residue counts, Theorem 1's classifier
     against simulated nearness, Theorem 2's m set, and the corollaries' m=15/17
     pattern equivalences and max-diff bound. The report is returned as the
     last fold left it, with its wall time.
@@ -168,9 +168,8 @@ def partitioned_scan(
     report = CampaignReport(
         campaign="claims", lo=3, hi=limit, pairs_examined=0, counterexamples=[],
         m_value_histogram={}, residue_counts={}, wall_time=0.0,
-        details={"fallback_pairs": 0, "c_count": 0, "c_prefix": [], "c_mod10_eq_1": [],
-                 "first_occurrence": {}, "count_m17": 0, "count_m17_outside_mod30_29": 0,
-                 "count_m15": 0, "count_m15_outside_mod30_29": 0,
+        details={"c_count": 0, "c_prefix": [], "c_mod10_eq_1": [], "first_occurrence": {},
+                 "count_m17_outside_mod30_29": 0, "count_m15_outside_mod30_29": 0,
                  "min_max_diff_excluding_p3": None})
     start = 3
     # a limit past the sweep's range and an unwritable checkpoint are
@@ -230,7 +229,6 @@ def _fold_claims(report: CampaignReport, part: TwinScanResult) -> None:
     report.pairs_examined += int(ps.size)
     m_values = _count_into(report.m_value_histogram, m)
     _count_into(report.residue_counts, ps[part.near] % 10)
-    d["fallback_pairs"] += part.fallback_count
     # Theorem 1: the classifier predicts simulated nearness
     for i in np.flatnonzero(part.predicted != part.near):
         found.append(_counterexample(int(ps[i]), bool(part.predicted[i]), bool(part.near[i])))
@@ -264,7 +262,6 @@ def _fold_claims(report: CampaignReport, part: TwinScanResult) -> None:
         for i in np.flatnonzero(cls29 & (is_m != matches)):
             found.append(_counterexample(int(ps[i]), f"m=={m_val} iff pattern({m_val})",
                                          {"m": int(m[i]), "pattern": bool(matches[i])}))
-        d[f"count_m{m_val}"] += int(np.count_nonzero(is_m))
         d[f"count_m{m_val}_outside_mod30_29"] += int(np.count_nonzero(is_m & ~cls29))
 
 

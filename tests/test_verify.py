@@ -67,12 +67,6 @@ def _planted_chunk(args):
     return part
 
 
-def _first_pair_falls_back(args):
-    part = _real_scan_chunk(args)
-    part.fallback[:1] = True
-    return part
-
-
 def test_theorem1_small_range():
     report = partitioned_scan(4000)
     assert report.verified
@@ -118,7 +112,6 @@ def test_corollaries():
     assert report.verified
     assert report.details["min_max_diff_excluding_p3"] == 6
     # 12th twin pair (p=149) is the first with m=15
-    assert report.details["count_m15"] >= 1
     assert report.m_value_histogram.get(15, 0) >= 1
 
 
@@ -435,14 +428,16 @@ def test_killed_worker_aborts_the_campaign(monkeypatch):
 
 def test_checkpoint_resume(tmp_path, monkeypatch):
     ckpt = str(tmp_path / "scan.ckpt")
-    # every chunk marks its first pair as a fallback, so the fallback count
-    # must survive the checkpoint (a real sweep marks none: its kernel
-    # resolves every pair)
-    monkeypatch.setattr(sweeps, "_scan_chunk", _first_pair_falls_back)
+    # one Theorem 1 disagreement planted per chunk, so the counterexamples
+    # and their replay traces must survive the checkpoint
+    plants = [("predicted", p, None) for p in (11, 20_021, 40_037)]
+    monkeypatch.setattr(sys.modules[__name__], "_plants", plants)
+    monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
     monkeypatch.setattr(sweeps, "CHUNK", 20_000)
     monkeypatch.setattr(verify_mod, "CHECKPOINT_SPAN", 20_000)  # a write per chunk
     fresh = partitioned_scan(60_000, 1)
-    assert fresh.details["fallback_pairs"] == 3
+    assert [ce["p"] for ce in fresh.counterexamples] == [11, 20_021, 40_037]
+    assert all(ce["upper_trace"] and ce["lower_trace"] for ce in fresh.counterexamples)
 
     # abort after the first chunk, leaving a checkpoint behind
     started = []
@@ -451,7 +446,7 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
         started.append(args[0])
         if len(started) > 1:
             raise RuntimeError("boom")
-        return _first_pair_falls_back(args)
+        return _planted_chunk(args)
 
     monkeypatch.setattr(sweeps, "_scan_chunk", flaky)
     partial = partitioned_scan(60_000, 1, checkpoint=ckpt)
@@ -460,7 +455,7 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
 
     def recorded(args):
         started.append(args[0])
-        return _first_pair_falls_back(args)
+        return _planted_chunk(args)
 
     started.clear()
     monkeypatch.setattr(sweeps, "_scan_chunk", recorded)
@@ -468,6 +463,7 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
     assert started == [20_003, 40_003]  # the first chunk came from the checkpoint
     assert not resumed.aborted
     assert resumed.details == fresh.details
+    assert resumed.counterexamples == fresh.counterexamples
     assert _report_lines(resumed) == _report_lines(fresh)
     assert not os.path.exists(ckpt)  # removed after a clean finish
 
@@ -507,7 +503,6 @@ def test_report_1e6_pinned():
     assert d["first_occurrence"] == {0: 3, 3: 137, 5: 107, 7: 191, 9: 41, 11: 71,
                                      13: 5, 15: 149, 17: 30089}
     assert list(d["first_occurrence"]) == sorted(ALLOWED_M_VALUES)
-    assert (d["count_m17"], d["count_m15"]) == (6, 3)
     assert d["count_m17_outside_mod30_29"] == d["count_m15_outside_mod30_29"] == 0
     assert d["min_max_diff_excluding_p3"] == 6
 
@@ -816,7 +811,7 @@ def test_checkpoint_of_one_claim_campaign_is_ignored(tmp_path, monkeypatch, camp
     monkeypatch.setattr(sweeps, "CHUNK", 10_000)
     ckpt = tmp_path / "scan.ckpt"
     fresh = partitioned_scan(30_000, 1)
-    state = {**_STATE, "details": {"fallback_pairs": 0}}
+    state = {**_STATE, "details": {"c_count": 0}}
     ckpt.write_text(json.dumps({"version": 3, "params": {**_PARAMS, "campaign": campaign},
                                 "next_lo": 20_003, "state": state}))
     started = []
@@ -870,7 +865,7 @@ def test_checkpoint_whose_details_differ_is_rejected(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("field, key, value", [
     ("details", "c_prefix", 5),
     ("details", "first_occurrence", []),
-    ("details", "count_m17", True),
+    ("details", "count_m17_outside_mod30_29", True),
     ("details", "min_max_diff_excluding_p3", "6"),
     ("pairs_examined", None, 10.0),
     ("m_value_histogram", None, [[3, 1]]),
@@ -983,5 +978,5 @@ def test_planted_m_outside_mod30_29_is_counted_not_reported(monkeypatch):
     report = partitioned_scan(PLANT_LIMIT)
     assert report.verified
     for m_val in (17, 15):
-        assert report.details[f"count_m{m_val}"] == fresh.details[f"count_m{m_val}"] + 1
+        assert report.m_value_histogram[m_val] == fresh.m_value_histogram[m_val] + 1
         assert report.details[f"count_m{m_val}_outside_mod30_29"] == 1
