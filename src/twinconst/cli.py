@@ -111,16 +111,13 @@ def _sequence(kind: str, n: int, bound: int, workers: int):
 
 
 def _cmd_scan(args) -> int:
-    if args.kind == "c" and args.limit is None:
-        print("error: scan c requires --limit", file=sys.stderr)
+    option, n = ("--limit", args.limit) if args.kind == "c" else ("--count", args.count)
+    if n is None:
+        print(f"error: scan {args.kind} requires {option}", file=sys.stderr)
         return EXIT_ARG
-    if args.kind != "c" and args.count is None:
-        print(f"error: scan {args.kind} requires --count", file=sys.stderr)
+    if args.kind != "c" and n < 1:
+        print(f"error: --count must be >= 1, got {n}", file=sys.stderr)
         return EXIT_ARG
-    if args.kind != "c" and args.count < 1:
-        print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
-        return EXIT_ARG
-    n = args.limit if args.kind == "c" else args.count
     try:
         terms, unmerged = _sequence(args.kind, n, args.bound, args.workers)
     except ValueError as exc:
@@ -200,33 +197,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hseq", help="print one sequence prefix")
-    p.add_argument("--start", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="last index (origin 2)")
+    p.add_argument("--start", type=_int_arg, required=True)
+    p.add_argument("--n", type=_int_arg, required=True, help="last index (origin 2)")
     p.add_argument("--format", choices=("terms", "bfile"), default="terms")
     p.set_defaults(func=_cmd_hseq)
 
     p = sub.add_parser("trace", help="pair statistics: merge, max diff, first excess")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD)
-    p.add_argument("--bound", type=_int_arg, default=DEFAULT_BOUND)
+    p.add_argument("a", type=_int_arg)
+    p.add_argument("b", type=_int_arg)
+    p.add_argument("--threshold", type=_int_arg, default=DEFAULT_THRESHOLD)
+    p.add_argument("--bound", type=_int_arg, default=DEFAULT_BOUND, help="merge bound")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("scan", help="bulk sequence scans")
     p.add_argument("kind", choices=("c", "m", "maxdiff", "merge"))
     p.add_argument("--limit", type=_int_arg, default=None)
     p.add_argument("--count", type=_int_arg, default=None)
-    p.add_argument("--bound", type=_int_arg, default=DEFAULT_BOUND)
+    p.add_argument("--bound", type=_int_arg, default=DEFAULT_BOUND,
+                   help="maxdiff and merge: merge bound")
     p.add_argument("--format", choices=("terms", "bfile"), default="terms")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_arg, default=1, help="c and m: worker processes")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="verification campaigns")
     p.add_argument("target", choices=("t1", "t2", "cor", "conj1"))
     p.add_argument("--limit", type=_int_arg, default=10**6)
-    p.add_argument("--primes", type=int, default=10, help="conj1: pair pool size")
+    p.add_argument("--primes", type=_int_arg, default=10, help="conj1: pair pool size")
     p.add_argument("--bound", type=_int_arg, default=DEFAULT_BOUND, help="conj1: merge bound")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_arg, default=1, help="t1, t2 and cor: worker processes")
     p.add_argument("--report", type=str, default=None)
     p.add_argument("--checkpoint", type=str, default=None)
     p.set_defaults(func=_cmd_verify)

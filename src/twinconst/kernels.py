@@ -8,9 +8,9 @@ walking, on the chunk's odd-value flags. walk_pairs takes every run-to-merge
 walk (sweeps.merge_walks) to its merge or a bound in rank space, one prime
 index at a time, in one process; it reads the differences at the prime
 indices and expands a composite run to its indices only where the run can
-raise a pair's max. A block of its steps with at most _FEW_TRACES traces (the
-few stragglers a long walk ends with) steps each trace alone with scalar
-reads; a larger block steps all traces with one gather per prime index.
+raise a pair's max; a block of steps ends before a trace leaves its sieved
+window, and the walk sieves again there. A block of at most _FEW_TRACES
+traces steps each alone with scalar reads, a larger one all with gathers.
 gap_words packs the primality of the even offsets 0..MAX_SPAN past each twin
 lesser into one word, and match_offsets_bulk tests a gap pattern against many
 words with one masked compare.
@@ -26,9 +26,10 @@ from . import primes
 from .constellations import MAX_SPAN
 from .hseq import DEFAULT_THRESHOLD
 
-# Values walk_pairs sieves past each trace, doubled only when the first block
-# on a fresh window leaves it, so that a block that outruns a window still
-# ends; 2^17 added 2 MB to scan maxdiff's peak RSS.
+# Values walk_pairs sieves past each trace (2^17 added 2 MB to scan maxdiff's
+# peak RSS). A step moves a trace at most 2 * (prime-index gap) + (prime gap)
+# values: under 4500 below 4 * 10^18, where prime gaps are at most 1476
+# (Oliveira e Silva, Herzog and Pardi, Math. Comp. 2014); no bound is known above.
 WALK_WINDOW = 1 << 15
 # Indices pair_stats_kernel steps through: one past the largest index at which
 # a twin pair p > 5 stops (17, tests/test_certificate.py); p = 3 merges at 11
@@ -160,10 +161,10 @@ def _index_primes(bound: int):
             return
 
 
-def _rank_line(values: np.ndarray, width: int):
+def _rank_line(values: np.ndarray):
     """Rank-space tables for traces at the odd prime values (2, P).
 
-    Value v needs the window up to the even value (v + width + 1) & ~1. A
+    Value v needs the window up to the even value (v + WALK_WINDOW + 1) & ~1. A
     value past the previous window end starts a cluster, sieved up to its
     last end in abutting segments of at most primes.MAX_SEGMENT_SIZE values.
     A prime's rank, the count of non-primes below it in these disjoint
@@ -176,7 +177,7 @@ def _rank_line(values: np.ndarray, width: int):
       R     each trace's rank
       last  rank of the even value that ends each trace's window
     """
-    v = np.sort(values, None)
+    v, width = np.sort(values, None), WALK_WINDOW
     if int(v[-1]) + width + 1 >= primes.RANGE_LIMIT:
         raise ValueError(f"walk window past {int(v[-1])} reaches 2^63")
     ends = (v + (width + 1)) & ~1
@@ -227,8 +228,10 @@ def walk_pairs(a, b, threshold: int, bound: int):
     ndarray.take over all traces per step; both clip to the sentinel alike.
     The differences at the prime indices come from one gather, and a
     composite run is expanded to its indices only for the pairs whose bound
-    on the run's differences exceeds their max so far. The window is sieved
-    again when a trace nears its end.
+    on the run's differences exceeds their max so far. A block ends before
+    the first row in which a trace has passed its window's end (Rs > last),
+    and the walk sieves again there; a first step past a window sieved in
+    the same pass raises RuntimeError (a step fits in WALK_WINDOW below 4e18).
     """
     a = np.asarray(a, np.int64)
     b = np.asarray(b, np.int64)
@@ -241,20 +244,16 @@ def walk_pairs(a, b, threshold: int, bound: int):
     index_chunks = _index_primes(bound)
     qs = next(index_chunks)
     j = 0  # qs[j] is the prime index the live traces are at
-    window = WALK_WINDOW
-    R = None
-    resieve, fresh = True, False
+    R, resieve = None, True
     while live.size and qs[j] < bound:
         if qs.size - j <= WALK_BLOCK:
             qs = np.concatenate((qs[j:], next(index_chunks, qs[:0])))
             j = 0
+        fresh = resieve
         if resieve:
-            # widen a fresh window its first block left; resieve others as is
-            window *= 2 if fresh else 1
             values = np.stack((a[live], b[live])) if R is None else C[R] - 1
             C = F = None  # free the old tables first
-            C, F, R, last = _rank_line(values, window)
-            resieve, fresh = False, True
+            C, F, R, last = _rank_line(values)
         # K steps, from prime index qs[j] to qs[j + K]: K + 1 rows of ranks
         K = max(1, min(_BLOCK_CELLS // R.size, WALK_BLOCK, qs.size - 1 - j))
         q = qs[j : j + K + 1]
@@ -277,10 +276,16 @@ def walk_pairs(a, b, threshold: int, bound: int):
             for row, L in zip(Rs[1:], steps):
                 shifted[L].take(prev, None, row, "clip")
                 prev = row
-        if np.any(Rs[K] > last):
-            resieve = True  # a trace left its window: redo the block
-            continue
-        fresh = False
+        # end the block before the first row in which a trace has left its window
+        left = (Rs[1:] > last).reshape(K, -1).any(1)
+        if resieve := bool(left[-1]):
+            K = int(left.argmax())
+            if not K:
+                if fresh:
+                    raise RuntimeError(f"a walk step from prime index {q[0]} passed "
+                                       f"a whole {WALK_WINDOW}-value window")
+                continue
+            Rs, q, Ls = Rs[: K + 1], q[: K + 1], Ls[:K]
         maxd = maxdiff_out[live]
         # Traces apart at a prime index take the distinct non-primes of ranks
         # Ra + t and Rb + t through the composite run after it, so they meet
@@ -299,7 +304,6 @@ def walk_pairs(a, b, threshold: int, bound: int):
             cut = ri.searchsorted(K)
             ri, rt, ends, q = ri[:cut], rt[:cut], ends[:cut], q[: K + 1]
         R = Rs[K]
-        advance = np.max(R - Rs[0])
         # C[R] - 1 is the prime of rank R; the -1 cancels in the difference.
         # Differences at the prime indices q[1:], one row each:
         dp = C[Rs[1 : K + 1, 0]] - C[Rs[1 : K + 1, 1]]
@@ -336,8 +340,6 @@ def walk_pairs(a, b, threshold: int, bound: int):
         if merged.any():
             keep = ~merged
             live, R, last = live[keep], R[:, keep], last[:, keep]
-        # sieve again before a block like this one could leave the window
-        resieve = live.size > 0 and np.min(last - R) < advance
     return m_out, maxdiff_out, maxdiff_n_out, merge_out
 
 

@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 
 import pytest
 
@@ -130,6 +131,17 @@ def test_every_bound_defaults_to_the_default_bound(argv):
     assert build_parser().parse_args(argv).bound == DEFAULT_BOUND
 
 
+@pytest.mark.parametrize("command, says", [
+    ("trace", ["merge bound"]),
+    ("scan", ["c and m: worker processes", "maxdiff and merge: merge bound"]),
+    ("verify", ["t1, t2 and cor: worker processes", "conj1: merge bound"])])
+def test_help_names_the_commands_that_read_workers_and_bound(capsys, command, says):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert all(text in out for text in says), out
+
+
 def test_scan_maxdiff_bound_below_two(capsys):
     code, out, err = run(capsys, "scan", "maxdiff", "--count", "3", "--bound", "1")
     assert code == 2
@@ -148,17 +160,28 @@ def test_limit_and_count_in_e_notation_are_the_same_integers(capsys, tmp_path):
     assert reports[0] == reports[1] and "pairs_examined: 1224" in reports[0]
     assert run(capsys, "scan", "maxdiff", "--count", "1e1") == run(
         capsys, "scan", "maxdiff", "--count", "10")
+    assert run(capsys, "hseq", "--start", "17", "--n", "1e1") == run(
+        capsys, "hseq", "--start", "17", "--n", "10")
+    assert run(capsys, "trace", "19e0", "17", "--threshold", "60e-1") == run(
+        capsys, "trace", "19", "17", "--threshold", "6")
 
 
 @pytest.mark.parametrize("argv", [
     ["verify", "t1", "--limit", "1.5e3"], ["verify", "t1", "--limit", "1e"],
     ["scan", "m", "--count", "e5"], ["scan", "maxdiff", "--count", "12e-1"],
-    ["trace", "7", "5", "--bound", "1e1000"], ["scan", "c", "--limit", "1e5.0"]])
+    ["trace", "7", "5", "--bound", "1e1000"], ["scan", "c", "--limit", "1e5.0"],
+    ["hseq", "--start", "1.7e1", "--n", "5"], ["hseq", "--start", "17", "--n", "5.0"],
+    ["trace", "7.0", "5"], ["trace", "7", "5e-1"], ["trace", "7", "5", "--threshold", "6e-1"],
+    ["verify", "conj1", "--primes", "1e"], ["verify", "t1", "--workers", "2.0"],
+    ["scan", "c", "--limit", "100", "--workers", "e1"]])
 def test_malformed_integer_arguments_are_argument_errors(capsys, argv):
+    # every integer option is parsed alike, and refused with --limit's words
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error: argument --" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert re.search(r"error: argument [-\w]+: "
+                     r"(invalid integer|not an integer|exponent out of range): ", err), err
 
 
 def test_scan_merge(capsys):
@@ -232,6 +255,15 @@ def test_verify_conj1(tmp_path, capsys, monkeypatch):
                        "--bound", "10000")
     assert code == 0
     assert "conjecture1" in out
+
+
+def test_verify_conj1_with_one_prime_has_no_pair(tmp_path, capsys):
+    # one odd prime, 3, makes no adjacent pair: nothing is walked, exit 0
+    report = tmp_path / "conj1.report"
+    code, out, _ = run(capsys, "verify", "conj1", "--primes", "1", "--report", str(report))
+    assert code == 0
+    assert "range: [3, 3]\n" in out and "adjacent_merges: []\n" in out
+    assert "pairs_examined: 0\n" in out and "verified: True\n" in out
 
 
 def test_verify_conj1_bound_exhausted(tmp_path, capsys):

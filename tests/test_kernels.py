@@ -367,7 +367,7 @@ def test_rank_line_equals_the_one_from_per_value_flags(values, monkeypatch):
     values = np.array(values, np.int64)
     want = _rank_line_from_value_flags(values, kernels.WALK_WINDOW)
     monkeypatch.setattr(primes, "MAX_SEGMENT_SIZE", 1 << 16)
-    got = kernels._rank_line(values, kernels.WALK_WINDOW)
+    got = kernels._rank_line(values)
     assert [x.shape for x in got[2:]] == [values.shape] * 2
     for name, g, w in zip(("C", "F", "R", "last"), got, want):
         assert np.array_equal(g, w), name
@@ -441,18 +441,20 @@ def test_bound_below_2_is_refused_before_any_sieving_or_walking(walk, monkeypatc
     assert str(exc.value) == "bound must be >= 2, got 1"
 
 
-@pytest.mark.parametrize("window", [64, 1024])
+@pytest.mark.parametrize("window", [64, 512, 1024])
 def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
     # near 10^12 one block of steps moves a trace by some 10^4 values, so the
-    # walker must widen these windows as well as sieve them again; blocks of
-    # 64 prime indices keep the walk to index 3181 from fitting in one block
-    # once a window has widened
-    widths = {}  # _FEW_TRACES: window widths
+    # walker sieves these windows again, each time at the one width; blocks
+    # of 64 prime indices keep the walk to index 3181 from fitting in one
+    # block. Every step there fits in 512 values, but one can pass a whole
+    # 64-value window: sieving again from the same rank would make no
+    # progress, so the walk raises instead of looping
+    calls = {}  # _FEW_TRACES: _rank_line calls
     rank_line = kernels._rank_line
 
-    def counting(values, width):
-        widths.setdefault(kernels._FEW_TRACES, []).append(width)
-        return rank_line(values, width)
+    def counting(values):
+        calls[kernels._FEW_TRACES] = calls.get(kernels._FEW_TRACES, 0) + 1
+        return rank_line(values)
 
     monkeypatch.setattr(kernels, "WALK_WINDOW", window)
     monkeypatch.setattr(kernels, "WALK_BLOCK", 64)
@@ -461,15 +463,43 @@ def test_walk_near_1e12_across_window_refreshes(window, monkeypatch):
     ps = [p for p in range(lo | 1, lo + 1501, 2) if primes.is_prime(p) and primes.is_prime(p + 2)]
     assert len(ps) >= 3
     a = [p + 2 for p in ps]
-    # under both step loops; a block that leaves a window, redone after, has
-    # traces clipped to the sentinel
+    if window == 64:
+        for few_traces in STEP_LOOPS.values():
+            monkeypatch.setattr(kernels, "_FEW_TRACES", few_traces)
+            with pytest.raises(RuntimeError, match="passed a whole 64-value window"):
+                walk_pairs(a, ps, DEFAULT_THRESHOLD, DEFAULT_BOUND)
+        return
     for loop, out in _walk_each_loop(a, ps, DEFAULT_THRESHOLD, DEFAULT_BOUND).items():
-        merge_n, w = out[3], widths[STEP_LOOPS[loop]]
+        merge_n = out[3]
         longest = int(np.argmax(merge_n))
         assert ps[longest] == 10**12 + 5647 and merge_n[longest] == 3181, loop
-        assert len(w) >= 3 and max(w) > window, loop
-        assert len(w) - len(set(w)) >= 1, loop  # sieved again at one width
+        assert calls[STEP_LOOPS[loop]] >= 3, loop
     _assert_walk_matches_oracle(a, ps, DEFAULT_THRESHOLD, DEFAULT_BOUND)
+
+
+TWINS_BELOW_1E4 = list(primes.twin_lessers(10**4))
+
+
+@pytest.mark.parametrize("a, b, bound, most", [
+    # the 205 twin pairs below 10^4, walked to 10^6, and an open pair to 10^7;
+    # sieving again before a block could leave a window, and redoing a block
+    # that did, sieved 1.45 and 1.67 times their distinct values
+    ([p + 2 for p in TWINS_BELOW_1E4], TWINS_BELOW_1E4, DEFAULT_BOUND, 1.25),
+    ([14629], [14627], 10**7, 1.5),
+], ids=["205-pairs", "14627"])
+def test_walk_sieves_few_values_twice(a, b, bound, most, monkeypatch):
+    # values primes.sieve_segment sieves during the walk, over the distinct
+    # values its segments cover
+    segments = []
+    sieve = primes.sieve_segment
+    monkeypatch.setattr(primes, "sieve_segment",
+                        lambda lo, hi: segments.append((lo, hi)) or sieve(lo, hi))
+    walk_pairs(a, b, DEFAULT_THRESHOLD, bound)
+    distinct, end = 0, -1
+    for lo, hi in sorted(segments):
+        distinct += max(hi, end) - max(lo - 1, end)
+        end = max(end, hi)
+    assert sum(hi - lo + 1 for lo, hi in segments) <= most * distinct
 
 
 @pytest.mark.parametrize("segment", [1 << 16, 1 << 17])
@@ -483,8 +513,8 @@ def test_walk_over_a_cluster_longer_than_one_sieve_segment(x, step, segment, mon
     rank_line = kernels._rank_line
     spans = []
 
-    def checked(values, width):
-        C, F, R, last = rank_line(values, width)
+    def checked(values):
+        C, F, R, last = rank_line(values)
         assert np.all(np.diff(C) > 0)
         spans.append(int(C[-1] - C[0]))
         return C, F, R, last

@@ -107,6 +107,9 @@ def test_next_composite_examples():
     assert primes.next_composite(30) == 32
     with pytest.raises(ValueError):
         primes.next_composite(2)
+    # within 2^32 of 2^63, where a step could pass the ceiling
+    with pytest.raises(ValueError, match="too close to the 64-bit ceiling"):
+        primes.next_composite(primes.STEP_HEADROOM)
 
 
 def test_prime_composite_least_witnesses():
@@ -212,6 +215,9 @@ def test_sieve_segment_agrees_with_point_queries():
 def test_sieve_segment_errors():
     with pytest.raises(ValueError):
         primes.sieve_segment(10, 5)
+    for lo, hi in ((-1, 5), (primes.RANGE_LIMIT - 9, primes.RANGE_LIMIT + 1)):
+        with pytest.raises(ValueError, match=r"outside supported range \[0, 2\^63\]"):
+            primes.sieve_segment(lo, hi)
 
 
 def test_oversized_segment_is_rejected_before_allocation():
@@ -561,3 +567,5 @@ def test_first_twin_lessers():
     assert primes.first_twin_lessers(5) == [3, 5, 11, 17, 29]
     with pytest.raises(ValueError):
         primes.first_twin_lessers(0)
+    with pytest.raises(ValueError, match="limit above 2\\^63"):
+        next(primes.twin_lessers(primes.RANGE_LIMIT + 1))

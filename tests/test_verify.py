@@ -492,6 +492,27 @@ def test_checkpoint_param_mismatch_is_ignored(tmp_path, monkeypatch):
     assert report.pairs_examined == partial_params_scan.pairs_examined
 
 
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_failed_checkpoint_write_leaves_no_temporary_file(tmp_path, monkeypatch, failing):
+    # the checkpoint already on disk stays whole, the .tmp file is removed,
+    # and the error reaches the caller
+    ckpt = tmp_path / "scan.ckpt"
+    verify_mod._save_checkpoint(str(ckpt), {"limit": 10}, 5, None)
+    before = ckpt.read_bytes()
+    fdopen = os.fdopen
+    if failing == "write":  # a read-only file object: its write raises
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: fdopen(fd, "r"))
+    else:
+        def no_replace(src, dst):
+            raise OSError("injected replace failure")
+
+        monkeypatch.setattr(os, "replace", no_replace)
+    with pytest.raises(OSError):
+        verify_mod._save_checkpoint(str(ckpt), {"limit": 10}, 7, None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.ckpt"]
+    assert ckpt.read_bytes() == before
+
+
 def test_report_1e6_pinned():
     # every claim's figures at 10^6, as one report states them
     report = partitioned_scan(10**6, 2)
@@ -615,6 +636,21 @@ def test_one_sweep_reports_every_kind_of_planted_counterexample(monkeypatch):
     with_p = [ce for ce in report.counterexamples if "p" in ce]
     assert sorted(ce["p"] for ce in with_p) == sorted(p for _, p, _ in plants)
     assert len(report.counterexamples) == len(with_p)
+
+
+def test_cli_counterexample_exits_1_and_names_the_report(tmp_path, capsys, monkeypatch):
+    from twinconst.cli import main
+
+    monkeypatch.setattr(sys.modules[__name__], "_plants", PLANTS["classifier"][:1])
+    monkeypatch.setattr(sweeps, "_scan_chunk", _planted_chunk)
+    report = tmp_path / "t1.report"
+    code = main(["verify", "t1", "--limit", "1e6", "--report", str(report)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"counterexample replay data in {report}\n"
+    assert "counterexamples: 1\n" in out and "verified: False\n" in out
+    replay = [ln for ln in report.read_text().splitlines() if ln.startswith("counterexample\t")]
+    assert len(replay) == 1 and json.loads(replay[0].partition("\t")[2])["p"] == 500_111
 
 
 def test_checkpoint_cadence_and_resume_between_writes(tmp_path, monkeypatch):
