@@ -1,14 +1,15 @@
-"""Gap patterns and the fast nearness predicate for twin lessers.
+"""Gap patterns and the scalar nearness predicate for twin lessers.
 
 A twin lesser p is "near" when the traces started at p and p+2 never drift
 more than 6 apart. Simulation (hseq.pair_trace) is the ground truth; the
-pattern classifier here predicts the same answer from a constellation test
-and is verified against simulation by the sweeps of sweeps.py, which this
-module does not import. A constellation is a
-GapPattern: a prime/composite word over the even offsets 0..span from its
-base, read by matches_pattern one value at a time and by
-kernels.match_offsets_bulk from the gap words (kernels.gap_words) of a
-sweep's twin pairs.
+pattern classifier here predicts the same answer from a constellation test.
+This module holds the pattern definitions (GapPattern, NEAR_PATTERNS,
+corollary_patterns) and the scalar reference matchers, matches_pattern and
+predicts_near, which make point queries one value at a time. It imports
+neither numpy nor kernels nor sweeps: the bulk matchers
+kernels.match_offsets_bulk and kernels.predict_near_bulk read the same
+patterns from the gap words (kernels.gap_words) of a sweep's twin pairs,
+and the sweeps of sweeps.py check them against simulation.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
-
-import numpy as np
 
 from . import primes
 
@@ -101,17 +100,3 @@ def corollary_patterns(m: int) -> list[GapPattern]:
     if m == 15:
         return [GapPattern(o + (32,)) for o in _EXCESS17_OFFSETS]
     raise ValueError(f"patterns defined for m in {{15, 17}} only, got {m}")
-
-
-def predict_near_bulk(words: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Vectorized predicts_near over the twin lessers ps, from their gap
-    words (kernels.gap_words)."""
-    from .kernels import match_offsets_bulk
-
-    residues = ps % 30
-    out = np.zeros(ps.size, dtype=bool)
-    for residue, pattern in NEAR_PATTERNS.items():
-        out |= (residues == residue) & match_offsets_bulk(words, pattern)
-    out[ps == 3] = True
-    out[ps == 5] = False
-    return out

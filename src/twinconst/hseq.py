@@ -7,11 +7,13 @@ the statistics here locate that merge and the difference profile before it.
 
 Each step is a pure-Python Miller-Rabin point query: this is the reference
 oracle for the walkers of kernels.py, which step every sweep, scan and pair
-report; h_sequence also materializes short traces.
+report. One generator steps a single trace (_trace): h_sequence takes a
+short trace's terms from it, and pair_trace walks two of them side by side.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import primes
@@ -52,29 +54,22 @@ def _require_prime_start(start: int) -> None:
         raise ValueError(f"start must be an odd prime >= 3, got {start}")
 
 
+def _trace(start: int):
+    """Yield the trace's terms at indices 2, 3, ... without end, each step
+    taken only when its term is asked for."""
+    v = start
+    for n in itertools.count(3):
+        yield v
+        v = h_step(v, primes.is_prime(n))
+
+
 def h_sequence(start: int, n_max: int) -> tuple[int, ...]:
     """The terms of the trace at indices 2 through n_max; index n is at
     position n - 2."""
     _require_prime_start(start)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    values = [start]
-    for n in range(3, n_max + 1):
-        values.append(h_step(values[-1], primes.is_prime(n)))
-    return tuple(values)
-
-
-def _stream_pair(a: int, b: int, bound: int):
-    """Yield (n, va, vb) for n = 2, 3, ... up to merge or bound, O(1) memory."""
-    va, vb = a, b
-    yield 2, va, vb
-    n = 2
-    while va != vb and n < bound:
-        n += 1
-        n_is_prime = primes.is_prime(n)
-        va = h_step(va, n_is_prime)
-        vb = h_step(vb, n_is_prime)
-        yield n, va, vb
+    return tuple(itertools.islice(_trace(start), n_max - 1))
 
 
 def check_walk(threshold: int, bound: int) -> None:
@@ -113,7 +108,8 @@ def pair_trace(
     max_diff_n = 2
     first_excess = 0
     merge: int | None = None
-    for n, va, vb in _stream_pair(a, b, bound):
+    # the indices come first, so no step is taken past bound
+    for n, va, vb in zip(range(2, bound + 1), _trace(a), _trace(b)):
         d = va - vb
         if d > max_diff:
             max_diff = d

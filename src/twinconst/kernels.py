@@ -11,9 +11,11 @@ indices and expands a composite run to its indices only where the run can
 raise a pair's max; a block of steps ends before a trace leaves its sieved
 window, and the walk sieves again there. A block of at most _FEW_TRACES
 traces steps each alone with scalar reads, a larger one all with gathers.
-gap_words packs the primality of the even offsets 0..MAX_SPAN past each twin
-lesser into one word, and match_offsets_bulk tests a gap pattern against many
-words with one masked compare.
+This module is the one bulk reader of a sweep chunk's odd flags, packed
+once (_odd_words): the kernel's prime steps and gap_words, the primality of
+the even offsets 0..MAX_SPAN past each twin lesser, are _flags64 reads. On
+the gap words match_offsets_bulk tests a pattern with one masked compare,
+and predict_near_bulk the Theorem 1 ones (constellations.NEAR_PATTERNS).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 import numpy as np
 
 from . import primes
-from .constellations import MAX_SPAN
+from .constellations import MAX_SPAN, NEAR_PATTERNS
 from .hseq import DEFAULT_THRESHOLD
 
 # Values walk_pairs sieves past each trace (2^17 added 2 MB to scan maxdiff's
@@ -52,17 +54,15 @@ _BLOCK_CELLS = 1 << 14
 _INDEX_SPAN = 1 << 16  # prime indices are listed this many indices at a time
 
 
-def pair_stats_kernel(
-    twin_is: np.ndarray,
-    odd: np.ndarray,
-):
+def pair_stats_kernel(twin_is: np.ndarray, odd: np.ndarray, words: np.ndarray):
     """Simulate the greedy pair recurrence for each twin lesser o0 + 2 * twin_is[i]
     to its merge or its first excess, whichever comes first, on the flags
     odd[i] <=> o0 + 2i is prime (odd o0 >= 3), each trace held as v - o0.
 
-    twin_is must be ascending. A prime step reads packed words (_prime_step),
-    so no list of the window's primes is built; offsets from the sentinel
-    2 * odd.size - 1 on are off the bitmap. Per pair i returns:
+    twin_is must be ascending and words must be _odd_words(odd). A composite
+    step reads one flag of odd, and a prime step the packed words
+    (_prime_step), so no list of the window's primes is built; offsets from
+    the sentinel 2 * odd.size - 1 on are off the bitmap. Per pair i returns:
       m_out        least index n with diff > DEFAULT_THRESHOLD, 0 if none
                    before merge
       maxdiff_out  max diff over simulated indices (exact once merged)
@@ -81,7 +81,6 @@ def pair_stats_kernel(
     ok_out = np.ones(npairs, np.bool_)
 
     sentinel = 2 * odd.size - 1
-    words = _odd_words(odd)
     # Live state: original pair index, [xa; xb] offsets, running max diff.
     # Traces are monotone in their start, so xa stays ascending across pairs.
     live = np.arange(npairs)
@@ -133,17 +132,23 @@ def _odd_words(odd: np.ndarray) -> np.ndarray:
     return np.pad(packed, (0, 8 * (odd.size // 64 + 2) - packed.size)).view("<u8")
 
 
+def _flags64(words: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per flag index s below the count that words packs (_odd_words), flags
+    s..s + 63 as bits 0..63 of one uint64, from words s >> 6 and (s >> 6) + 1."""
+    b = (s & 63).astype(np.uint64)
+    # numpy shifts a uint64 left by 64 to 0, so b = 0 reads word s >> 6 alone
+    return (words[s >> 6] >> b) | (words[(s >> 6) + 1] << (np.uint64(64) - b))
+
+
 def _prime_step(words: np.ndarray, x: np.ndarray, sentinel: int) -> np.ndarray:
     """2j for the least set flag j > x >> 1 of the odd flags words packs, per
     offset x below the sentinel 2 * odd.size - 1, else the sentinel. The 64
-    flags from s = (x >> 1) + 1 are one read of two words, their lowest set
-    bit popcount(w ^ (w - 1)) - 1; a trace in a longer gap reads on."""
+    flags from s = (x >> 1) + 1 are one _flags64 read, their lowest set bit
+    popcount(w ^ (w - 1)) - 1; a trace in a longer gap reads on."""
     out = np.full_like(x, sentinel)
     todo, s = np.arange(x.size), (x >> 1) + 1
     while todo.size:
-        b = (s & 63).astype(np.uint64)
-        # numpy shifts a uint64 left by 64 to 0, so b = 0 reads word s >> 6 alone
-        w = (words[s >> 6] >> b) | (words[(s >> 6) + 1] << (np.uint64(64) - b))
+        w = _flags64(words, s)
         hit = w != 0
         out[todo[hit]] = 2 * (s + np.bitwise_count(w ^ (w - np.uint64(1))) - 1)[hit]
         more = ~hit & (s < (sentinel >> 1) - 63)  # flags from odd.size on are clear
@@ -343,17 +348,14 @@ def walk_pairs(a, b, threshold: int, bound: int):
     return m_out, maxdiff_out, maxdiff_n_out, merge_out
 
 
-def gap_words(idx: np.ndarray, odd: np.ndarray) -> np.ndarray:
+def gap_words(idx: np.ndarray, words: np.ndarray) -> np.ndarray:
     """One uint32 per base p = o0 + 2 * idx[i] of the odd flags odd[j] <=>
-    o0 + 2j is prime: bit j is odd[idx[i] + j], the primality of p + 2j, for
-    j = 0..MAX_SPAN // 2.
+    o0 + 2j is prime, which words packs (_odd_words): bit j is odd[idx[i] + j],
+    the primality of p + 2j, for j = 0..MAX_SPAN // 2, from one _flags64 read.
 
     Callers guarantee idx + MAX_SPAN // 2 stays inside odd.
     """
-    words = np.zeros(idx.size, np.uint32)
-    for j in range(MAX_SPAN // 2 + 1):
-        words |= odd[idx + j].astype(np.uint32) << j
-    return words
+    return (_flags64(words, idx) & np.uint64((2 << MAX_SPAN // 2) - 1)).astype(np.uint32)
 
 
 def match_offsets_bulk(words: np.ndarray, pattern) -> np.ndarray:
@@ -361,3 +363,15 @@ def match_offsets_bulk(words: np.ndarray, pattern) -> np.ndarray:
     prime/composite word sit at each base whose gap word is in words?"""
     mask, bits = pattern.word
     return words & mask == bits
+
+
+def predict_near_bulk(words: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Vectorized constellations.predicts_near over the twin lessers ps, from
+    their gap words."""
+    residues = ps % 30
+    out = np.zeros(ps.size, dtype=bool)
+    for residue, pattern in NEAR_PATTERNS.items():
+        out |= (residues == residue) & match_offsets_bulk(words, pattern)
+    out[ps == 3] = True
+    out[ps == 5] = False
+    return out

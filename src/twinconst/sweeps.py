@@ -4,10 +4,11 @@ A sweep takes one chunk width, chunk_width(hi): CHUNK, doubled while a chunk
 has fewer odd values than there are base primes up to sqrt(hi), so that its
 sieve pays per value rather than per base prime (from about 6e13 up). Each
 chunk is sieved independently (share-nothing workers) and runs on the
-sieve's odd-value flags from start to end: the twin lessers
-(primes.twin_indices), the lockstep kernel in kernels.py, which advances all
-of the chunk's pairs together and stops each at its merge or its first
-excess, and the gap words the matchers read, with no flag per value built.
+sieve's odd-value flags, with no flag per value built: the twin lessers
+(primes.twin_indices), then kernels.py's bulk readers of those flags,
+packed once: the lockstep kernel, which advances all of the chunk's pairs
+together and stops each at its merge or its first excess, and the gap
+words on which its bulk matchers test the patterns of constellations.py.
 Every pair stops within the chunk's MARGIN and the kernel's IDX_LIMIT, so the
 kernel is a sweep's one engine. Chunk results are merged in ascending range
 order by one chunk loop, _forked, which runs every sweep: with one worker it
@@ -34,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import primes
-from .constellations import MAX_SPAN, corollary_patterns, predict_near_bulk
+from .constellations import corollary_patterns
 from .hseq import (
     DEFAULT_BOUND,
     DEFAULT_THRESHOLD,
@@ -43,7 +44,8 @@ from .hseq import (
     check_walk,
     pair_trace,  # noqa: F401  (unused here; perfbench/child.py wraps sweeps.pair_trace)
 )
-from .kernels import gap_words, match_offsets_bulk, pair_stats_kernel, walk_pairs
+from .kernels import (_odd_words, gap_words, match_offsets_bulk, pair_stats_kernel,
+                      predict_near_bulk, walk_pairs)
 
 # Values per sweep chunk below about 6e13, read at each scan: the checkpoint
 # cadence, ~1e6 scanned values. Higher up, chunk_width doubles it until a chunk
@@ -124,8 +126,9 @@ def _scan_chunk(args) -> TwinScanResult:
     lo, hi, predict, corollary_check = args
     odd = primes.sieve_segment(lo, hi + MARGIN).odd  # odd[i] <=> (lo | 1) + 2i prime
     twin_is = primes.twin_indices(odd, (hi + 1) // 2 - lo // 2)  # lessers <= hi
+    words = _odd_words(odd)  # the one packing of the chunk's flags
     ps = (lo | 1) + 2 * twin_is
-    m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_is, odd)
+    m, maxd, maxd_n, merge_n, ok = pair_stats_kernel(twin_is, odd, words)
     if not ok.all():
         p = ps[np.argmin(ok)]
         raise RuntimeError(f"twin pair ({p + 2}, {p}) did not stop within its chunk's "
@@ -133,12 +136,12 @@ def _scan_chunk(args) -> TwinScanResult:
     near = (merge_n > 0) & (maxd <= DEFAULT_THRESHOLD)
     predicted = cor17 = cor15 = None
     if predict or corollary_check:
-        words = gap_words(twin_is, odd)
+        gaps = gap_words(twin_is, words)
     if predict:
-        predicted = predict_near_bulk(words, ps)
+        predicted = predict_near_bulk(gaps, ps)
     if corollary_check:
         cor17, cor15 = (
-            np.any([match_offsets_bulk(words, pattern)
+            np.any([match_offsets_bulk(gaps, pattern)
                     for pattern in corollary_patterns(m_val)], axis=0)
             for m_val in (17, 15))
     return TwinScanResult(

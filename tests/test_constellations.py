@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from segment_flags import value_flags
+import twinconst
 from twinconst import primes
 from twinconst.constellations import (
     MAX_SPAN,
@@ -9,11 +15,10 @@ from twinconst.constellations import (
     GapPattern,
     corollary_patterns,
     matches_pattern,
-    predict_near_bulk,
     predicts_near,
 )
 from twinconst.hseq import pair_trace
-from twinconst.kernels import gap_words, match_offsets_bulk
+from twinconst.kernels import _odd_words, gap_words, match_offsets_bulk, predict_near_bulk
 from twinconst.sweeps import scan_c_sequence, scan_m_sequence
 
 PRODUCTION_PATTERNS = [*NEAR_PATTERNS.values(), *corollary_patterns(17),
@@ -102,6 +107,16 @@ def test_predicts_near_examples():
         predicts_near(9)
 
 
+def test_constellations_loads_without_the_bulk_readers():
+    # the pattern definitions and the scalar matchers import no kernels, so
+    # kernels can import the patterns without a cycle
+    code = "import sys, twinconst.constellations; print('twinconst.kernels' in sys.modules)"
+    src = str(Path(twinconst.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
 def test_predicts_near_matches_simulation_small():
     # simulated nearness: the traces merge with max difference <= 6
     for p in primes.twin_lessers(20_000):
@@ -115,7 +130,7 @@ def test_predict_near_bulk_matches_scalar():
     n = 20_000
     twin_is = np.flatnonzero(odd[:n] & odd[1 : n + 1])
     ps = 3 + 2 * twin_is
-    bulk = predict_near_bulk(gap_words(twin_is, odd), ps)
+    bulk = predict_near_bulk(gap_words(twin_is, _odd_words(odd)), ps)
     for p, got in zip(ps.tolist(), bulk):
         assert bool(got) == predicts_near(p)
 
@@ -129,7 +144,7 @@ def test_match_offsets_bulk_matches_scalar():
         # the primes below lo + width, all odd: odd[i] <=> (lo | 1) + 2i is prime
         odd = primes.sieve_segment(lo, lo + width + 40).odd
         idx = np.flatnonzero(odd[: width // 2])
-        words = gap_words(idx, odd)
+        words = gap_words(idx, _odd_words(odd))
         for i, pattern in enumerate(patterns):
             bulk = match_offsets_bulk(words, pattern)
             scalar = [matches_pattern((lo | 1) + 2 * j, pattern) for j in idx.tolist()]
@@ -159,7 +174,7 @@ def test_matchers_agree_with_sieved_primes(lo, hi, scalar_hi):
     ks = np.flatnonzero(flags[: hi - lo + 1])
     windows = np.lib.stride_tricks.sliding_window_view(flags, MAX_SPAN + 1)[ks]
     # the primes lo + ks are odd: odd index (lo + k - (lo | 1)) / 2
-    words = gap_words((lo + ks - (lo | 1)) // 2, seg.odd)
+    words = gap_words((lo + ks - (lo | 1)) // 2, _odd_words(seg.odd))
     scalar_ks = ks[lo + ks <= scalar_hi].tolist()
     for i, pattern in enumerate(PRODUCTION_PATTERNS):
         word = np.zeros(pattern.span + 1, bool)

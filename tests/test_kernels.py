@@ -160,6 +160,45 @@ def test_odd_words_equal_packed_padded_flags_for_every_size_mod_64():
         assert got.dtype == want.dtype and np.array_equal(got, want), size
 
 
+@pytest.mark.parametrize("size", [255, 256, 257, 4 * 64 + 37])
+def test_flags64_reads_64_flags_at_every_offset_up_to_the_padding(size):
+    # from every in-word offset of the first two words, and from each of the
+    # last 64 flags, whose reads run into _odd_words' clear padding
+    odd = np.random.default_rng(size).random(size) < 0.5
+    padded = np.pad(odd, (0, 64))
+    s = np.concatenate((np.arange(128), np.arange(size - 64, size)))
+    want = [int(np.packbits(padded[j : j + 64], bitorder="little").view("<u8")[0])
+            for j in s.tolist()]
+    assert kernels._flags64(kernels._odd_words(odd), s).tolist() == want
+
+
+def _gap_words_per_offset(idx, odd):
+    """gap_words as one gather from the bool flags per offset 0..MAX_SPAN / 2."""
+    words = np.zeros(idx.size, np.uint32)
+    for j in range(MAX_SPAN // 2 + 1):
+        words |= odd[idx + j].astype(np.uint32) << j
+    return words
+
+
+@pytest.mark.parametrize("height, seed", [(10**7, 7), (10**14, 14)])
+def test_gap_words_equal_the_per_offset_gather(height, seed):
+    # a sweep chunk's window at a seeded height: the gap words of its twin
+    # lessers, those within 16 flags of a word edge among them, and of every
+    # odd value whose 17 flags end at the window's last flag
+    lo = height + int(np.random.default_rng(seed).integers(0, 10**6))
+    hi = lo + sweeps.CHUNK - 1
+    odd = primes.sieve_segment(lo, hi + sweeps.MARGIN).odd
+    words = kernels._odd_words(odd)
+    twin_is = primes.twin_indices(odd, (hi + 1) // 2 - lo // 2)
+    edge = np.minimum(twin_is & 63, 63 - (twin_is & 63)) < 16
+    assert edge.sum() > 50 and (~edge).sum() > 50
+    tail = np.arange(odd.size - MAX_SPAN // 2 - 200, odd.size - MAX_SPAN // 2)
+    for idx in (twin_is, twin_is[edge], tail):
+        got = kernels.gap_words(idx, words)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, _gap_words_per_offset(idx, odd))
+
+
 def test_pairs_near_the_bitmap_end_are_not_ok():
     # windows [3, hi]: a pair is ok exactly when its upper trace stays at or
     # below the window's last odd value up to the pair's stop index, as the
@@ -171,7 +210,7 @@ def test_pairs_near_the_bitmap_end_are_not_ok():
         last = 3 + 2 * (odd.size - 1)
         twin_is = np.flatnonzero(odd[:-1] & odd[1:])
         ps = 3 + 2 * twin_is
-        out = pair_stats_kernel(twin_is, odd)
+        out = pair_stats_kernel(twin_is, odd, kernels._odd_words(odd))
         ok = out[4]
         want = []
         for p in ps.tolist():
@@ -325,7 +364,7 @@ def test_open_pair_has_merge_n_0_and_merge_index_none():
     # merge at 47
     assert walk_pairs([17], [3], DEFAULT_THRESHOLD, 100)[3].tolist() == [0]
     odd = primes.sieve_segment(3, 1 << 12).odd  # 5 is odd index 1 from 3
-    m, _, _, merge_n, ok = pair_stats_kernel(np.array([1]), odd)
+    m, _, _, merge_n, ok = pair_stats_kernel(np.array([1]), odd, kernels._odd_words(odd))
     assert (m.tolist(), merge_n.tolist(), ok.tolist()) == ([13], [0], [True])
     rep = pair_trace(17, 3, DEFAULT_THRESHOLD, 100)
     assert rep.merge_index is None and not rep.merged
@@ -563,7 +602,8 @@ def test_chunk_without_twin_pairs():
     result = scan_twin_range(20, 28)
     assert result.ps.size == 0 and result.fallback_count == 0
     empty = np.zeros(0, np.int64)
-    out = pair_stats_kernel(empty, np.ones(64, bool))
+    odd = np.ones(64, bool)
+    out = pair_stats_kernel(empty, odd, kernels._odd_words(odd))
     assert [a.size for a in out] == [0] * 5
     assert [a.size for a in walk_pairs(empty, empty, 6, DEFAULT_BOUND)] == [0] * 4
 
